@@ -3,9 +3,12 @@
 The source graph lives on frequency indices 1..N and has an edge wherever the
 source spectral covariance is (significantly) nonzero; the observation graph
 is the subgraph of it that survives thresholding of the empirical observation
-correlations. Sign recovery later walks the observation graph per connected
-component, so component enumeration here is deterministic: breadth-first
-search with neighbors visited in ascending vertex order.
+correlations. Both are threshold masks on the upper triangle of a correlation
+matrix and are read through the ``adjacency`` matrix they share with
+``spectral.Graph``. Sign recovery later walks the observation graph per
+connected component, so component enumeration here is deterministic: one
+``spectral.bfs_tree`` per component, from its lowest vertex, with neighbours
+visited in ascending vertex order.
 """
 
 from __future__ import annotations
@@ -16,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonpositiveVariance
-from .spectral import SignalEnsemble
+from .spectral import EdgeGraph, SignalEnsemble, adjacency_matrix, bfs_tree, edge_set
 
 
 @dataclass(frozen=True)
-class SourceGraph:
+class SourceGraph(EdgeGraph):
     """Graph on frequency indices with edges at thresholded source correlations."""
 
     n_vertices: int
@@ -28,12 +31,9 @@ class SourceGraph:
     degrees: np.ndarray
     connected: bool
 
-    def neighbors(self) -> list[list[int]]:
-        return neighbor_lists(self.n_vertices, self.edges)
-
 
 @dataclass(frozen=True)
-class ObservationGraph:
+class ObservationGraph(EdgeGraph):
     """Thresholded subgraph of the source graph seen through noisy observations.
 
     ``support`` collects the indices with at least one surviving incident
@@ -47,36 +47,21 @@ class ObservationGraph:
     components: tuple[tuple[int, ...], ...]
 
 
-def neighbor_lists(n_vertices: int, edges) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(n_vertices)]
-    for i, j in edges:
-        adj[i - 1].append(j)
-        adj[j - 1].append(i)
-    for lst in adj:
-        lst.sort()
-    return adj
-
-
 def connected_components(vertices, n_vertices: int, edges) -> tuple[tuple[int, ...], ...]:
     """Connected components of the subgraph on ``vertices``, BFS in ascending order."""
-    adj = neighbor_lists(n_vertices, edges)
-    members = set(vertices)
-    seen: set[int] = set()
-    comps: list[tuple[int, ...]] = []
-    for start in sorted(members):
-        if start in seen:
-            continue
-        queue = [start]
-        seen.add(start)
-        comp = []
-        while queue:
-            v = queue.pop(0)
-            comp.append(v)
-            for w in adj[v - 1]:
-                if w in members and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        comps.append(tuple(sorted(comp)))
+    members = np.zeros(n_vertices, dtype=bool)
+    members[np.fromiter(vertices, dtype=np.intp) - 1] = True
+    return _components(adjacency_matrix(n_vertices, edges), members)
+
+
+def _components(adj: np.ndarray, members: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Components of the vertices in the ``members`` mask, each sorted, ordered by smallest vertex."""
+    left = members.copy()
+    comps = []
+    while left.any():
+        order, _ = bfs_tree(adj, int(np.argmax(left)) + 1, left)
+        left[np.array(order) - 1] = False
+        comps.append(tuple(sorted(order)))
     return tuple(comps)
 
 
@@ -125,21 +110,13 @@ def build_source_graph(cov_x: np.ndarray, pearson_threshold: float) -> SourceGra
         raise ValueError(f"pearson_threshold must be >= 0, got {pearson_threshold}")
     rho = pearson_matrix(cov_x, "source covariance")
     n = rho.shape[0]
-    edges = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rho[i, j] >= pearson_threshold:
-                edges.add((i + 1, j + 1))
-    degrees = np.zeros(n, dtype=int)
-    for i, j in edges:
-        degrees[i - 1] += 1
-        degrees[j - 1] += 1
-    comps = connected_components(range(1, n + 1), n, edges)
+    upper = np.triu(rho >= pearson_threshold, 1)
+    adj = upper | upper.T
     return SourceGraph(
         n_vertices=n,
-        edges=frozenset(edges),
-        degrees=degrees,
-        connected=len(comps) == 1,
+        edges=edge_set(upper),
+        degrees=adj.sum(axis=1),
+        connected=len(_components(adj, np.ones(n, dtype=bool))) == 1,
     )
 
 
@@ -157,19 +134,14 @@ def build_observation_graph(cov_ym: np.ndarray, source: SourceGraph, delta: floa
         raise ValueError(
             f"covariance size {rho.shape[0]} != source graph size {source.n_vertices}"
         )
-    edges = {(i, j) for (i, j) in source.edges if rho[i - 1, j - 1] >= delta}
-    support: set[int] = set()
-    for i, j in source.edges:
-        r = rho[i - 1, j - 1]
-        if r >= delta:
-            support.add(i)
-            support.add(j)
-    comps = connected_components(support, source.n_vertices, edges)
+    upper = np.triu(source.adjacency & (rho >= delta), 1)
+    kept = upper | upper.T
+    support = kept.any(axis=1)
     return ObservationGraph(
         n_vertices=source.n_vertices,
-        support=frozenset(support),
-        edges=frozenset(edges),
-        components=comps,
+        support=frozenset((np.flatnonzero(support) + 1).tolist()),
+        edges=edge_set(upper),
+        components=_components(kept, support),
     )
 
 
@@ -204,10 +176,10 @@ def delta_cap(cov_x: np.ndarray, source: SourceGraph, h_norm: float) -> float:
     helper; on real data delta stays a user parameter.
     """
     cov_x = np.asarray(cov_x, dtype=float)
-    if not source.edges:
+    upper = np.triu(source.adjacency, 1)
+    if not upper.any():
         raise ValueError("source graph has no edges")
-    delta0 = min(abs(cov_x[i - 1, j - 1]) for i, j in source.edges)
-    return h_norm**2 * delta0 / 8.0
+    return h_norm**2 * np.abs(cov_x[upper]).min() / 8.0
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 from .channel import pseudo_inverse
 from .covariance import empirical_covariance, ensure_positive_diagonal
 from .estimation import ChannelEstimate, Component
-from .spectral import SignalEnsemble, SpectralBasis, gft, igft
+from .spectral import SPECTRAL, SignalEnsemble, SpectralBasis, gft, igft
 
 DB_OFFSET = 1e-5
 DIAGNOSTIC_FLOOR_DB = -20.0
@@ -61,7 +61,7 @@ def blind_deconvolve(
         raise ValueError("estimate has empty support, nothing can be reconstructed")
     dagger = pseudo_inverse(estimate.gamma_m, estimate.support)
     yhat = gft(basis, observations)
-    xhat = SignalEnsemble(signals=yhat.signals * dagger.gamma_dagger, domain="spectral")
+    xhat = SignalEnsemble(signals=yhat.signals * dagger.gamma_dagger, domain=SPECTRAL)
     return DeconvolutionResult(
         reconstructed=igft(basis, xhat), spectral=xhat, support=estimate.support
     )
@@ -132,7 +132,7 @@ def align_component_signs(
     +1 on a tie). Off-support coefficients are untouched. Returns the aligned
     result and the per-component flips, ordered like ``components``.
     """
-    if reference.domain != "spectral":
+    if reference.domain != SPECTRAL:
         raise ValueError("reference ensemble must be spectral")
     xhat = result.spectral.signals
     if reference.signals.shape != xhat.shape:
@@ -148,7 +148,7 @@ def align_component_signs(
         if flip < 0:
             aligned[:, cols] = -aligned[:, cols]
         flips.append(flip)
-    spectral = SignalEnsemble(signals=aligned, domain="spectral")
+    spectral = SignalEnsemble(signals=aligned, domain=SPECTRAL)
     return (
         DeconvolutionResult(
             reconstructed=igft(basis, spectral), spectral=spectral, support=result.support

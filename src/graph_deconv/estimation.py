@@ -4,10 +4,12 @@ The observer knows the source spectral covariance and sees only noisy filtered
 samples. Diagonal and off-diagonal entries of the two covariances are tied
 together by a per-edge quadratic system whose closed-form solution yields the
 response magnitude at every frequency; magnitudes are averaged over all source
-edges incident to the frequency. Signs are then fixed per connected component
-of the observation graph: pick the lowest-index vertex as anchor, give it the
-requested sign, and propagate along a breadth-first spanning tree using the
-sign of the ratio between observed and source covariance on each tree edge.
+edges incident to the frequency, read as masks of the graphs' ``adjacency``
+matrices. Signs are then fixed per connected component of the observation
+graph: pick the lowest-index vertex as anchor, give it the requested sign, and
+propagate along the breadth-first spanning tree that ``spectral.bfs_tree``
+returns, using the sign of the ratio between observed and source covariance on
+each tree edge.
 The result is the true channel up to one sign per component, which is the best
 any observer of second-order statistics can do.
 """
@@ -25,10 +27,9 @@ from .covariance import (
     build_observation_graph,
     empirical_covariance,
     ensure_positive_diagonal,
-    neighbor_lists,
 )
 from .errors import IsolatedVertex
-from .spectral import SignalEnsemble, SpectralBasis, gft
+from .spectral import SignalEnsemble, SpectralBasis, bfs_tree, gft
 
 
 @dataclass(frozen=True)
@@ -115,10 +116,7 @@ def estimate_magnitudes(cov_x: np.ndarray, cov_ym: np.ndarray, source: SourceGra
             f"vertex {isolated[0] + 1} has no incident source edge, magnitude undefined"
         )
 
-    adjacent = np.zeros((n, n), dtype=bool)
-    for i, j in source.edges:
-        adjacent[i - 1, j - 1] = True
-        adjacent[j - 1, i - 1] = True
+    adjacent = source.adjacency
     if np.any(adjacent & (cov_x == 0)):
         i, j = np.argwhere(adjacent & (cov_x == 0))[0]
         raise ValueError(f"source covariance is zero on edge ({i + 1}, {j + 1})")
@@ -178,33 +176,26 @@ def assign_signs(
     if any(s not in (-1, 1) for s in anchor_signs):
         raise ValueError("anchor signs must be -1 or +1")
 
-    adj = neighbor_lists(n, obs.edges)
     signs = np.ones(n)
     components = []
     for eps_k, vertices in zip(anchor_signs, obs.components):
         if not vertices:
             raise ValueError("observation graph produced an empty component")
-        members = set(vertices)
+        members = np.zeros(n, dtype=bool)
+        members[np.array(vertices) - 1] = True
         anchor = min(vertices)
+        order, parents = bfs_tree(obs.adjacency, anchor, members)
         signs[anchor - 1] = eps_k
-        parents: dict[int, int] = {}
-        queue = [anchor]
-        visited = {anchor}
-        while queue:
-            v = queue.pop(0)
-            for w in adj[v - 1]:
-                if w in members and w not in visited:
-                    visited.add(w)
-                    parents[w] = v
-                    ratio = cov_ym[w - 1, v - 1] / cov_x[w - 1, v - 1]
-                    if ratio == 0:
-                        warnings.warn(
-                            f"zero covariance ratio on tree edge ({w}, {v}), using sign +1",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
-                    signs[w - 1] = signs[v - 1] * sign_of(ratio)
-                    queue.append(w)
+        for w in order[1:]:
+            v = parents[w]
+            ratio = cov_ym[w - 1, v - 1] / cov_x[w - 1, v - 1]
+            if ratio == 0:
+                warnings.warn(
+                    f"zero covariance ratio on tree edge ({w}, {v}), using sign +1",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+            signs[w - 1] = signs[v - 1] * sign_of(ratio)
         components.append(
             Component(vertices=vertices, anchor=anchor, anchor_sign=eps_k, parents=parents)
         )
@@ -249,10 +240,8 @@ def sign_consistency_report(
     """
     cov_x = np.asarray(cov_x, dtype=float)
     cov_ym = np.asarray(cov_ym, dtype=float)
-    gamma = estimate.gamma_m
-    violated = []
-    for i, j in sorted(obs.edges):
-        ratio = cov_ym[i - 1, j - 1] / cov_x[i - 1, j - 1]
-        if sign_of(gamma[i - 1]) * sign_of(gamma[j - 1]) != sign_of(ratio):
-            violated.append((i, j))
-    return violated
+    i, j = np.nonzero(np.triu(obs.adjacency, 1))
+    signs = np.where(estimate.gamma_m < 0, -1, 1)
+    ratio = cov_ym[i, j] / cov_x[i, j]
+    bad = signs[i] * signs[j] != np.where(ratio < 0, -1, 1)
+    return list(zip((i[bad] + 1).tolist(), (j[bad] + 1).tolist()))

@@ -25,7 +25,7 @@ import numpy as np
 from .covariance import BoundCheck
 from .errors import FileFormatError
 from .estimation import ChannelEstimate, Component
-from .spectral import SignalEnsemble
+from .spectral import VERTEX, SignalEnsemble
 
 
 def _fmt(x: float) -> str:
@@ -98,7 +98,7 @@ def write_edge_list(path, edges) -> None:
             w.writerow([i, j])
 
 
-def read_signals(path, domain: str = "vertex") -> SignalEnsemble:
+def read_signals(path, domain: str = VERTEX) -> SignalEnsemble:
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if len(rows) < 2:
@@ -231,16 +231,22 @@ def read_channel_estimate(csv_path, json_path=None) -> ChannelEstimate:
 
     if json_path is not None:
         with open(json_path) as fh:
-            payload = json.load(fh)
-        components = tuple(
-            Component(
-                vertices=tuple(int(v) for v in comp["vertices"]),
-                anchor=int(comp["anchor"]),
-                anchor_sign=int(comp["anchor_sign"]),
-                parents={int(c): int(p) for c, p in comp["parents"].items()},
+            try:
+                payload = json.load(fh)
+            except ValueError as exc:
+                raise FileFormatError(f"{json_path}: not valid JSON: {exc}") from exc
+        try:
+            components = tuple(
+                Component(
+                    vertices=tuple(int(v) for v in comp["vertices"]),
+                    anchor=int(comp["anchor"]),
+                    anchor_sign=int(comp["anchor_sign"]),
+                    parents={int(c): int(p) for c, p in comp["parents"].items()},
+                )
+                for comp in payload["components"]
             )
-            for comp in payload["components"]
-        )
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise FileFormatError(f"{json_path}: malformed components sidecar: {exc!r}") from exc
     else:
         by_comp: dict[int, list[int]] = {}
         anchor_of: dict[int, int] = {}
@@ -369,8 +375,4 @@ def center_dataset(raw: RawDataset) -> SignalEnsemble:
     values = raw.values
     centered = values - values.mean(axis=2, keepdims=True)
     n, t, d = centered.shape
-    samples = np.empty((d * t, n))
-    for day in range(d):
-        for hour in range(t):
-            samples[day * t + hour] = centered[:, hour, day]
-    return SignalEnsemble(signals=samples, domain="vertex")
+    return SignalEnsemble(signals=centered.transpose(2, 1, 0).reshape(d * t, n), domain=VERTEX)

@@ -46,6 +46,8 @@ from .estimation import (
     sign_of,
 )
 from .spectral import (
+    SPECTRAL,
+    VERTEX,
     Graph,
     SignalEnsemble,
     SpectralBasis,
@@ -188,7 +190,7 @@ def synthetic_source(n: int, m: int, seed: int) -> tuple[np.ndarray, SignalEnsem
     mixing = mixing_matrix(n, derive_seed(seed, _MIXING))
     rng = np.random.default_rng(derive_seed(seed, _SOURCE))
     z = rng.standard_normal((m, n))
-    return mixing, SignalEnsemble(signals=z @ mixing.T, domain="spectral")
+    return mixing, SignalEnsemble(signals=z @ mixing.T, domain=SPECTRAL)
 
 
 def transmit(
@@ -197,7 +199,7 @@ def transmit(
     basis: SpectralBasis,
     sigma: float,
     seed: int,
-    noise_domain: str = "spectral",
+    noise_domain: str = SPECTRAL,
 ) -> SignalEnsemble:
     """Filter vertex-domain sources through the channel and add white noise.
 
@@ -206,44 +208,40 @@ def transmit(
     equivalent.
     """
     gamma = np.asarray(gamma, dtype=float).reshape(-1)
-    if noise_domain not in ("spectral", "vertex"):
+    if noise_domain not in (SPECTRAL, VERTEX):
         raise ValueError(f"unknown noise domain {noise_domain!r}")
     xhat = gft(basis, sources)
     filtered = xhat.signals * gamma
     rng = np.random.default_rng(seed)
-    if noise_domain == "spectral":
+    if noise_domain == SPECTRAL:
         if sigma > 0:
             filtered = filtered + sigma * rng.standard_normal(filtered.shape)
-        return igft(basis, SignalEnsemble(signals=filtered, domain="spectral"))
-    y = igft(basis, SignalEnsemble(signals=filtered, domain="spectral")).signals
+        return igft(basis, SignalEnsemble(signals=filtered, domain=SPECTRAL))
+    y = igft(basis, SignalEnsemble(signals=filtered, domain=SPECTRAL)).signals
     if sigma > 0:
         y = y + sigma * rng.standard_normal(y.shape)
-    return SignalEnsemble(signals=y, domain="vertex")
+    return SignalEnsemble(signals=y, domain=VERTEX)
 
 
 def connectivity_radius(xy: np.ndarray) -> float:
-    """Smallest radius at which the radius graph on these points is connected."""
+    """Smallest radius at which the radius graph on these points is connected.
+
+    That is the longest edge of the Euclidean minimum spanning tree, grown here
+    with Prim's algorithm in O(N^2).
+    """
     n = xy.shape[0]
-    dists = sorted(
-        (float(np.hypot(*(xy[i] - xy[j]))), i, j) for i in range(n) for j in range(i + 1, n)
-    )
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    merged = 0
-    for d, i, j in dists:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            merged += 1
-            if merged == n - 1:
-                return d
-    raise ValueError("could not connect the points")
+    if n < 2:
+        raise ValueError("could not connect the points")
+    in_tree = np.zeros(n, dtype=bool)
+    best = np.full(n, np.inf)
+    k, radius = 0, 0.0
+    for _ in range(n - 1):
+        in_tree[k] = True
+        best = np.minimum(best, np.hypot(xy[:, 0] - xy[k, 0], xy[:, 1] - xy[k, 1]))
+        best[in_tree] = np.inf
+        k = int(np.argmin(best))
+        radius = max(radius, float(best[k]))
+    return radius
 
 
 def simulation_graph(n: int, seed: int) -> tuple[list[tuple[str, float, float]], float, Graph, SpectralBasis]:
@@ -267,7 +265,7 @@ def simulation_graph(n: int, seed: int) -> tuple[list[tuple[str, float, float]],
             last_error = exc
             continue
         return coords, radius, graph, basis
-    raise RuntimeError(
+    raise DegenerateSpectrum(
         f"no layout with a distinct spectrum in {_GRAPH_ATTEMPTS} attempts: {last_error}"
     )
 

@@ -2,11 +2,18 @@
 
 Vertices are labelled 1..N everywhere in the public interface. Arrays are
 positional, so entry ``k`` of a length-N vector belongs to vertex ``k + 1``.
+
+Every graph in the package (``Graph`` here, the source and observation graphs
+in ``covariance``) is built from a frozenset of edges and read through one
+derived boolean ``adjacency`` matrix. ``bfs_tree`` is the one traversal.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -21,8 +28,62 @@ VERTEX = "vertex"
 SPECTRAL = "spectral"
 
 
+def adjacency_matrix(n_vertices: int, edges) -> np.ndarray:
+    """Symmetric boolean N x N adjacency matrix of 1-based ``(i, j)`` edge pairs."""
+    ends = np.fromiter(chain.from_iterable(edges), dtype=np.intp).reshape(-1, 2) - 1
+    adj = np.zeros((n_vertices, n_vertices), dtype=bool)
+    adj[ends[:, 0], ends[:, 1]] = True
+    adj[ends[:, 1], ends[:, 0]] = True
+    return adj
+
+
+def edge_set(upper: np.ndarray) -> frozenset[tuple[int, int]]:
+    """Edges (i, j), i < j, at the true entries of a strictly upper-triangular mask."""
+    # One int object per vertex label, shared by every edge tuple: large dense
+    # graphs hold hundreds of thousands of edges.
+    labels = np.arange(1, upper.shape[0] + 1).astype(object)
+    i, j = np.nonzero(upper)
+    return frozenset(zip(labels[i], labels[j]))
+
+
+class EdgeGraph:
+    """Base of the graph classes: ``adjacency`` derived once from ``n_vertices`` and ``edges``."""
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """Read-only symmetric boolean adjacency matrix; row ``k`` is vertex ``k + 1``."""
+        adj = adjacency_matrix(self.n_vertices, self.edges)
+        adj.flags.writeable = False
+        return adj
+
+
+def bfs_tree(adj: np.ndarray, root: int, members=None) -> tuple[list[int], dict[int, int]]:
+    """Breadth-first spanning tree of the component of vertex ``root``.
+
+    ``adj`` is a boolean adjacency matrix and ``members``, when given, a
+    boolean mask over vertex positions that confines the search (``root`` must
+    be a member). Neighbours are visited in ascending order. Returns the
+    vertices in visit order, root first, and the parent of every other visited
+    vertex, all as 1-based labels.
+    """
+    unseen = np.ones(adj.shape[0], dtype=bool) if members is None else np.array(members, dtype=bool)
+    unseen[root - 1] = False
+    order = [root]
+    parents: dict[int, int] = {}
+    queue = deque(order)
+    while queue:
+        v = queue.popleft()
+        found = np.flatnonzero(adj[v - 1] & unseen)
+        unseen[found] = False
+        labels = (found + 1).tolist()
+        parents.update(dict.fromkeys(labels, v))
+        order.extend(labels)
+        queue.extend(labels)
+    return order, parents
+
+
 @dataclass(frozen=True)
-class Graph:
+class Graph(EdgeGraph):
     """Undirected, unweighted, finite graph on vertices 1..N.
 
     Edges are unordered pairs stored as tuples (i, j) with i < j. Self loops
@@ -40,29 +101,9 @@ class Graph:
             if not (1 <= i < j <= self.n_vertices):
                 raise ValueError(f"edge ({i}, {j}) out of range for {self.n_vertices} vertices")
 
-    def neighbors(self) -> list[list[int]]:
-        """Adjacency lists indexed by vertex - 1, each sorted ascending."""
-        adj: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for i, j in self.edges:
-            adj[i - 1].append(j)
-            adj[j - 1].append(i)
-        for lst in adj:
-            lst.sort()
-        return adj
-
     def is_connected(self) -> bool:
-        if self.n_vertices == 1:
-            return True
-        adj = self.neighbors()
-        seen = {1}
-        stack = [1]
-        while stack:
-            v = stack.pop()
-            for w in adj[v - 1]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n_vertices
+        order, _ = bfs_tree(self.adjacency, 1)
+        return len(order) == self.n_vertices
 
 
 def normalize_edge(pair) -> tuple[int, int]:
@@ -134,27 +175,15 @@ def build_radius_graph(coords, radius: float) -> Graph:
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         raise ValueError(f"duplicate coordinate ids: {dupes}")
     xy = np.array([[float(r[1]), float(r[2])] for r in rows])
-    n = len(rows)
     diff = xy[:, None, :] - xy[None, :, :]
     dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-    edges = set()
-    r2 = float(radius) ** 2
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dist2[i, j] <= r2:
-                edges.add((i + 1, j + 1))
-    return Graph(n_vertices=n, edges=frozenset(edges))
+    return Graph(n_vertices=len(rows), edges=edge_set(np.triu(dist2 <= float(radius) ** 2, 1)))
 
 
 def laplacian(g: Graph) -> np.ndarray:
     """Combinatorial Laplacian D - A. Rows sum to zero."""
-    lap = np.zeros((g.n_vertices, g.n_vertices))
-    for i, j in g.edges:
-        lap[i - 1, j - 1] = -1.0
-        lap[j - 1, i - 1] = -1.0
-        lap[i - 1, i - 1] += 1.0
-        lap[j - 1, j - 1] += 1.0
-    return lap
+    adj = g.adjacency.astype(float)
+    return np.diag(adj.sum(axis=1)) - adj
 
 
 def eigendecompose(shift: np.ndarray) -> SpectralBasis:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from graph_deconv import SimulationConfig
+from graph_deconv import simulate
 from graph_deconv.cli import cli_dispatch
 from graph_deconv import io as gio
 
@@ -88,6 +89,15 @@ class TestSimulateCommand:
         path.write_text("{not json")
         assert cli_dispatch(["simulate", "--config", str(path)]) == 2
 
+    def test_exhausted_layout_search_is_one_line_error(self, tmp_path, monkeypatch, capsys):
+        # Seed 17 draws a first N=96 layout whose Laplacian repeats an eigenvalue.
+        monkeypatch.setattr(simulate, "_GRAPH_ATTEMPTS", 1)
+        path = tmp_path / "sim.json"
+        SimulationConfig(n_vertices=96, sample_count=10, noise_sigma=0.5, seed=17).to_json_file(path)
+        assert cli_dispatch(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "no layout with a distinct spectrum in 1 attempts" in err[0]
+
 
 class TestEstimateDeconvolveDiagnose:
     def test_full_chain_on_bundle_artifacts(self, sim_bundle, tmp_path, capsys):
@@ -140,6 +150,31 @@ class TestEstimateDeconvolveDiagnose:
         summary = json.loads((diag_dir / "diagnostics_summary.json").read_text())
         assert {"mean_diagonal_db", "mean_offdiagonal_db", "gap_db", "diagonal_inflation"} <= set(summary)
         assert "gap" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "sidecar",
+        ["{not json", '{"n_vertices": 6, "support": [1]}', '{"components": [{"vertices": 3}]}'],
+        ids=["malformed-json", "no-components-key", "ill-typed-entry"],
+    )
+    def test_bad_components_sidecar_is_io_error(self, sim_bundle, tmp_path, capsys, sidecar):
+        cfg, cfg_path, out = sim_bundle
+        radius = json.loads((out / "summary.json").read_text())["radius"]
+        path = tmp_path / "components.json"
+        path.write_text(sidecar)
+        code = cli_dispatch(
+            [
+                "deconvolve",
+                "--signals", str(out / "observations.csv"),
+                "--estimate", str(out / "channel_estimate.csv"),
+                "--components", str(path),
+                "--coords", str(out / "coords.csv"),
+                "--radius", str(radius),
+                "--out", str(tmp_path / "dec"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(path) in err[0]
 
     def test_validate_bounds(self, sim_bundle, tmp_path, capsys):
         cfg, cfg_path, out = sim_bundle
