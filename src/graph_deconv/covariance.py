@@ -3,23 +3,24 @@
 The source graph lives on frequency indices 1..N and has an edge wherever the
 source spectral covariance is (significantly) nonzero; the observation graph
 is the subgraph of it that survives thresholding of the empirical observation
-correlations. Both are threshold masks on the upper triangle of a correlation
-matrix and are read through the ``adjacency`` matrix they share with
-``spectral.Graph``. Sign recovery later walks the observation graph per
-connected component, so component enumeration here is deterministic: one
-``spectral.bfs_tree`` per component, from its lowest vertex, with neighbours
-visited in ascending vertex order.
+correlations. Both store the threshold mask on the upper triangle of a
+correlation matrix as their edges, like ``spectral.Graph``, and are read
+through the ``adjacency`` matrix derived from it. Sign recovery later walks
+the observation graph per connected component, so component enumeration here
+is deterministic: one ``spectral.bfs_tree`` per component, from its lowest
+vertex, with neighbours visited in ascending vertex order.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Set
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonpositiveVariance
-from .spectral import EdgeGraph, SignalEnsemble, adjacency_matrix, bfs_tree, edge_set
+from .spectral import EdgeGraph, EdgeSet, SignalEnsemble, adjacency_matrix, bfs_tree
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,7 @@ class SourceGraph(EdgeGraph):
     """Graph on frequency indices with edges at thresholded source correlations."""
 
     n_vertices: int
-    edges: frozenset[tuple[int, int]]
+    edges: Set[tuple[int, int]]
     degrees: np.ndarray
     connected: bool
 
@@ -43,7 +44,7 @@ class ObservationGraph(EdgeGraph):
 
     n_vertices: int
     support: frozenset[int]
-    edges: frozenset[tuple[int, int]]
+    edges: Set[tuple[int, int]]
     components: tuple[tuple[int, ...], ...]
 
 
@@ -114,7 +115,7 @@ def build_source_graph(cov_x: np.ndarray, pearson_threshold: float) -> SourceGra
     adj = upper | upper.T
     return SourceGraph(
         n_vertices=n,
-        edges=edge_set(upper),
+        edges=EdgeSet(upper),
         degrees=adj.sum(axis=1),
         connected=len(_components(adj, np.ones(n, dtype=bool))) == 1,
     )
@@ -140,7 +141,7 @@ def build_observation_graph(cov_ym: np.ndarray, source: SourceGraph, delta: floa
     return ObservationGraph(
         n_vertices=source.n_vertices,
         support=frozenset((np.flatnonzero(support) + 1).tolist()),
-        edges=edge_set(upper),
+        edges=EdgeSet(upper),
         components=_components(kept, support),
     )
 

@@ -210,7 +210,11 @@ def read_channel_estimate(csv_path, json_path=None) -> ChannelEstimate:
     """Rebuild an estimate from its CSV, with full trees when the JSON is given.
 
     Without the sidecar the component membership and anchors still come back
-    from the CSV columns, but the spanning-tree parent maps are empty.
+    from the CSV columns, but the spanning-tree parent maps are empty. A
+    sidecar that does not fit the CSV raises ``FileFormatError``: a vertex
+    outside 1..N or in two components, an anchor or a parent link outside its
+    component, an anchor sign other than +-1, or an ``n_vertices`` other
+    than the CSV's row count.
     """
     rows = _read_rows(csv_path, ["n", "gamma_m", "in_support", "component", "is_anchor"])
     entries = {}
@@ -236,6 +240,7 @@ def read_channel_estimate(csv_path, json_path=None) -> ChannelEstimate:
             except ValueError as exc:
                 raise FileFormatError(f"{json_path}: not valid JSON: {exc}") from exc
         try:
+            declared = int(payload.get("n_vertices", n))
             components = tuple(
                 Component(
                     vertices=tuple(int(v) for v in comp["vertices"]),
@@ -247,6 +252,9 @@ def read_channel_estimate(csv_path, json_path=None) -> ChannelEstimate:
             )
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise FileFormatError(f"{json_path}: malformed components sidecar: {exc!r}") from exc
+        if declared != n:
+            raise FileFormatError(f"{json_path}: n_vertices {declared} != {n} rows in {csv_path}")
+        _check_components(json_path, n, components)
     else:
         by_comp: dict[int, list[int]] = {}
         anchor_of: dict[int, int] = {}
@@ -266,6 +274,29 @@ def read_channel_estimate(csv_path, json_path=None) -> ChannelEstimate:
             for cid, vs in sorted(by_comp.items())
         )
     return ChannelEstimate(gamma_m=gamma, support=support, components=components)
+
+
+def _check_components(json_path, n: int, components: tuple[Component, ...]) -> None:
+    """Reject sidecar components that are not disjoint anchored trees on vertices 1..n."""
+    seen: set[int] = set()
+    for k, comp in enumerate(components, start=1):
+        where = f"{json_path}: component {k}"
+        for v in comp.vertices:
+            if not 1 <= v <= n:
+                raise FileFormatError(f"{where}: vertex {v} outside 1..{n}")
+            if v in seen:
+                raise FileFormatError(f"{where}: vertex {v} appears in more than one place")
+            seen.add(v)
+        members = set(comp.vertices)
+        if comp.anchor not in members:
+            raise FileFormatError(f"{where}: anchor {comp.anchor} is not one of its vertices")
+        if comp.anchor_sign not in (-1, 1):
+            raise FileFormatError(f"{where}: anchor_sign {comp.anchor_sign} is not -1 or +1")
+        for child, parent in comp.parents.items():
+            if child not in members or parent not in members:
+                raise FileFormatError(
+                    f"{where}: parent link {child} -> {parent} leaves the component"
+                )
 
 
 def write_bound_report(path, report: list[BoundCheck]) -> None:

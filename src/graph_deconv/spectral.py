@@ -4,16 +4,18 @@ Vertices are labelled 1..N everywhere in the public interface. Arrays are
 positional, so entry ``k`` of a length-N vector belongs to vertex ``k + 1``.
 
 Every graph in the package (``Graph`` here, the source and observation graphs
-in ``covariance``) is built from a frozenset of edges and read through one
-derived boolean ``adjacency`` matrix. ``bfs_tree`` is the one traversal.
+in ``covariance``) stores its edges as one strictly upper-triangular boolean
+mask. ``edges`` reads it as a set of (i, j) pairs, an ``EdgeSet``, and every
+algorithm reads the symmetric ``adjacency`` matrix derived from it.
+``bfs_tree`` is the one traversal.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -28,26 +30,81 @@ VERTEX = "vertex"
 SPECTRAL = "spectral"
 
 
+def edge_mask(n_vertices: int, edges) -> np.ndarray:
+    """Strictly upper-triangular boolean N x N mask of the edges.
+
+    ``edges`` is an ``EdgeSet``, whose mask is returned as is, or 1-based
+    ``(i, j)`` pairs in either order, which are normalised and range-checked.
+    """
+    if isinstance(edges, EdgeSet):
+        if edges.upper.shape != (n_vertices, n_vertices):
+            raise ValueError(f"edge mask {edges.upper.shape} does not fit {n_vertices} vertices")
+        return edges.upper
+    pairs = {normalize_edge(e) for e in edges}
+    for i, j in pairs:
+        if not (1 <= i < j <= n_vertices):
+            raise ValueError(f"edge ({i}, {j}) out of range for {n_vertices} vertices")
+    ends = np.array(list(pairs), dtype=np.intp).reshape(-1, 2) - 1
+    upper = np.zeros((n_vertices, n_vertices), dtype=bool)
+    upper[ends[:, 0], ends[:, 1]] = True
+    return upper
+
+
 def adjacency_matrix(n_vertices: int, edges) -> np.ndarray:
-    """Symmetric boolean N x N adjacency matrix of 1-based ``(i, j)`` edge pairs."""
-    ends = np.fromiter(chain.from_iterable(edges), dtype=np.intp).reshape(-1, 2) - 1
-    adj = np.zeros((n_vertices, n_vertices), dtype=bool)
-    adj[ends[:, 0], ends[:, 1]] = True
-    adj[ends[:, 1], ends[:, 0]] = True
-    return adj
+    """Symmetric boolean N x N adjacency matrix of the edges, as ``edge_mask`` takes them."""
+    upper = edge_mask(n_vertices, edges)
+    return upper | upper.T
 
 
-def edge_set(upper: np.ndarray) -> frozenset[tuple[int, int]]:
-    """Edges (i, j), i < j, at the true entries of a strictly upper-triangular mask."""
-    # One int object per vertex label, shared by every edge tuple: large dense
-    # graphs hold hundreds of thousands of edges.
-    labels = np.arange(1, upper.shape[0] + 1).astype(object)
-    i, j = np.nonzero(upper)
-    return frozenset(zip(labels[i], labels[j]))
+class EdgeSet(Set):
+    """Read-only set of the edges (i, j), i < j, at the true entries of an upper-triangular mask.
+
+    It compares, subtracts and hashes like the frozenset of the same pairs.
+    Iteration yields Python-int pairs in row-major, hence sorted, order. The
+    mask is made read-only and is not copied.
+    """
+
+    def __init__(self, upper: np.ndarray):
+        upper.flags.writeable = False
+        self.upper = upper
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.upper))
+
+    def __contains__(self, pair) -> bool:
+        if not (isinstance(pair, tuple) and len(pair) == 2):
+            return False
+        i, j = pair
+        try:
+            if not (1 <= i < j <= self.upper.shape[0] and i == int(i) and j == int(j)):
+                return False
+        except (TypeError, ValueError):
+            return False
+        return bool(self.upper[int(i) - 1, int(j) - 1])
+
+    def __iter__(self):
+        i, j = np.nonzero(self.upper)
+        return zip((i + 1).tolist(), (j + 1).tolist())
+
+    def __repr__(self) -> str:
+        return f"EdgeSet({sorted(self)})"
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset:
+        return frozenset(it)
+
+    __hash__ = Set._hash
 
 
 class EdgeGraph:
-    """Base of the graph classes: ``adjacency`` derived once from ``n_vertices`` and ``edges``."""
+    """Base of the graph classes: ``edges`` is stored as an ``EdgeSet`` over its edge mask.
+
+    Subclasses are dataclasses with ``n_vertices`` and ``edges`` fields; they
+    may be given an ``EdgeSet`` or any iterable of 1-based vertex pairs.
+    """
+
+    def __post_init__(self):
+        object.__setattr__(self, "edges", EdgeSet(edge_mask(self.n_vertices, self.edges)))
 
     @cached_property
     def adjacency(self) -> np.ndarray:
@@ -86,20 +143,17 @@ def bfs_tree(adj: np.ndarray, root: int, members=None) -> tuple[list[int], dict[
 class Graph(EdgeGraph):
     """Undirected, unweighted, finite graph on vertices 1..N.
 
-    Edges are unordered pairs stored as tuples (i, j) with i < j. Self loops
-    and duplicate edges are rejected.
+    Edges are unordered pairs, read back as tuples (i, j) with i < j. Self
+    loops are rejected; a duplicate pair is the same edge.
     """
 
     n_vertices: int
-    edges: frozenset[tuple[int, int]]
+    edges: Set[tuple[int, int]]
 
     def __post_init__(self):
         if self.n_vertices < 1:
             raise ValueError(f"graph needs at least one vertex, got {self.n_vertices}")
-        object.__setattr__(self, "edges", frozenset(normalize_edge(e) for e in self.edges))
-        for i, j in self.edges:
-            if not (1 <= i < j <= self.n_vertices):
-                raise ValueError(f"edge ({i}, {j}) out of range for {self.n_vertices} vertices")
+        super().__post_init__()
 
     def is_connected(self) -> bool:
         order, _ = bfs_tree(self.adjacency, 1)
@@ -177,7 +231,7 @@ def build_radius_graph(coords, radius: float) -> Graph:
     xy = np.array([[float(r[1]), float(r[2])] for r in rows])
     diff = xy[:, None, :] - xy[None, :, :]
     dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-    return Graph(n_vertices=len(rows), edges=edge_set(np.triu(dist2 <= float(radius) ** 2, 1)))
+    return Graph(n_vertices=len(rows), edges=EdgeSet(np.triu(dist2 <= float(radius) ** 2, 1)))
 
 
 def laplacian(g: Graph) -> np.ndarray:

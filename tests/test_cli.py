@@ -21,6 +21,16 @@ def sim_bundle(tmp_path):
     return cfg, cfg_path, out
 
 
+def _component(vertices, anchor, parents, sign=1):
+    """One components-sidecar entry, as ``io.write_channel_estimate`` writes it."""
+    return {
+        "vertices": vertices,
+        "anchor": anchor,
+        "anchor_sign": sign,
+        "parents": {str(child): parent for child, parent in parents.items()},
+    }
+
+
 class TestGraphCommand:
     def test_from_coordinates(self, tmp_path, capsys):
         coords_path = tmp_path / "coords.csv"
@@ -175,6 +185,53 @@ class TestEstimateDeconvolveDiagnose:
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and str(path) in err[0]
+
+    @pytest.mark.parametrize(
+        "n_vertices, components, names",
+        [
+            (6, [_component([1, 2, 3, 4, 5, 6, 9], 1, {2: 1})], "vertex 9 outside 1..6"),
+            (
+                6,
+                [_component([1, 2, 3], 1, {2: 1, 3: 1}), _component([3, 4, 5, 6], 4, {5: 4})],
+                "vertex 3 appears in more than one place",
+            ),
+            (6, [_component([1, 2, 3], 4, {2: 1})], "anchor 4 is not one of its vertices"),
+            (6, [_component([1, 2, 3], 1, {2: 1}, sign=5)], "anchor_sign 5 is not -1 or +1"),
+            (6, [_component([1, 2, 3], 1, {5: 1})], "parent link 5 -> 1 leaves the component"),
+            (6, [_component([1, 2, 3], 1, {2: 6})], "parent link 2 -> 6 leaves the component"),
+            (7, [_component([1, 2, 3], 1, {2: 1})], "n_vertices 7 != 6 rows"),
+        ],
+        ids=[
+            "vertex-out-of-range",
+            "overlapping-components",
+            "anchor-outside-component",
+            "anchor-sign-not-unit",
+            "parent-key-outside-component",
+            "parent-value-outside-component",
+            "n-vertices-mismatch",
+        ],
+    )
+    def test_inconsistent_components_sidecar_is_io_error(
+        self, sim_bundle, tmp_path, capsys, n_vertices, components, names
+    ):
+        cfg, cfg_path, out = sim_bundle
+        radius = json.loads((out / "summary.json").read_text())["radius"]
+        path = tmp_path / "components.json"
+        path.write_text(json.dumps({"n_vertices": n_vertices, "components": components}))
+        code = cli_dispatch(
+            [
+                "deconvolve",
+                "--signals", str(out / "observations.csv"),
+                "--estimate", str(out / "channel_estimate.csv"),
+                "--components", str(path),
+                "--coords", str(out / "coords.csv"),
+                "--radius", str(radius),
+                "--out", str(tmp_path / "dec"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(path) in err[0] and names in err[0]
 
     def test_validate_bounds(self, sim_bundle, tmp_path, capsys):
         cfg, cfg_path, out = sim_bundle

@@ -2,12 +2,14 @@
 
 Each ``reference_*`` function below is the earlier pure-Python version of a
 graph routine: adjacency lists and a ``list.pop(0)`` breadth-first search,
-Kruskal's algorithm with union-find, and double loops over vertex pairs or
-edges. Hypothesis draws random graphs, covariances and point sets, and the
-array versions must agree with them exactly: the same components, spanning
-trees, edges, degrees, Laplacian entries, radii and warnings.
+Kruskal's algorithm with union-find, double loops over vertex pairs or edges,
+and the frozenset of edge tuples that graphs used to store. Hypothesis draws
+random graphs, covariances and point sets, and the array versions must agree
+with them exactly: the same components, spanning trees, edges, set algebra,
+hashes, degrees, Laplacian entries, radii and warnings.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,11 +32,18 @@ from graph_deconv import (
     sign_consistency_report,
 )
 from graph_deconv.estimation import sign_of
-from graph_deconv.io import RawDataset
+from graph_deconv.io import RawDataset, write_edge_list
 from graph_deconv.simulate import connectivity_radius
-from graph_deconv.spectral import adjacency_matrix, bfs_tree
+from graph_deconv.spectral import EdgeSet, adjacency_matrix, bfs_tree
 
 SETTINGS = settings(max_examples=150, deadline=None)
+
+
+def reference_edge_set(upper):
+    """Edges (i, j), i < j, at the true entries of a strictly upper-triangular mask."""
+    labels = np.arange(1, upper.shape[0] + 1).astype(object)
+    i, j = np.nonzero(upper)
+    return frozenset(zip(labels[i], labels[j]))
 
 
 def reference_neighbor_lists(n, edges):
@@ -232,6 +241,101 @@ class TestTraversal:
         assert not adj.flags.writeable
         assert {(i + 1, j + 1) for i, j in zip(*np.nonzero(np.triu(adj)))} == edges
         np.testing.assert_array_equal(adj, adj.T)
+
+
+def upper_mask(n, edges):
+    upper = np.zeros((n, n), dtype=bool)
+    for i, j in edges:
+        upper[i - 1, j - 1] = True
+    return upper
+
+
+def probes(n):
+    """Hashable membership probes: pairs in and out of range, reversed, non-integer or not pairs."""
+    ints = st.integers(-2, n + 2)
+    return st.one_of(
+        st.tuples(ints, ints),
+        st.tuples(st.floats(0, n + 1), st.floats(0, n + 1)),
+        st.tuples(ints.map(float), ints.map(float)),
+        st.tuples(st.floats(), st.floats()),
+        st.tuples(ints, ints, ints),
+        st.tuples(ints),
+        st.tuples(st.text(max_size=2), ints),
+        st.integers(),
+        st.text(max_size=3),
+        st.none(),
+    )
+
+
+class TestEdgeSetView:
+    @SETTINGS
+    @given(graphs(), graphs(), st.data())
+    def test_behaves_like_the_frozenset(self, graph, other_graph, data):
+        n, edges = graph
+        view = EdgeSet(upper_mask(n, edges))
+        frozen = reference_edge_set(upper_mask(n, edges))
+        other = frozenset(other_graph[1])
+
+        assert view == frozen and frozen == view and not view != frozen
+        assert (view == other) == (frozen == other) and (view != other) == (frozen != other)
+        assert (view <= other) == (frozen <= other) and (other <= view) == (other <= frozen)
+        assert view - other == frozen - other and other - view == other - frozen
+        assert len(view) == len(frozen)
+        assert list(view) == sorted(frozen)
+        assert all(type(v) is int for edge in view for v in edge)
+        assert hash(view) == hash(frozen)
+        for probe in data.draw(st.lists(probes(n), max_size=20)) + sorted(frozen):
+            assert (probe in view) == (probe in frozen)
+
+    @SETTINGS
+    @given(graphs())
+    def test_graph_from_pairs_equals_graph_from_view(self, graph):
+        n, edges = graph
+        from_pairs = Graph(n_vertices=n, edges=frozenset(edges))
+        from_view = Graph(n_vertices=n, edges=EdgeSet(upper_mask(n, edges)))
+        assert from_pairs == from_view and hash(from_pairs) == hash(from_view)
+
+    def test_view_mask_passes_through_uncopied(self):
+        upper = np.triu(np.ones((4, 4), dtype=bool), 1)
+        graph = Graph(n_vertices=4, edges=EdgeSet(upper))
+        assert graph.edges.upper is upper and not upper.flags.writeable
+        with pytest.raises(ValueError, match="does not fit 5 vertices"):
+            Graph(n_vertices=5, edges=EdgeSet(upper))
+
+    @SETTINGS
+    @given(graphs())
+    def test_edge_list_file_is_the_same(self, tmp_path_factory, graph):
+        n, edges = graph
+        out = tmp_path_factory.mktemp("edges")
+        write_edge_list(out / "view.csv", EdgeSet(upper_mask(n, edges)))
+        write_edge_list(out / "frozen.csv", reference_edge_set(upper_mask(n, edges)))
+        assert (out / "view.csv").read_bytes() == (out / "frozen.csv").read_bytes()
+
+
+def test_dense_graph_builders_allocate_no_edge_tuples():
+    """N=512 with every pair an edge (130,816): the builders keep masks, not tuples.
+
+    Storing the edges as a frozenset of tuples kept about 22 MB here and
+    peaked near 29 MB; the masks keep about 1 MB.
+    """
+    n = 512
+    a = np.random.default_rng(0).standard_normal((n, 4))
+    cov = a @ a.T + np.eye(n)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        source = build_source_graph(cov, 0.0)
+        obs = build_observation_graph(cov, source, 0.0)
+        assert len(obs.edges) == n * (n - 1) // 2
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert current - before < 4 * 2**20
+    assert peak - before < 10 * 2**20
 
 
 class TestBuilders:
