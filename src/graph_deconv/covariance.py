@@ -5,22 +5,23 @@ source spectral covariance is (significantly) nonzero; the observation graph
 is the subgraph of it that survives thresholding of the empirical observation
 correlations. Both store the threshold mask on the upper triangle of a
 correlation matrix as their edges, like ``spectral.Graph``, and are read
-through the ``adjacency`` matrix derived from it. Sign recovery later walks
-the observation graph per connected component, so component enumeration here
-is deterministic: one ``spectral.bfs_tree`` per component, from its lowest
-vertex, with neighbours visited in ascending vertex order.
+through the ``adjacency`` matrix derived from it. One level-synchronous
+``spectral.bfs_forest`` over the observation graph's support gives both its
+components and their breadth-first spanning trees, each rooted at the
+component's lowest vertex with neighbours visited in ascending order. The
+graph keeps the trees, and sign recovery propagates along them.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Set
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NonpositiveVariance
-from .spectral import EdgeGraph, EdgeSet, SignalEnsemble, adjacency_matrix, bfs_tree
+from .spectral import BfsTree, EdgeGraph, EdgeSet, SignalEnsemble, adjacency_matrix, bfs_forest
 
 
 @dataclass(frozen=True)
@@ -40,30 +41,22 @@ class ObservationGraph(EdgeGraph):
     ``support`` collects the indices with at least one surviving incident
     correlation; ``components`` partitions the support into connected pieces,
     each listed as an ascending tuple, ordered by their smallest vertex.
+    ``trees`` holds, entry for entry, the breadth-first spanning tree of each
+    component, rooted at its smallest vertex.
     """
 
     n_vertices: int
     support: frozenset[int]
     edges: Set[tuple[int, int]]
     components: tuple[tuple[int, ...], ...]
+    trees: tuple[BfsTree, ...] = field(compare=False, repr=False)
 
 
 def connected_components(vertices, n_vertices: int, edges) -> tuple[tuple[int, ...], ...]:
     """Connected components of the subgraph on ``vertices``, BFS in ascending order."""
     members = np.zeros(n_vertices, dtype=bool)
     members[np.fromiter(vertices, dtype=np.intp) - 1] = True
-    return _components(adjacency_matrix(n_vertices, edges), members)
-
-
-def _components(adj: np.ndarray, members: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Components of the vertices in the ``members`` mask, each sorted, ordered by smallest vertex."""
-    left = members.copy()
-    comps = []
-    while left.any():
-        order, _ = bfs_tree(adj, int(np.argmax(left)) + 1, left)
-        left[np.array(order) - 1] = False
-        comps.append(tuple(sorted(order)))
-    return tuple(comps)
+    return tuple(tree.vertices for tree in bfs_forest(adjacency_matrix(n_vertices, edges), members))
 
 
 def empirical_covariance(e: SignalEnsemble) -> np.ndarray:
@@ -117,7 +110,7 @@ def build_source_graph(cov_x: np.ndarray, pearson_threshold: float) -> SourceGra
         n_vertices=n,
         edges=EdgeSet(upper),
         degrees=adj.sum(axis=1),
-        connected=len(_components(adj, np.ones(n, dtype=bool))) == 1,
+        connected=len(bfs_forest(adj, np.ones(n, dtype=bool))) == 1,
     )
 
 
@@ -138,11 +131,13 @@ def build_observation_graph(cov_ym: np.ndarray, source: SourceGraph, delta: floa
     upper = np.triu(source.adjacency & (rho >= delta), 1)
     kept = upper | upper.T
     support = kept.any(axis=1)
+    trees = bfs_forest(kept, support)
     return ObservationGraph(
         n_vertices=source.n_vertices,
         support=frozenset((np.flatnonzero(support) + 1).tolist()),
         edges=EdgeSet(upper),
-        components=_components(kept, support),
+        components=tuple(tree.vertices for tree in trees),
+        trees=trees,
     )
 
 

@@ -2,15 +2,18 @@
 
 Recovery inverts the estimated response on its support and zeroes everything
 outside it, so frequency content at unsupported indices is unrecoverable by
-construction. Because the channel is only identified up to one sign per
-observation-graph component, reconstruction errors against a known ground
-truth are only meaningful after choosing the best sign per component, which
-``align_component_signs`` does.
+construction. The result holds the spectral reconstruction; its vertex-domain
+form is one inverse GFT, run the first time ``reconstructed`` is read, so
+callers that only need covariances never pay for it. Because the channel is
+only identified up to one sign per observation-graph component,
+reconstruction errors against a known ground truth are only meaningful after
+choosing the best sign per component, which ``align_component_signs`` does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,11 +29,20 @@ DISPLAY_FLOOR_DB = -30.0
 
 @dataclass(frozen=True)
 class DeconvolutionResult:
-    """Reconstructed signals in both domains plus the support that was inverted."""
+    """Reconstructed spectral coefficients, the support that was inverted, and the basis.
 
-    reconstructed: SignalEnsemble
+    The vertex-domain reconstruction, ``reconstructed``, is the inverse GFT
+    of ``spectral``; it is computed the first time it is read and kept.
+    """
+
     spectral: SignalEnsemble
     support: frozenset[int]
+    basis: SpectralBasis
+
+    @cached_property
+    def reconstructed(self) -> SignalEnsemble:
+        """Vertex-domain reconstruction, ``igft(basis, spectral)``."""
+        return igft(self.basis, self.spectral)
 
 
 @dataclass(frozen=True)
@@ -62,9 +74,7 @@ def blind_deconvolve(
     dagger = pseudo_inverse(estimate.gamma_m, estimate.support)
     yhat = gft(basis, observations)
     xhat = SignalEnsemble(signals=yhat.signals * dagger.gamma_dagger, domain=SPECTRAL)
-    return DeconvolutionResult(
-        reconstructed=igft(basis, xhat), spectral=xhat, support=estimate.support
-    )
+    return DeconvolutionResult(spectral=xhat, support=estimate.support, basis=basis)
 
 
 def reconstructed_covariance(result: DeconvolutionResult) -> np.ndarray:
@@ -149,9 +159,4 @@ def align_component_signs(
             aligned[:, cols] = -aligned[:, cols]
         flips.append(flip)
     spectral = SignalEnsemble(signals=aligned, domain=SPECTRAL)
-    return (
-        DeconvolutionResult(
-            reconstructed=igft(basis, spectral), spectral=spectral, support=result.support
-        ),
-        tuple(flips),
-    )
+    return DeconvolutionResult(spectral=spectral, support=result.support, basis=basis), tuple(flips)

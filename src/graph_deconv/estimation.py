@@ -7,9 +7,9 @@ response magnitude at every frequency; magnitudes are averaged over all source
 edges incident to the frequency, read as masks of the graphs' ``adjacency``
 matrices. Signs are then fixed per connected component of the observation
 graph: pick the lowest-index vertex as anchor, give it the requested sign, and
-propagate along the breadth-first spanning tree that ``spectral.bfs_tree``
-returns, using the sign of the ratio between observed and source covariance on
-each tree edge.
+propagate along the breadth-first spanning tree the observation graph keeps,
+one tree level at a time, using the sign of the ratio between observed and
+source covariance on each tree edge.
 The result is the true channel up to one sign per component, which is the best
 any observer of second-order statistics can do.
 """
@@ -29,7 +29,7 @@ from .covariance import (
     ensure_positive_diagonal,
 )
 from .errors import IsolatedVertex
-from .spectral import SignalEnsemble, SpectralBasis, bfs_tree, gft
+from .spectral import SignalEnsemble, SpectralBasis, gft
 
 
 @dataclass(frozen=True)
@@ -124,12 +124,21 @@ def estimate_magnitudes(cov_x: np.ndarray, cov_ym: np.ndarray, source: SourceGra
     diag_x = np.diag(cov_x)
     diag_y = np.diag(cov_ym)
     alpha = diag_y[:, None] - diag_y[None, :]
-    beta = np.zeros((n, n))
-    beta[adjacent] = cov_ym[adjacent] / cov_x[adjacent]
-    mu = 4.0 * np.outer(diag_x, diag_x) * beta**2 + alpha**2
-    inner = np.sqrt(mu) + alpha
+    # mu = 4 C_src(n,n) C_src(n',n') beta^2 + alpha^2 is evaluated in place,
+    # operation for operation as written, so it is bit-equal to the plain
+    # expression; beta's buffer is reused for the squares and the per-edge
+    # values, which are zero off the source edges.
+    beta = np.divide(cov_ym, cov_x, out=np.zeros((n, n)), where=adjacent)
+    mu = np.outer(diag_x, diag_x)
+    mu *= 4.0
+    mu *= np.square(beta, out=beta)
+    mu += np.square(alpha, out=beta)
+    inner = np.sqrt(mu, out=mu)
+    inner += alpha
 
-    clamped = int(np.count_nonzero(adjacent & (inner < 0)))
+    negative = inner < 0
+    negative &= adjacent
+    clamped = int(np.count_nonzero(negative))
     if clamped:
         worst = float(np.min(inner[adjacent]))
         warnings.warn(
@@ -138,10 +147,11 @@ def estimate_magnitudes(cov_x: np.ndarray, cov_ym: np.ndarray, source: SourceGra
             RuntimeWarning,
             stacklevel=2,
         )
-        inner = np.maximum(inner, 0.0)
+        np.maximum(inner, 0.0, out=inner)
 
-    per_edge = np.sqrt(inner)
-    sums = np.where(adjacent, per_edge, 0.0).sum(axis=1)
+    beta.fill(0.0)
+    per_edge = np.sqrt(inner, out=beta, where=adjacent)
+    sums = per_edge.sum(axis=1)
     return sums / (source.degrees * np.sqrt(2.0 * diag_x))
 
 
@@ -157,8 +167,10 @@ def assign_signs(
     The anchor of each component is its lowest-index vertex and receives the
     corresponding entry of ``anchor_signs`` (all +1 by default). Every other
     supported vertex gets the sign that makes the product of endpoint signs
-    match the sign of the observed/source covariance ratio on its tree edge.
-    Off-support vertices keep sign +1.
+    match the sign of the observed/source covariance ratio on its edge of the
+    component's spanning tree in ``obs.trees``, set one tree level at a time.
+    A zero ratio counts as positive and warns once per tree edge, in visit
+    order. Off-support vertices keep sign +1.
     """
     mags = np.asarray(magnitudes, dtype=float).reshape(-1)
     n = obs.n_vertices
@@ -178,26 +190,22 @@ def assign_signs(
 
     signs = np.ones(n)
     components = []
-    for eps_k, vertices in zip(anchor_signs, obs.components):
+    for eps_k, vertices, tree in zip(anchor_signs, obs.components, obs.trees):
         if not vertices:
             raise ValueError("observation graph produced an empty component")
-        members = np.zeros(n, dtype=bool)
-        members[np.array(vertices) - 1] = True
-        anchor = min(vertices)
-        order, parents = bfs_tree(obs.adjacency, anchor, members)
-        signs[anchor - 1] = eps_k
-        for w in order[1:]:
-            v = parents[w]
-            ratio = cov_ym[w - 1, v - 1] / cov_x[w - 1, v - 1]
-            if ratio == 0:
+        signs[tree.root - 1] = eps_k
+        for new, parent in tree.levels:
+            ratio = cov_ym[new, parent] / cov_x[new, parent]
+            zero = ratio == 0
+            for w, v in zip((new[zero] + 1).tolist(), (parent[zero] + 1).tolist()):
                 warnings.warn(
                     f"zero covariance ratio on tree edge ({w}, {v}), using sign +1",
                     RuntimeWarning,
                     stacklevel=2,
                 )
-            signs[w - 1] = signs[v - 1] * sign_of(ratio)
+            signs[new] = signs[parent] * np.where(ratio < 0, -1.0, 1.0)
         components.append(
-            Component(vertices=vertices, anchor=anchor, anchor_sign=eps_k, parents=parents)
+            Component(vertices=vertices, anchor=tree.root, anchor_sign=eps_k, parents=tree.parents)
         )
 
     return ChannelEstimate(

@@ -213,8 +213,9 @@ def read_channel_estimate(csv_path, json_path=None) -> ChannelEstimate:
     from the CSV columns, but the spanning-tree parent maps are empty. A
     sidecar that does not fit the CSV raises ``FileFormatError``: a vertex
     outside 1..N or in two components, an anchor or a parent link outside its
-    component, an anchor sign other than +-1, or an ``n_vertices`` other
-    than the CSV's row count.
+    component, an anchor sign other than +-1, an ``n_vertices`` other than
+    the CSV's row count, or components, membership or anchors other than the
+    CSV's ``in_support``, ``component`` and ``is_anchor`` columns give.
     """
     rows = _read_rows(csv_path, ["n", "gamma_m", "in_support", "component", "is_anchor"])
     entries = {}
@@ -255,6 +256,7 @@ def read_channel_estimate(csv_path, json_path=None) -> ChannelEstimate:
         if declared != n:
             raise FileFormatError(f"{json_path}: n_vertices {declared} != {n} rows in {csv_path}")
         _check_components(json_path, n, components)
+        _check_components_match_csv(json_path, csv_path, entries, components)
     else:
         by_comp: dict[int, list[int]] = {}
         anchor_of: dict[int, int] = {}
@@ -297,6 +299,39 @@ def _check_components(json_path, n: int, components: tuple[Component, ...]) -> N
                 raise FileFormatError(
                     f"{where}: parent link {child} -> {parent} leaves the component"
                 )
+
+
+def _check_components_match_csv(json_path, csv_path, entries: dict, components) -> None:
+    """Reject sidecar components that disagree with the CSV's support, component and anchor columns.
+
+    Their vertices together must be the rows with ``in_support`` set,
+    component k must list exactly the rows whose ``component`` is k, and the
+    anchors must be exactly the rows with ``is_anchor`` set.
+    """
+    in_support = {v for v, (_, supported, _, _) in entries.items() if supported}
+    listed = {v for comp in components for v in comp.vertices}
+    if listed != in_support:
+        raise FileFormatError(
+            f"{json_path}: components cover vertices {sorted(listed)}, "
+            f"but {csv_path} has in_support rows {sorted(in_support)}"
+        )
+    rows_of: dict[int, set[int]] = {}
+    for v, (_, _, comp_id, _) in entries.items():
+        if comp_id:
+            rows_of.setdefault(comp_id, set()).add(v)
+    listed_of = {k: set(comp.vertices) for k, comp in enumerate(components, start=1)}
+    if rows_of != listed_of:
+        k = min(k for k in rows_of.keys() | listed_of.keys() if rows_of.get(k) != listed_of.get(k))
+        raise FileFormatError(
+            f"{json_path}: component {k} lists vertices {sorted(listed_of.get(k, ()))}, "
+            f"but {csv_path} has component {k} rows {sorted(rows_of.get(k, ()))}"
+        )
+    anchors = sorted(comp.anchor for comp in components)
+    flagged = sorted(v for v, (_, _, _, is_anchor) in entries.items() if is_anchor)
+    if anchors != flagged:
+        raise FileFormatError(
+            f"{json_path}: anchors {anchors}, but {csv_path} has is_anchor rows {flagged}"
+        )
 
 
 def write_bound_report(path, report: list[BoundCheck]) -> None:

@@ -72,7 +72,7 @@ _SOURCE = 5
 # tree-edge signs degenerate to coin flips.
 COMMON_DIRECTION_WEIGHT = 0.6
 
-_GRAPH_ATTEMPTS = 32
+_GRAPH_ATTEMPTS = 256
 _RADIUS_MARGIN = 1.05
 
 

@@ -7,12 +7,14 @@ Every graph in the package (``Graph`` here, the source and observation graphs
 in ``covariance``) stores its edges as one strictly upper-triangular boolean
 mask. ``edges`` reads it as a set of (i, j) pairs, an ``EdgeSet``, and every
 algorithm reads the symmetric ``adjacency`` matrix derived from it.
-``bfs_tree`` is the one traversal.
+``bfs`` is the one traversal. It is level-synchronous: each level of the
+breadth-first tree comes from one block of ``adjacency``, so its cost in
+Python calls grows with the tree's depth, not its size. ``bfs_forest`` runs
+it once per connected component, and ``bfs_tree`` reads a tree as labels.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
@@ -114,29 +116,93 @@ class EdgeGraph:
         return adj
 
 
-def bfs_tree(adj: np.ndarray, root: int, members=None) -> tuple[list[int], dict[int, int]]:
-    """Breadth-first spanning tree of the component of vertex ``root``.
+@dataclass(frozen=True, eq=False)
+class BfsTree:
+    """Breadth-first spanning tree, stored one level at a time.
+
+    ``root`` is a 1-based label. ``levels[d]`` is a pair of position arrays:
+    the vertices at depth ``d + 1`` in visit order and, entry for entry,
+    their parents.
+    """
+
+    root: int
+    levels: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    @property
+    def order(self) -> list[int]:
+        """1-based labels in visit order, root first."""
+        order = [self.root]
+        for new, _ in self.levels:
+            order.extend((new + 1).tolist())
+        return order
+
+    @property
+    def vertices(self) -> tuple[int, ...]:
+        """1-based labels in ascending order."""
+        return tuple(sorted(self.order))
+
+    @property
+    def parents(self) -> dict[int, int]:
+        """Parent of every non-root vertex, as 1-based labels, in visit order."""
+        parents: dict[int, int] = {}
+        for new, parent in self.levels:
+            parents.update(zip((new + 1).tolist(), (parent + 1).tolist()))
+        return parents
+
+
+def bfs(adj: np.ndarray, root: int, members=None) -> BfsTree:
+    """Level-synchronous breadth-first spanning tree of the component of vertex ``root``.
 
     ``adj`` is a boolean adjacency matrix and ``members``, when given, a
     boolean mask over vertex positions that confines the search (``root`` must
-    be a member). Neighbours are visited in ascending order. Returns the
-    vertices in visit order, root first, and the parent of every other visited
-    vertex, all as 1-based labels.
+    be a member). Each level comes from one block of ``adj``, the frontier's
+    rows against the unseen columns: a new vertex's parent is the first
+    frontier vertex adjacent to it, and the next frontier is sorted by
+    (parent position, vertex). That is the visit order and the parents of a
+    queue BFS that visits neighbours in ascending order (Beamer, Asanovic and
+    Patterson, "Direction-optimizing breadth-first search", SC 2012, give the
+    frontier form).
     """
     unseen = np.ones(adj.shape[0], dtype=bool) if members is None else np.array(members, dtype=bool)
     unseen[root - 1] = False
-    order = [root]
-    parents: dict[int, int] = {}
-    queue = deque(order)
-    while queue:
-        v = queue.popleft()
-        found = np.flatnonzero(adj[v - 1] & unseen)
-        unseen[found] = False
-        labels = (found + 1).tolist()
-        parents.update(dict.fromkeys(labels, v))
-        order.extend(labels)
-        queue.extend(labels)
-    return order, parents
+    frontier = np.array([root - 1])
+    levels = []
+    while True:
+        candidates = np.flatnonzero(unseen)
+        hits = adj[np.ix_(frontier, candidates)]
+        reached = hits.any(axis=0)
+        new = candidates[reached]
+        if not new.size:
+            return BfsTree(root=root, levels=tuple(levels))
+        first = hits[:, reached].argmax(axis=0)
+        visit = np.lexsort((new, first))
+        new, parent = new[visit], frontier[first[visit]]
+        unseen[new] = False
+        levels.append((new, parent))
+        frontier = new
+
+
+def bfs_tree(adj: np.ndarray, root: int, members=None) -> tuple[list[int], dict[int, int]]:
+    """Visit order, root first, and parents of ``bfs``'s tree, as 1-based labels."""
+    tree = bfs(adj, root, members)
+    return tree.order, tree.parents
+
+
+def bfs_forest(adj: np.ndarray, members: np.ndarray) -> tuple[BfsTree, ...]:
+    """One ``bfs`` tree per connected component of the vertices in the ``members`` mask.
+
+    Each tree is rooted at its component's lowest vertex, and the trees are
+    ordered by root.
+    """
+    left = np.array(members, dtype=bool)
+    trees = []
+    while left.any():
+        tree = bfs(adj, int(np.argmax(left)) + 1, left)
+        left[tree.root - 1] = False
+        for new, _ in tree.levels:
+            left[new] = False
+        trees.append(tree)
+    return tuple(trees)
 
 
 @dataclass(frozen=True)

@@ -99,6 +99,14 @@ class TestSimulateCommand:
         path.write_text("{not json")
         assert cli_dispatch(["simulate", "--config", str(path)]) == 2
 
+    def test_seed_with_many_degenerate_layouts_succeeds(self, tmp_path):
+        # Seed 17 draws 42 N=96 layouts whose Laplacian repeats an eigenvalue.
+        path = tmp_path / "sim.json"
+        config = SimulationConfig(n_vertices=96, sample_count=200, noise_sigma=0.5, seed=17)
+        config.to_json_file(path)
+        assert cli_dispatch(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "summary.json").is_file()
+
     def test_exhausted_layout_search_is_one_line_error(self, tmp_path, monkeypatch, capsys):
         # Seed 17 draws a first N=96 layout whose Laplacian repeats an eigenvalue.
         monkeypatch.setattr(simulate, "_GRAPH_ATTEMPTS", 1)
@@ -200,6 +208,21 @@ class TestEstimateDeconvolveDiagnose:
             (6, [_component([1, 2, 3], 1, {5: 1})], "parent link 5 -> 1 leaves the component"),
             (6, [_component([1, 2, 3], 1, {2: 6})], "parent link 2 -> 6 leaves the component"),
             (7, [_component([1, 2, 3], 1, {2: 1})], "n_vertices 7 != 6 rows"),
+            (
+                6,
+                [_component([1, 2, 3], 1, {2: 1, 3: 1})],
+                "components cover vertices [1, 2, 3], but",
+            ),
+            (
+                6,
+                [_component([1, 2, 3], 1, {2: 1, 3: 1}), _component([4, 5, 6], 4, {5: 4, 6: 4})],
+                "component 1 lists vertices [1, 2, 3], but",
+            ),
+            (
+                6,
+                [_component([1, 2, 3, 4, 5, 6], 2, {1: 2, 3: 2, 4: 2, 5: 2, 6: 2})],
+                "anchors [2], but",
+            ),
         ],
         ids=[
             "vertex-out-of-range",
@@ -209,6 +232,9 @@ class TestEstimateDeconvolveDiagnose:
             "parent-key-outside-component",
             "parent-value-outside-component",
             "n-vertices-mismatch",
+            "support-differs-from-csv",
+            "membership-differs-from-csv",
+            "anchor-differs-from-csv",
         ],
     )
     def test_inconsistent_components_sidecar_is_io_error(

@@ -25,6 +25,7 @@ from graph_deconv import (
     summarize_gap,
     transmit,
 )
+from graph_deconv import deconv
 from graph_deconv.deconv import DiagnosticMatrices
 from graph_deconv.estimation import Component
 from graph_deconv.simulate import derive_seed, simulation_graph, synthetic_source
@@ -185,6 +186,45 @@ class TestAlignComponentSigns:
         aligned, flips = align_component_signs(raw, xhat, est.components, basis)
         assert flips == (1, -1)
         assert np.max(np.abs(aligned.reconstructed.signals - sources.signals)) <= 1e-10
+
+
+class TestLazyReconstruction:
+    """The vertex-domain reconstruction is one inverse GFT, run on first read only."""
+
+    @pytest.fixture
+    def igft_calls(self, monkeypatch):
+        calls = []
+
+        def counted(basis, e):
+            calls.append(e)
+            return igft(basis, e)
+
+        monkeypatch.setattr(deconv, "igft", counted)
+        return calls
+
+    def check_lazy(self, result, basis, igft_calls):
+        assert igft_calls == []
+        first = result.reconstructed
+        assert len(igft_calls) == 1
+        assert result.reconstructed is first
+        assert len(igft_calls) == 1
+        assert np.array_equal(first.signals, igft(basis, result.spectral).signals)
+        assert first.domain == "vertex"
+
+    def test_blind_deconvolve_defers_the_inverse_gft(self, igft_calls):
+        basis, xhat, sources, gamma, observations = noiseless_setup(seed=61)
+        result = blind_deconvolve(ChannelEstimate.from_response(gamma), observations, basis)
+        reconstructed_covariance(result)
+        self.check_lazy(result, basis, igft_calls)
+
+    def test_align_component_signs_defers_the_inverse_gft(self, igft_calls):
+        basis, xhat, sources, gamma, observations = noiseless_setup(seed=62)
+        est = ChannelEstimate.from_response(-gamma)
+        aligned, flips = align_component_signs(
+            blind_deconvolve(est, observations, basis), xhat, est.components, basis
+        )
+        assert flips == (-1,)
+        self.check_lazy(aligned, basis, igft_calls)
 
 
 class TestDiagnostics:

@@ -4,6 +4,8 @@ Ground truth: the 3-station x 2-hour x 2-day centering fixture is computed by
 hand in the test body.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,41 @@ class TestChannelEstimate:
         np.testing.assert_array_equal(back.gamma_m, est.gamma_m)
         assert back.support == est.support
         assert back.components == est.components
+
+    @pytest.mark.parametrize(
+        "components, names",
+        [
+            (
+                (Component(vertices=(1, 2), anchor=1, anchor_sign=1, parents={2: 1}),),
+                "components cover vertices [1, 2], but",
+            ),
+            (
+                (Component(vertices=(1, 2, 4), anchor=1, anchor_sign=1, parents={2: 1, 4: 1}),),
+                "component 1 lists vertices [1, 2, 4], but",
+            ),
+            (
+                (
+                    Component(vertices=(1, 2), anchor=2, anchor_sign=1, parents={1: 2}),
+                    Component(vertices=(4,), anchor=4, anchor_sign=1, parents={}),
+                ),
+                "anchors [2, 4], but",
+            ),
+        ],
+        ids=["support", "membership", "anchor"],
+    )
+    def test_sidecar_must_match_the_csv_columns(self, tmp_path, components, names):
+        est = self.make_estimate()
+        csv_path = tmp_path / "estimate.csv"
+        json_path = tmp_path / "components.json"
+        gio.write_channel_estimate(csv_path, est)
+        other = ChannelEstimate(
+            gamma_m=est.gamma_m,
+            support=frozenset(v for comp in components for v in comp.vertices),
+            components=components,
+        )
+        gio.write_channel_estimate(tmp_path / "other.csv", other, json_path)
+        with pytest.raises(FileFormatError, match=re.escape(names)):
+            gio.read_channel_estimate(csv_path, json_path)
 
     def test_csv_only_keeps_membership_and_anchors(self, tmp_path):
         est = self.make_estimate()

@@ -1,20 +1,26 @@
 """Simulation harness: configs, synthetic sources, determinism, bundles."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from graph_deconv import (
+    DegenerateSpectrum,
     SimulationConfig,
+    build_radius_graph,
     build_source_graph,
+    eigendecompose,
     empirical_covariance,
+    laplacian,
     pearson_matrix,
     run_simulation,
     synthetic_source,
     transmit,
     variance_profile,
 )
+from graph_deconv import simulate
 from graph_deconv.simulate import (
     connectivity_radius,
     mixing_matrix,
@@ -164,6 +170,38 @@ class TestSimulationGraph:
         b = simulation_graph(10, 11)
         assert a[0] == b[0]
         assert a[2].edges == b[2].edges
+
+    @pytest.mark.parametrize("seed", [17, 99991])
+    def test_seeds_needing_many_redraws_reach_a_distinct_spectrum(self, seed):
+        """At N=96 these seeds draw 42 and 38 layouts with a repeated eigenvalue first."""
+        coords, radius, graph, basis = simulation_graph(96, seed)
+        assert graph.is_connected()
+        gaps = np.diff(np.sort(basis.eigenvalues))
+        assert gaps.min() > 1e-9 * max(1.0, np.abs(basis.eigenvalues).max())
+
+    @pytest.mark.parametrize("seed", [*range(17), 18, 20, 21])
+    def test_layout_is_the_first_distinct_one_drawn(self, seed):
+        """The search returns the first seeded layout with a distinct spectrum.
+
+        The loop here draws the same seeded layouts in the same order with no
+        attempt limit.
+        """
+        n = 96
+        for attempt in itertools.count():
+            rng = np.random.default_rng(simulate.derive_seed(seed, simulate._COORDS, attempt))
+            xy = rng.random((n, 2))
+            radius = 1.05 * connectivity_radius(xy)
+            coords = [(str(k + 1), float(x), float(y)) for k, (x, y) in enumerate(xy)]
+            graph = build_radius_graph(coords, radius)
+            try:
+                basis = eigendecompose(laplacian(graph))
+            except DegenerateSpectrum:
+                continue
+            break
+        got_coords, got_radius, got_graph, got_basis = simulation_graph(n, seed)
+        assert (got_coords, got_radius, got_graph) == (coords, radius, graph)
+        assert np.array_equal(got_basis.eigenvalues, basis.eigenvalues)
+        assert np.array_equal(got_basis.modes, basis.modes)
 
 
 class TestPopulationModel:
