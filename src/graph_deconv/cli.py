@@ -7,10 +7,8 @@ Exit codes: 0 success, 1 validation or usage error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import io as gio
@@ -36,9 +34,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="seed override (unsigned integer)")
+def _add_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=".", help="output directory (default: current directory)")
+
+
+def _add_config(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", required=True, help="simulation config JSON")
+    p.add_argument("--seed", type=int, default=None, help="seed override (unsigned integer)")
 
 
 def _add_graph_source(p: argparse.ArgumentParser) -> None:
@@ -56,9 +58,7 @@ def _load_graph(args) -> Graph:
         return build_radius_graph(coords, args.radius)
     if args.edges is not None:
         edges = gio.read_edge_list(args.edges)
-        n = args.n_vertices
-        if n is None:
-            n = max((max(e) for e in edges), default=0)
+        n = args.n_vertices if args.n_vertices is not None else max(map(max, edges), default=0)
         return Graph(n_vertices=n, edges=frozenset(edges))
     raise _UsageError("one of --coords or --edges is required")
 
@@ -80,11 +80,7 @@ def _cmd_graph(args) -> None:
     except DegenerateSpectrum as exc:
         print(f"spectrum: degenerate ({exc}); eigenvalues.csv not written")
         return
-    with open(out / "eigenvalues.csv", "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["n", "lambda"])
-        for k, lam in enumerate(basis.eigenvalues, start=1):
-            w.writerow([k, repr(float(lam))])
+    gio.write_eigenvalues(out / "eigenvalues.csv", basis.eigenvalues)
     print(f"spectrum: distinct, |lambda| range {abs(basis.eigenvalues[0]):.6g} .. {abs(basis.eigenvalues[-1]):.6g}")
 
 
@@ -129,15 +125,8 @@ def _cmd_diagnose(args) -> None:
     out = _outdir(args)
     gio.write_covariance(out / "abs_diff_db.csv", d.abs_diff_db)
     gio.write_covariance(out / "rel_diff_db.csv", d.rel_diff_db)
-    summary = {
-        "mean_diagonal_db": gap.mean_diagonal_db,
-        "mean_offdiagonal_db": gap.mean_offdiagonal_db,
-        "gap_db": gap.gap_db,
-        "diagonal_inflation": [float(x) for x in d.diagonal_inflation],
-    }
-    with open(out / "diagnostics_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    summary = {**asdict(gap), "diagonal_inflation": d.diagonal_inflation.tolist()}
+    gio.write_json(out / "diagnostics_summary.json", summary)
     print(
         f"diagonal {gap.mean_diagonal_db:.4f} dB, off-diagonal {gap.mean_offdiagonal_db:.4f} dB, "
         f"gap {gap.gap_db:.4f} dB"
@@ -194,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="build a graph and its Laplacian spectrum")
     _add_graph_source(p)
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("estimate", help="estimate the channel from observations")
@@ -203,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p)
     p.add_argument("--pearson-threshold", type=float, default=0.01, help="source edge threshold")
     p.add_argument("--delta", type=float, default=0.001, help="observation graph threshold")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("deconvolve", help="invert an estimated channel on its support")
@@ -211,25 +200,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimate", required=True, help="channel estimate CSV")
     p.add_argument("--components", default=None, help="components JSON sidecar (optional)")
     _add_graph_source(p)
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=_cmd_deconvolve)
 
     p = sub.add_parser("diagnose", help="covariance discrepancy diagnostics in dB")
     p.add_argument("--cov-recon", required=True, help="reconstructed spectral covariance CSV")
     p.add_argument("--cov-x", required=True, help="source spectral covariance CSV")
     p.add_argument("--floor-db", type=float, default=-20.0, help="dB display floor")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=_cmd_diagnose)
 
     p = sub.add_parser("simulate", help="run a seeded end-to-end simulation")
-    p.add_argument("--config", required=True, help="simulation config JSON")
-    _add_common(p)
+    _add_config(p)
+    _add_out(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("validate-bounds", help="Monte Carlo check of the covariance tail bounds")
-    p.add_argument("--config", required=True, help="simulation config JSON")
+    _add_config(p)
     p.add_argument("--trials", type=int, default=None, help="number of trials (>= 100)")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=_cmd_validate_bounds)
 
     return parser
@@ -244,8 +233,6 @@ def cli_dispatch(argv) -> int:
             parser.print_usage(sys.stderr)
             print("graph-deconv: a subcommand is required", file=sys.stderr)
             return 1
-        if getattr(args, "seed", None) is not None and args.seed < 0:
-            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         args.func(args)
     except _UsageError as exc:
         parser.print_usage(sys.stderr)

@@ -1,209 +1,222 @@
-"""File formats: CSV readers and writers, dataset ingestion, and centering.
+"""File formats: every file the package reads or writes, dataset ingestion, and centering.
 
-All vertex indices in files are 1-based. Formats:
-
-* coordinates: header ``id,x,y``, one station per row
-* edge list: header ``i,j``, one edge per row
-* signals: header ``v1,...,vN``, one sample per row
-* covariance: headerless N x N matrix
-* frequency response: header ``n,gamma``
-* channel estimate: header ``n,gamma_m,in_support,component,is_anchor`` plus a
-  JSON sidecar with anchors and spanning-tree parent maps
-* bound report: header ``n,nprime,eps,empirical,bound,flag``
-* raw station dataset: header ``station,day,hour,value`` covering a complete
-  station x day x hour grid
+Vertex indices in files are 1-based. CSV tables go through ``_read_table`` and
+``_write_table``: blank lines are skipped, a numeric cell is a finite number in
+Python's ``float`` grammar (``int`` grammar within int64 for index columns),
+and floats are written as ``repr(float(x))`` with ``\\n`` line endings. JSON
+files go through ``read_json`` and ``write_json``: indent 2, trailing newline.
+A file that breaks its format raises ``FileFormatError`` naming the file and,
+in a table, the row.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import operator
 from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 from .covariance import BoundCheck
 from .errors import FileFormatError
-from .estimation import ChannelEstimate, Component
+from .estimation import ChannelEstimate, Component, sign_of
 from .spectral import VERTEX, SignalEnsemble
 
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+_ESTIMATE_HEADER = ["n", "gamma_m", "in_support", "component", "is_anchor"]
 
 
-def _read_rows(path, expected_header: list[str]) -> list[list[str]]:
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+class _Table(NamedTuple):
+    """The data rows of a checked CSV table with the file row number of the first."""
+
+    path: object
+    rows: list[list[str]]
+    width: int
+    first_row: int
+
+    def numbers(self, dtype=float, col=None) -> np.ndarray:
+        """Column ``col``, or the whole table as rows x width, as float64 or int64.
+
+        The ``dtype`` constructor, ``float`` or ``int``, is the grammar of a
+        cell. The first cell that does not parse, fit int64 or is finite is
+        named by its row and column.
+        """
+        rows = iter(self.rows)
+        cells = chain.from_iterable(rows) if col is None else map(operator.itemgetter(col), rows)
+        count = len(self.rows) * (self.width if col is None else 1)
+        try:
+            values = np.fromiter(map(dtype, cells), np.float64 if dtype is float else np.int64, count)
+        except (ValueError, OverflowError):
+            # The row iterator has just handed over the row of the bad cell.
+            r = len(self.rows) - operator.length_hint(rows) - 1
+            if col is None:  # Parse that row a column at a time; the bad column raises.
+                row = self._replace(rows=self.rows[r : r + 1], first_row=self.first_row + r)
+                for c in range(self.width):
+                    row.numbers(dtype, c)
+            problem = "not a number" if dtype is float else "not an int64 integer"
+        else:
+            bad = np.flatnonzero(~np.isfinite(values))
+            if not bad.size:
+                return values if col is not None else values.reshape(-1, self.width)
+            r, problem = int(bad[0]), "non-finite value"
+            if col is None:
+                r, col = divmod(r, self.width)
+        raise FileFormatError(
+            f"{self.path}: row {self.first_row + r}, column {col + 1}: "
+            f"{problem}: {self.rows[r][col]!r}"
+        )
+
+    def index_order(self) -> np.ndarray:
+        """The row order that sorts column 0, which must hold exactly 1..rows."""
+        index = self.numbers(int, 0)
+        order = np.argsort(index)
+        if not np.array_equal(index[order], np.arange(1, index.size + 1)):
+            raise FileFormatError(f"{self.path}: indices must be exactly 1..{index.size}")
+        return order
+
+
+def _read_table(path, header, allow_empty: bool = False) -> _Table:
+    """Read a CSV table and check its shape.
+
+    ``header`` is the expected header row, a function from the header's width
+    to that row, or None for a headerless square table. Blank lines are
+    skipped and header cells compared stripped; every data row must be as wide
+    as the header (a headerless table: as wide as it is long).
+    """
+    try:
+        with open(path, newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise FileFormatError(f"{path}: unreadable CSV: {exc}") from exc
     if not rows:
         raise FileFormatError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
-    if header != expected_header:
-        raise FileFormatError(f"{path}: expected header {expected_header}, got {header}")
-    return rows[1:]
+    if header is None:
+        width, first_row = len(rows), 1
+    else:
+        got = [c.strip() for c in rows.pop(0)]
+        expected = header(len(got)) if callable(header) else header
+        if got != expected:
+            raise FileFormatError(f"{path}: expected header {expected}, got {got}")
+        width, first_row = len(expected), 2
+    if not rows and not allow_empty:
+        raise FileFormatError(f"{path}: no data rows")
+    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+    ragged = np.flatnonzero(lengths != width)
+    if ragged.size:
+        r = int(ragged[0])
+        raise FileFormatError(
+            f"{path}: row {first_row + r} has {lengths[r]} columns, expected {width}"
+        )
+    return _Table(path, rows, width, first_row)
 
 
-def _to_float(path, token: str) -> float:
+def _write_table(path, header, rows) -> None:
+    """Write CSV rows; Python floats come out as their ``repr``, strings quoted as CSV needs."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        if header is not None:
+            w.writerow(header)
+        w.writerows(rows)
+
+
+def _floats(values):
+    """Python floats, a row of a matrix at a time, so a table cell is ``repr(float(x))``."""
+    values = np.asarray(values, dtype=float)
+    return map(np.ndarray.tolist, values) if values.ndim == 2 else values.tolist()
+
+
+def read_json(path):
     try:
-        value = float(token)
+        with open(path) as fh:
+            return json.load(fh)
     except ValueError as exc:
-        raise FileFormatError(f"{path}: not a number: {token!r}") from exc
-    if not np.isfinite(value):
-        raise FileFormatError(f"{path}: non-finite value {token!r}")
-    return value
+        raise FileFormatError(f"{path}: not valid JSON: {exc}") from exc
 
 
-def _to_int(path, token: str) -> int:
-    try:
-        return int(token)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: not an integer: {token!r}") from exc
+def write_json(path, payload) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def read_coordinates(path) -> list[tuple[str, float, float]]:
-    rows = _read_rows(path, ["id", "x", "y"])
-    out = []
-    for row in rows:
-        if len(row) != 3:
-            raise FileFormatError(f"{path}: expected 3 columns, got {row}")
-        out.append((row[0].strip(), _to_float(path, row[1]), _to_float(path, row[2])))
-    if not out:
-        raise FileFormatError(f"{path}: no coordinate rows")
-    return out
+    table = _read_table(path, ["id", "x", "y"])
+    ids = map(str.strip, map(operator.itemgetter(0), table.rows))
+    return list(zip(ids, table.numbers(float, 1).tolist(), table.numbers(float, 2).tolist()))
 
 
 def write_coordinates(path, coords) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["id", "x", "y"])
-        for cid, x, y in coords:
-            w.writerow([cid, _fmt(x), _fmt(y)])
+    ids, x, y = zip(*coords) if coords else ((), (), ())
+    _write_table(path, ["id", "x", "y"], zip(ids, _floats(x), _floats(y)))
 
 
 def read_edge_list(path) -> list[tuple[int, int]]:
-    rows = _read_rows(path, ["i", "j"])
-    edges = []
-    for row in rows:
-        if len(row) != 2:
-            raise FileFormatError(f"{path}: expected 2 columns, got {row}")
-        edges.append((_to_int(path, row[0]), _to_int(path, row[1])))
-    return edges
+    table = _read_table(path, ["i", "j"], allow_empty=True)
+    return list(map(tuple, table.numbers(int).tolist()))
 
 
 def write_edge_list(path, edges) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["i", "j"])
-        for i, j in sorted(edges):
-            w.writerow([i, j])
+    _write_table(path, ["i", "j"], sorted(edges))
 
 
 def read_signals(path, domain: str = VERTEX) -> SignalEnsemble:
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if len(rows) < 2:
-        raise FileFormatError(f"{path}: need a header and at least one sample row")
-    header = [c.strip() for c in rows[0]]
-    n = len(header)
-    if header != [f"v{k}" for k in range(1, n + 1)]:
-        raise FileFormatError(f"{path}: expected header v1..v{n}, got {header}")
-    data = np.empty((len(rows) - 1, n))
-    for r, row in enumerate(rows[1:]):
-        if len(row) != n:
-            raise FileFormatError(f"{path}: row {r + 2} has {len(row)} columns, expected {n}")
-        data[r] = [_to_float(path, tok) for tok in row]
-    return SignalEnsemble(signals=data, domain=domain)
+    table = _read_table(path, lambda n: [f"v{k}" for k in range(1, n + 1)])
+    return SignalEnsemble(signals=table.numbers(), domain=domain)
 
 
 def write_signals(path, e: SignalEnsemble) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow([f"v{k}" for k in range(1, e.n_vertices + 1)])
-        for row in e.signals:
-            w.writerow([_fmt(x) for x in row])
+    _write_table(path, [f"v{k}" for k in range(1, e.n_vertices + 1)], _floats(e.signals))
 
 
 def read_covariance(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise FileFormatError(f"{path}: empty file")
-    n = len(rows)
-    cov = np.empty((n, n))
-    for r, row in enumerate(rows):
-        if len(row) != n:
-            raise FileFormatError(f"{path}: row {r + 1} has {len(row)} columns, expected {n}")
-        cov[r] = [_to_float(path, tok) for tok in row]
-    return cov
+    return _read_table(path, None).numbers()
 
 
 def write_covariance(path, cov: np.ndarray) -> None:
-    cov = np.asarray(cov, dtype=float)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        for row in cov:
-            w.writerow([_fmt(x) for x in row])
+    _write_table(path, None, _floats(cov))
 
 
 def read_response(path) -> np.ndarray:
-    rows = _read_rows(path, ["n", "gamma"])
-    values = {}
-    for row in rows:
-        if len(row) != 2:
-            raise FileFormatError(f"{path}: expected 2 columns, got {row}")
-        values[_to_int(path, row[0])] = _to_float(path, row[1])
-    n = len(values)
-    if sorted(values) != list(range(1, n + 1)):
-        raise FileFormatError(f"{path}: indices must be exactly 1..{n}")
-    return np.array([values[k] for k in range(1, n + 1)])
+    table = _read_table(path, ["n", "gamma"])
+    return table.numbers(float, 1)[table.index_order()]
 
 
 def write_response(path, gamma) -> None:
-    gamma = np.asarray(gamma, dtype=float).reshape(-1)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["n", "gamma"])
-        for k, value in enumerate(gamma, start=1):
-            w.writerow([k, _fmt(value)])
+    _write_table(path, ["n", "gamma"], enumerate(_floats(np.ravel(gamma)), start=1))
+
+
+def write_eigenvalues(path, eigenvalues) -> None:
+    _write_table(path, ["n", "lambda"], enumerate(_floats(eigenvalues), start=1))
 
 
 def write_channel_estimate(csv_path, estimate: ChannelEstimate, json_path=None) -> None:
-    comp_index = {}
-    anchors = set()
+    n = estimate.n_vertices
+    flags = np.zeros((3, n), dtype=int)  # in_support, component, is_anchor
+    flags[0, [v - 1 for v in estimate.support]] = 1
     for k, comp in enumerate(estimate.components, start=1):
-        anchors.add(comp.anchor)
-        for v in comp.vertices:
-            comp_index[v] = k
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["n", "gamma_m", "in_support", "component", "is_anchor"])
-        for n in range(1, estimate.n_vertices + 1):
-            w.writerow(
-                [
-                    n,
-                    _fmt(estimate.gamma_m[n - 1]),
-                    int(n in estimate.support),
-                    comp_index.get(n, 0),
-                    int(n in anchors),
-                ]
-            )
+        flags[1, [v - 1 for v in comp.vertices]] = k
+        flags[2, comp.anchor - 1] = 1
+    rows = zip(range(1, n + 1), _floats(estimate.gamma_m), *flags.tolist())
+    _write_table(csv_path, _ESTIMATE_HEADER, rows)
     if json_path is not None:
-        payload = {
-            "n_vertices": estimate.n_vertices,
-            "support": sorted(estimate.support),
-            "components": [
-                {
-                    "vertices": list(comp.vertices),
-                    "anchor": comp.anchor,
-                    "anchor_sign": comp.anchor_sign,
-                    "parents": {str(child): parent for child, parent in sorted(comp.parents.items())},
-                }
-                for comp in estimate.components
-            ],
-        }
-        with open(json_path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        components = [
+            {
+                "vertices": list(comp.vertices),
+                "anchor": comp.anchor,
+                "anchor_sign": comp.anchor_sign,
+                "parents": {str(child): parent for child, parent in sorted(comp.parents.items())},
+            }
+            for comp in estimate.components
+        ]
+        payload = {"n_vertices": n, "support": sorted(estimate.support), "components": components}
+        write_json(json_path, payload)
+
+
+def _vertices(mask: np.ndarray) -> list[int]:
+    """The 1-based vertices where ``mask`` is set."""
+    return (np.flatnonzero(mask) + 1).tolist()
 
 
 def read_channel_estimate(csv_path, json_path=None) -> ChannelEstimate:
@@ -217,64 +230,41 @@ def read_channel_estimate(csv_path, json_path=None) -> ChannelEstimate:
     the CSV's row count, or components, membership or anchors other than the
     CSV's ``in_support``, ``component`` and ``is_anchor`` columns give.
     """
-    rows = _read_rows(csv_path, ["n", "gamma_m", "in_support", "component", "is_anchor"])
-    entries = {}
-    for row in rows:
-        if len(row) != 5:
-            raise FileFormatError(f"{csv_path}: expected 5 columns, got {row}")
-        entries[_to_int(csv_path, row[0])] = (
-            _to_float(csv_path, row[1]),
-            _to_int(csv_path, row[2]),
-            _to_int(csv_path, row[3]),
-            _to_int(csv_path, row[4]),
-        )
-    n = len(entries)
-    if sorted(entries) != list(range(1, n + 1)):
-        raise FileFormatError(f"{csv_path}: indices must be exactly 1..{n}")
-    gamma = np.array([entries[k][0] for k in range(1, n + 1)])
-    support = frozenset(k for k in range(1, n + 1) if entries[k][1])
+    table = _read_table(csv_path, _ESTIMATE_HEADER)
+    order = table.index_order()
+    gamma = table.numbers(float, 1)[order]
+    in_support, comp_id, is_anchor = (table.numbers(int, k)[order] for k in (2, 3, 4))
+    n = gamma.size
+    support = frozenset(_vertices(in_support != 0))
+    members = {cid: _vertices(comp_id == cid) for cid in np.unique(comp_id[comp_id != 0]).tolist()}
+    anchors = _vertices(is_anchor != 0)
 
-    if json_path is not None:
-        with open(json_path) as fh:
-            try:
-                payload = json.load(fh)
-            except ValueError as exc:
-                raise FileFormatError(f"{json_path}: not valid JSON: {exc}") from exc
-        try:
-            declared = int(payload.get("n_vertices", n))
-            components = tuple(
-                Component(
-                    vertices=tuple(int(v) for v in comp["vertices"]),
-                    anchor=int(comp["anchor"]),
-                    anchor_sign=int(comp["anchor_sign"]),
-                    parents={int(c): int(p) for c, p in comp["parents"].items()},
-                )
-                for comp in payload["components"]
-            )
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise FileFormatError(f"{json_path}: malformed components sidecar: {exc!r}") from exc
-        if declared != n:
-            raise FileFormatError(f"{json_path}: n_vertices {declared} != {n} rows in {csv_path}")
-        _check_components(json_path, n, components)
-        _check_components_match_csv(json_path, csv_path, entries, components)
-    else:
-        by_comp: dict[int, list[int]] = {}
-        anchor_of: dict[int, int] = {}
-        for k in range(1, n + 1):
-            _, _, comp_id, is_anchor = entries[k]
-            if comp_id:
-                by_comp.setdefault(comp_id, []).append(k)
-                if is_anchor:
-                    anchor_of[comp_id] = k
+    if json_path is None:
+        components = []
+        for cid, vertices in members.items():
+            flagged = _vertices((comp_id == cid) & (is_anchor != 0))
+            anchor = flagged[-1] if flagged else vertices[0]
+            components.append(Component(tuple(vertices), anchor, sign_of(gamma[anchor - 1]), {}))
+        return ChannelEstimate(gamma_m=gamma, support=support, components=tuple(components))
+
+    payload = read_json(json_path)
+    try:
+        declared = int(payload.get("n_vertices", n))
         components = tuple(
             Component(
-                vertices=tuple(sorted(vs)),
-                anchor=anchor_of.get(cid, min(vs)),
-                anchor_sign=1 if gamma[anchor_of.get(cid, min(vs)) - 1] >= 0 else -1,
-                parents={},
+                vertices=tuple(int(v) for v in comp["vertices"]),
+                anchor=int(comp["anchor"]),
+                anchor_sign=int(comp["anchor_sign"]),
+                parents={int(c): int(p) for c, p in comp["parents"].items()},
             )
-            for cid, vs in sorted(by_comp.items())
+            for comp in payload["components"]
         )
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise FileFormatError(f"{json_path}: malformed components sidecar: {exc!r}") from exc
+    if declared != n:
+        raise FileFormatError(f"{json_path}: n_vertices {declared} != {n} rows in {csv_path}")
+    _check_components(json_path, n, components)
+    _check_components_match_csv(json_path, csv_path, support, members, anchors, components)
     return ChannelEstimate(gamma_m=gamma, support=support, components=components)
 
 
@@ -296,29 +286,23 @@ def _check_components(json_path, n: int, components: tuple[Component, ...]) -> N
             raise FileFormatError(f"{where}: anchor_sign {comp.anchor_sign} is not -1 or +1")
         for child, parent in comp.parents.items():
             if child not in members or parent not in members:
-                raise FileFormatError(
-                    f"{where}: parent link {child} -> {parent} leaves the component"
-                )
+                raise FileFormatError(f"{where}: parent link {child} -> {parent} leaves the component")
 
 
-def _check_components_match_csv(json_path, csv_path, entries: dict, components) -> None:
+def _check_components_match_csv(json_path, csv_path, support, members, anchors, components) -> None:
     """Reject sidecar components that disagree with the CSV's support, component and anchor columns.
 
     Their vertices together must be the rows with ``in_support`` set,
     component k must list exactly the rows whose ``component`` is k, and the
     anchors must be exactly the rows with ``is_anchor`` set.
     """
-    in_support = {v for v, (_, supported, _, _) in entries.items() if supported}
     listed = {v for comp in components for v in comp.vertices}
-    if listed != in_support:
+    if listed != support:
         raise FileFormatError(
             f"{json_path}: components cover vertices {sorted(listed)}, "
-            f"but {csv_path} has in_support rows {sorted(in_support)}"
+            f"but {csv_path} has in_support rows {sorted(support)}"
         )
-    rows_of: dict[int, set[int]] = {}
-    for v, (_, _, comp_id, _) in entries.items():
-        if comp_id:
-            rows_of.setdefault(comp_id, set()).add(v)
+    rows_of = {k: set(vs) for k, vs in members.items()}
     listed_of = {k: set(comp.vertices) for k, comp in enumerate(components, start=1)}
     if rows_of != listed_of:
         k = min(k for k in rows_of.keys() | listed_of.keys() if rows_of.get(k) != listed_of.get(k))
@@ -326,29 +310,16 @@ def _check_components_match_csv(json_path, csv_path, entries: dict, components) 
             f"{json_path}: component {k} lists vertices {sorted(listed_of.get(k, ()))}, "
             f"but {csv_path} has component {k} rows {sorted(rows_of.get(k, ()))}"
         )
-    anchors = sorted(comp.anchor for comp in components)
-    flagged = sorted(v for v, (_, _, _, is_anchor) in entries.items() if is_anchor)
-    if anchors != flagged:
+    listed_anchors = sorted(comp.anchor for comp in components)
+    if listed_anchors != anchors:
         raise FileFormatError(
-            f"{json_path}: anchors {anchors}, but {csv_path} has is_anchor rows {flagged}"
+            f"{json_path}: anchors {listed_anchors}, but {csv_path} has is_anchor rows {anchors}"
         )
 
 
 def write_bound_report(path, report: list[BoundCheck]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["n", "nprime", "eps", "empirical", "bound", "flag"])
-        for check in report:
-            w.writerow(
-                [
-                    check.n,
-                    check.nprime,
-                    _fmt(check.eps),
-                    _fmt(check.empirical),
-                    _fmt(check.bound),
-                    int(check.flag),
-                ]
-            )
+    rows = ((c.n, c.nprime, *_floats([c.eps, c.empirical, c.bound]), int(c.flag)) for c in report)
+    _write_table(path, ["n", "nprime", "eps", "empirical", "bound", "flag"], rows)
 
 
 @dataclass(frozen=True)
@@ -374,9 +345,7 @@ class RawDataset:
         if self.coords is not None:
             coords = tuple(self.coords)
             if len(coords) != arr.shape[0]:
-                raise ValueError(
-                    f"{len(coords)} coordinates for {arr.shape[0]} stations"
-                )
+                raise ValueError(f"{len(coords)} coordinates for {arr.shape[0]} stations")
             object.__setattr__(self, "coords", coords)
 
     @property
@@ -399,34 +368,25 @@ def load_raw_dataset(path, coords_path=None) -> RawDataset:
     complete: every (station, day, hour) combination exactly once. A
     coordinates CSV can be attached via ``coords_path``.
     """
-    rows = _read_rows(path, ["station", "day", "hour", "value"])
-    parsed = []
-    for row in rows:
-        if len(row) != 4:
-            raise FileFormatError(f"{path}: expected 4 columns, got {row}")
-        parsed.append(
-            (
-                _to_int(path, row[0]),
-                _to_int(path, row[1]),
-                _to_int(path, row[2]),
-                _to_float(path, row[3]),
-            )
-        )
-    if not parsed:
-        raise FileFormatError(f"{path}: no data rows")
-    n = max(p[0] for p in parsed)
-    d = max(p[1] for p in parsed)
-    t = max(p[2] for p in parsed) + 1
-    values = np.full((n, t, d), np.nan)
-    for station, day, hour, value in parsed:
-        if not (1 <= station <= n and 1 <= day <= d and 0 <= hour < t):
-            raise FileFormatError(f"{path}: indices out of range in row {(station, day, hour)}")
-        if not np.isnan(values[station - 1, hour, day - 1]):
-            raise FileFormatError(f"{path}: duplicate entry for {(station, day, hour)}")
-        values[station - 1, hour, day - 1] = value
-    if np.any(np.isnan(values)):
-        missing = int(np.count_nonzero(np.isnan(values)))
+    table = _read_table(path, ["station", "day", "hour", "value"])
+    station, day, hour = cells = np.stack([table.numbers(int, k) for k in range(3)])
+    value = table.numbers(float, 3)
+    out_of_range = np.flatnonzero((station < 1) | (day < 1) | (hour < 0))
+    if out_of_range.size:
+        where = tuple(cells[:, out_of_range[0]].tolist())
+        raise FileFormatError(f"{path}: indices out of range in row {where}")
+    # Rows sorted by cell; a row equal to its sorted predecessor repeats a cell.
+    order = np.lexsort(cells[::-1])
+    repeats = order[1:][np.all(np.diff(cells[:, order], axis=1) == 0, axis=0)]
+    if repeats.size:
+        where = tuple(cells[:, repeats.min()].tolist())
+        raise FileFormatError(f"{path}: duplicate entry for {where}")
+    n, d, t = int(station.max()), int(day.max()), int(hour.max()) + 1
+    missing = n * d * t - value.size
+    if missing:
         raise FileFormatError(f"{path}: incomplete grid, {missing} missing entries")
+    values = np.empty((n, t, d))
+    values[station - 1, hour, day - 1] = value
     coords = tuple(read_coordinates(coords_path)) if coords_path is not None else None
     return RawDataset(values=values, coords=coords)
 

@@ -10,8 +10,9 @@ byte-identical artifacts.
 
 from __future__ import annotations
 
-import json
 import math
+import numbers
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -95,10 +96,21 @@ class SimulationConfig:
     trials: int = 1
 
     def __post_init__(self):
-        if self.n_vertices < 2:
-            raise ValueError(f"n_vertices must be >= 2, got {self.n_vertices}")
-        if self.sample_count < 1:
-            raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
+        for name in ("n_vertices", "sample_count", "seed", "trials"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("noise_sigma", "channel_amplitude", "pearson_threshold", "delta"):
+            value = getattr(self, name)
+            # False for nan, infinities and ints beyond the float range alike.
+            finite = isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+            if isinstance(value, bool) or not finite:
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        # The counts size arrays, so they must fit int64.
+        if not 2 <= self.n_vertices < 2**63:
+            raise ValueError(f"n_vertices must be in [2, 2**63), got {self.n_vertices}")
+        if not 1 <= self.sample_count < 2**63:
+            raise ValueError(f"sample_count must be in [1, 2**63), got {self.sample_count}")
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if not (0 <= self.channel_amplitude < 1):
@@ -109,8 +121,8 @@ class SimulationConfig:
             raise ValueError(f"delta must be >= 0, got {self.delta}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not 1 <= self.trials < 2**63:
+            raise ValueError(f"trials must be in [1, 2**63), got {self.trials}")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -124,19 +136,13 @@ class SimulationConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "SimulationConfig":
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FileFormatError(f"{path}: not valid JSON: {exc}") from exc
+        data = gio.read_json(path)
         if not isinstance(data, dict):
             raise FileFormatError(f"{path}: simulation config must be a JSON object")
         return cls.from_json(data)
 
     def to_json_file(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
+        gio.write_json(path, self.to_json())
 
 
 def variance_profile(n: int) -> np.ndarray:
@@ -478,13 +484,9 @@ def write_bundle(result: SimulationResult, out_dir) -> None:
         "magnitude_error_mean": result.magnitude_error_mean,
         "max_reconstruction_error_aligned": result.max_reconstruction_error,
         "component_flips": list(result.flips),
-        "mean_diagonal_db": result.gap.mean_diagonal_db,
-        "mean_offdiagonal_db": result.gap.mean_offdiagonal_db,
-        "gap_db": result.gap.gap_db,
-        "diagonal_inflation": [float(x) for x in result.avg_diagnostics.diagonal_inflation],
+        **asdict(result.gap),
+        "diagonal_inflation": result.avg_diagnostics.diagonal_inflation.tolist(),
         "consistency_violations": [list(e) for e in result.consistency_violations],
         "bound_flags": sum(check.flag for check in result.bound_report),
     }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    gio.write_json(out / "summary.json", summary)

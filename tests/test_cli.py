@@ -309,3 +309,53 @@ class TestUsageErrors:
             assert exc.value.code == 1
         finally:
             sys.argv = argv
+
+
+class TestIntegerRange:
+    @pytest.mark.parametrize("token", ["9" * 400, "1" + "0" * 29], ids=["400-digit", "30-digit"])
+    def test_edge_index_beyond_int64_is_io_error(self, sim_bundle, tmp_path, capsys, token):
+        cfg, cfg_path, out = sim_bundle
+        edges = tmp_path / "edges.csv"
+        edges.write_text(f"i,j\n1,2\n1,{token}\n")
+        signals = ["--signals", str(out / "observations.csv")]
+        commands = [
+            ["graph", "--edges", str(edges)],
+            ["estimate", *signals, "--cov-x", str(out / "cov_x.csv"), "--edges", str(edges)],
+            [
+                "deconvolve", *signals, "--estimate", str(out / "channel_estimate.csv"),
+                "--edges", str(edges),
+            ],
+        ]
+        for argv in commands:
+            assert cli_dispatch([*argv, "--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and f"{edges}: row 3, column 2" in err[0] and "not an int64 integer" in err[0]
+
+
+class TestSeedFlag:
+    def _argv(self, command, out, tmp_path):
+        radius = json.loads((out / "summary.json").read_text())["radius"]
+        graph = ["--coords", str(out / "coords.csv"), "--radius", str(radius)]
+        return {
+            "graph": ["graph", *graph],
+            "estimate": [
+                "estimate", "--signals", str(out / "observations.csv"),
+                "--cov-x", str(out / "cov_x.csv"), *graph,
+            ],
+            "deconvolve": [
+                "deconvolve", "--signals", str(out / "observations.csv"),
+                "--estimate", str(out / "channel_estimate.csv"), *graph,
+            ],
+            "diagnose": [
+                "diagnose", "--cov-recon", str(out / "recon_cov.csv"), "--cov-x", str(out / "cov_x.csv"),
+            ],
+        }[command] + ["--out", str(tmp_path / command)]
+
+    @pytest.mark.parametrize("command", ["graph", "estimate", "deconvolve", "diagnose"])
+    def test_seed_is_a_usage_error_without_a_config(self, sim_bundle, tmp_path, capsys, command):
+        cfg, cfg_path, out = sim_bundle
+        argv = self._argv(command, out, tmp_path)
+        assert cli_dispatch(argv) == 0
+        capsys.readouterr()
+        assert cli_dispatch([*argv, "--seed", "1"]) == 1
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err

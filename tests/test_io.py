@@ -4,6 +4,8 @@ Ground truth: the 3-station x 2-hour x 2-day centering fixture is computed by
 hand in the test body.
 """
 
+import csv
+import io
 import re
 
 import numpy as np
@@ -279,3 +281,174 @@ class TestCenterDataset:
             ]
         )
         np.testing.assert_array_equal(centered.signals, expected)
+
+
+def _reference_csv(header, rows) -> bytes:
+    """The bytes of ``csv.writer`` with ``\\n`` line endings and floats as ``repr(float(x))``."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf, lineterminator="\n")
+    if header is not None:
+        w.writerow(header)
+    for row in rows:
+        w.writerow([repr(float(x)) if isinstance(x, float) else x for x in row])
+    return buf.getvalue().encode()
+
+
+class TestWriterBytes:
+    """Every writer's bytes equal a csv.writer + repr(float(x)) reference."""
+
+    VALUES = [-0.0, 5e-324, 1e300, 0.1, -2.5e-7, 1.0]
+
+    def test_every_writer_matches_the_reference(self, tmp_path):
+        v = self.VALUES
+        matrix = np.array([v, v[::-1]])
+        estimate = ChannelEstimate(
+            gamma_m=np.array(v[:4]),
+            support=frozenset({1, 2, 4}),
+            components=(
+                Component(vertices=(1, 2), anchor=1, anchor_sign=1, parents={2: 1}),
+                Component(vertices=(4,), anchor=4, anchor_sign=-1, parents={}),
+            ),
+        )
+        report = [BoundCheck(n=1, nprime=2, eps=v[1], empirical=v[0], bound=v[2], flag=True)]
+        cases = [
+            (
+                gio.write_coordinates,
+                [('a,"b"', np.float64(v[0]), v[1]), ("s2", v[2], 3)],
+                ["id", "x", "y"],
+                [['a,"b"', v[0], v[1]], ["s2", v[2], 3.0]],
+            ),
+            (gio.write_edge_list, {(3, 4), (1, 2)}, ["i", "j"], [[1, 2], [3, 4]]),
+            (
+                gio.write_signals,
+                SignalEnsemble(signals=matrix, domain="vertex"),
+                [f"v{k}" for k in range(1, 7)],
+                matrix.tolist(),
+            ),
+            (gio.write_covariance, matrix, None, matrix.tolist()),
+            (gio.write_response, v, ["n", "gamma"], [[k + 1, x] for k, x in enumerate(v)]),
+            (gio.write_eigenvalues, np.array(v), ["n", "lambda"], [[k + 1, x] for k, x in enumerate(v)]),
+            (
+                gio.write_channel_estimate,
+                estimate,
+                ["n", "gamma_m", "in_support", "component", "is_anchor"],
+                [[1, v[0], 1, 1, 1], [2, v[1], 1, 1, 0], [3, v[2], 0, 0, 0], [4, v[3], 1, 2, 1]],
+            ),
+            (
+                gio.write_bound_report,
+                report,
+                ["n", "nprime", "eps", "empirical", "bound", "flag"],
+                [[1, 2, v[1], v[0], v[2], 1]],
+            ),
+        ]
+        for write, payload, header, rows in cases:
+            path = tmp_path / f"{write.__name__}.csv"
+            write(path, payload)
+            assert path.read_bytes() == _reference_csv(header, rows), write.__name__
+
+    def test_quoted_id_and_extreme_floats_read_back(self, tmp_path):
+        path = tmp_path / "coords.csv"
+        coords = [('a,"b"', -0.0, 5e-324), ("c", 1e300, 0.1)]
+        gio.write_coordinates(path, coords)
+        back = gio.read_coordinates(path)
+        assert back == coords
+        assert str(back[0][1]) == "-0.0"
+
+    def test_json_layout(self, tmp_path):
+        path = tmp_path / "doc.json"
+        gio.write_json(path, {"a": [1, 2.5], "b": "x"})
+        assert path.read_text() == '{\n  "a": [\n    1,\n    2.5\n  ],\n  "b": "x"\n}\n'
+        assert gio.read_json(path) == {"a": [1, 2.5], "b": "x"}
+
+    def test_invalid_json_names_the_file(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_bytes(b'{"a": \xff}')
+        with pytest.raises(FileFormatError, match=re.escape(f"{path}: not valid JSON")):
+            gio.read_json(path)
+
+
+class TestTableRules:
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "signals.csv"
+        path.write_text("\nv1,v2\n\n1.0,2.0\n\n3.0,4.0\n\n")
+        np.testing.assert_array_equal(gio.read_signals(path).signals, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_python_number_grammar(self, tmp_path):
+        path = tmp_path / "gamma.csv"
+        path.write_text("n,gamma\n 2 ,1_000.5\n+1, -1E-3 \n")
+        np.testing.assert_array_equal(gio.read_response(path), [-1e-3, 1000.5])
+
+    @pytest.mark.parametrize(
+        "text, names",
+        [
+            ("v1,v2\n1.0,2.0\n1.0,nan\n", "row 3, column 2: non-finite value: 'nan'"),
+            ("v1,v2\n1.0,2.0\n1e400,0\n", "row 3, column 1: non-finite value: '1e400'"),
+            ("v1,v2\n1.0,2.0\n\n1.0,x\n", "row 3, column 2: not a number: 'x'"),
+            ("v1,v2\n1.0,2.0\n1.0\n", "row 3 has 1 columns, expected 2"),
+            ("v1,v2\n", "no data rows"),
+            ("", "empty file"),
+        ],
+        ids=["nan", "1e400", "not-a-number", "ragged", "header-only", "empty"],
+    )
+    def test_errors_name_file_and_row(self, tmp_path, text, names):
+        path = tmp_path / "signals.csv"
+        path.write_text(text)
+        with pytest.raises(FileFormatError, match=re.escape(f"{path}: ") + ".*" + re.escape(names)):
+            gio.read_signals(path)
+
+    def test_covariance_errors_count_rows_from_one(self, tmp_path):
+        path = tmp_path / "cov.csv"
+        path.write_text("1.0,2.0\n3.0,inf\n")
+        with pytest.raises(FileFormatError, match="row 2, column 2: non-finite"):
+            gio.read_covariance(path)
+
+    @pytest.mark.parametrize(
+        "token", ["9" * 400, "1" + "0" * 29, "-9223372036854775809"],
+        ids=["400-digit", "30-digit", "below-int64"],
+    )
+    def test_integers_beyond_int64_rejected_by_every_reader(self, tmp_path, token):
+        files = {
+            gio.read_edge_list: f"i,j\n1,2\n{token},3\n",
+            gio.read_response: f"n,gamma\n1,0.5\n{token},0.5\n",
+            gio.read_channel_estimate: f"n,gamma_m,in_support,component,is_anchor\n1,0.5,1,1,1\n2,0.5,1,{token},0\n",
+            load_raw_dataset: f"station,day,hour,value\n1,1,0,1.0\n1,1,{token},1.0\n",
+        }
+        for read, text in files.items():
+            path = tmp_path / "table.csv"
+            path.write_text(text)
+            with pytest.raises(FileFormatError, match="row 3, column .*: not an int64 integer"):
+                read(path)
+
+    def test_int64_limits_read(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text("i,j\n9223372036854775807,-9223372036854775808\n")
+        assert gio.read_edge_list(path) == [(2**63 - 1, -(2**63))]
+
+    def test_header_only_edge_list_is_empty(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        gio.write_edge_list(path, [])
+        assert gio.read_edge_list(path) == []
+
+    def test_duplicated_estimate_row_rejected(self, tmp_path):
+        path = tmp_path / "estimate.csv"
+        path.write_text("n,gamma_m,in_support,component,is_anchor\n1,0.5,1,1,1\n1,0.5,1,1,1\n")
+        with pytest.raises(FileFormatError, match="indices must be exactly 1..2"):
+            gio.read_channel_estimate(path)
+
+    def test_raw_dataset_rows_in_any_order(self, tmp_path):
+        path = tmp_path / "temps.csv"
+        path.write_text("station,day,hour,value\n2,1,0,4.0\n1,2,0,2.0\n2,2,0,3.0\n1,1,0,1.0\n")
+        raw = load_raw_dataset(path)
+        np.testing.assert_array_equal(raw.values, [[[1.0, 2.0]], [[4.0, 3.0]]])
+
+    def test_raw_dataset_index_below_range_rejected(self, tmp_path):
+        path = tmp_path / "temps.csv"
+        path.write_text("station,day,hour,value\n1,1,0,1.0\n1,1,-1,2.0\n")
+        with pytest.raises(FileFormatError, match=re.escape("out of range in row (1, 1, -1)")):
+            load_raw_dataset(path)
+
+    def test_raw_dataset_far_index_is_incomplete_not_allocated(self, tmp_path):
+        path = tmp_path / "temps.csv"
+        path.write_text("station,day,hour,value\n1,1,0,1.0\n1,1,9223372036854775806,2.0\n")
+        with pytest.raises(FileFormatError, match="incomplete grid"):
+            load_raw_dataset(path)

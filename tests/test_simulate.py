@@ -40,6 +40,12 @@ class TestConfig:
         cfg.to_json_file(path)
         assert SimulationConfig.from_json_file(path) == cfg
 
+    def test_ints_for_floats_and_numpy_scalars_accepted(self):
+        cfg = SimulationConfig(
+            n_vertices=np.int64(4), sample_count=10, noise_sigma=0, delta=np.float64(0.5)
+        )
+        assert cfg.noise_sigma == 0 and cfg.delta == 0.5
+
     def test_field_names_mirror_json(self, tmp_path):
         cfg = SimulationConfig(n_vertices=4, sample_count=10, noise_sigma=0.0)
         data = json.loads(json.dumps(cfg.to_json()))
@@ -68,6 +74,23 @@ class TestConfig:
             dict(n_vertices=4, sample_count=10, noise_sigma=0.0, delta=-0.1),
             dict(n_vertices=4, sample_count=10, noise_sigma=0.0, trials=0),
             dict(n_vertices=4, sample_count=10, noise_sigma=0.0, seed=-1),
+            dict(n_vertices=8.5, sample_count=10, noise_sigma=0.0),
+            dict(n_vertices=4, sample_count=50.5, noise_sigma=0.0),
+            dict(n_vertices=4, sample_count=10, noise_sigma=0.0, seed=1.5),
+            dict(n_vertices=4, sample_count=10, noise_sigma=0.0, trials=2.0),
+            dict(n_vertices=True, sample_count=10, noise_sigma=0.0),
+            dict(n_vertices=4, sample_count=10, noise_sigma=0.0, seed=False),
+            dict(n_vertices=4, sample_count="10", noise_sigma=0.0),
+            dict(n_vertices=4, sample_count=10, noise_sigma=float("nan")),
+            dict(n_vertices=4, sample_count=10, noise_sigma=0.0, delta=float("nan")),
+            dict(n_vertices=4, sample_count=10, noise_sigma=0.0, channel_amplitude=float("nan")),
+            dict(n_vertices=4, sample_count=10, noise_sigma=0.0, pearson_threshold=float("nan")),
+            dict(n_vertices=4, sample_count=10, noise_sigma=float("inf")),
+            dict(n_vertices=4, sample_count=10, noise_sigma=True),
+            dict(n_vertices=4, sample_count=10, noise_sigma="0.5"),
+            dict(n_vertices=10**400, sample_count=10, noise_sigma=0.0),
+            dict(n_vertices=4, sample_count=2**63, noise_sigma=0.0),
+            dict(n_vertices=4, sample_count=10, noise_sigma=10**400),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
