@@ -41,8 +41,7 @@ x = SignalEnsemble(signals=rng.standard_normal((4, 10)), domain="vertex")
 xhat = gft(basis, x)
 yhat = apply_channel(gamma, xhat)
 support = {1, 2, 3, 4, 5, 6, 7}
-dagger = pseudo_inverse(gamma, support)
-restored = apply_channel(dagger.gamma_dagger, yhat)
+restored = apply_channel(pseudo_inverse(gamma, support), yhat)
 cols = [n - 1 for n in sorted(support)]
 err = np.max(np.abs(restored.signals[:, cols] - xhat.signals[:, cols]))
 print(f"\nrestoration error on the supported frequencies: {err:.1e}")

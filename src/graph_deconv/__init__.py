@@ -8,7 +8,6 @@ of the observation graph.
 """
 
 from .channel import (
-    PseudoInverseResponse,
     apply_channel,
     operator_norm,
     pseudo_inverse,

@@ -8,25 +8,12 @@ form only shows up in test oracles).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NearZeroResponse
 from .spectral import SPECTRAL, SignalEnsemble
 
 RESPONSE_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class PseudoInverseResponse:
-    """Entrywise inverse of a frequency response on a support set W.
-
-    gamma_dagger(n) = 1 / gamma(n) for n in W and 0 elsewhere.
-    """
-
-    gamma_dagger: np.ndarray
-    support: frozenset[int]
 
 
 def as_response(gamma) -> np.ndarray:
@@ -53,25 +40,28 @@ def operator_norm(gamma) -> float:
     return float(np.max(np.abs(as_response(gamma))))
 
 
-def pseudo_inverse(gamma, support) -> PseudoInverseResponse:
-    """Invert the response on ``support`` (1-based vertex indices), zero it elsewhere.
+def pseudo_inverse(gamma, support) -> np.ndarray:
+    """Entrywise inverse of the response on ``support`` (1-based vertex indices), zero elsewhere.
 
-    Raises NearZeroResponse when some supported entry has magnitude at or
-    below 1e-12, which would blow up the inversion.
+    Raises ValueError for a support index outside 1..N and NearZeroResponse
+    when some supported entry has magnitude at or below 1e-12, which would
+    blow up the inversion; either error names the lowest offending vertex.
     """
     gamma = as_response(gamma)
-    support = frozenset(int(n) for n in support)
-    for n in support:
-        if not (1 <= n <= gamma.size):
-            raise ValueError(f"support index {n} out of range 1..{gamma.size}")
+    vertices = sorted({int(n) for n in support})
+    outside = [n for n in vertices if not 1 <= n <= gamma.size]
+    if outside:
+        raise ValueError(f"support index {outside[0]} out of range 1..{gamma.size}")
+    idx = np.array(vertices, dtype=np.intp) - 1
+    small = idx[np.abs(gamma[idx]) <= RESPONSE_FLOOR]
+    if small.size:
+        k = small[0]
+        raise NearZeroResponse(
+            f"response at vertex {k + 1} is {gamma[k]:.3e}, too close to zero to invert"
+        )
     dagger = np.zeros_like(gamma)
-    for n in sorted(support):
-        if abs(gamma[n - 1]) <= RESPONSE_FLOOR:
-            raise NearZeroResponse(
-                f"response at vertex {n} is {gamma[n - 1]:.3e}, too close to zero to invert"
-            )
-        dagger[n - 1] = 1.0 / gamma[n - 1]
-    return PseudoInverseResponse(gamma_dagger=dagger, support=support)
+    dagger[idx] = 1.0 / gamma[idx]
+    return dagger
 
 
 def random_channel(n: int, amplitude: float, seed) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 Recovery inverts the estimated response on its support and zeroes everything
 outside it, so frequency content at unsupported indices is unrecoverable by
-construction. The result holds the spectral reconstruction; its vertex-domain
-form is one inverse GFT, run the first time ``reconstructed`` is read, so
-callers that only need covariances never pay for it. Because the channel is
-only identified up to one sign per observation-graph component,
+construction. Observations may come in either domain, and only vertex-domain
+ones are transformed. The result holds the spectral reconstruction; its
+vertex-domain form is one inverse GFT, run the first time ``reconstructed``
+is read, so callers that only need covariances never pay for it. Because the
+channel is only identified up to one sign per observation-graph component,
 reconstruction errors against a known ground truth are only meaningful after
 choosing the best sign per component, which ``align_component_signs`` does.
 """
@@ -17,10 +18,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import pseudo_inverse
+from .channel import apply_channel, pseudo_inverse
 from .covariance import empirical_covariance, ensure_positive_diagonal
 from .estimation import ChannelEstimate, Component
-from .spectral import SPECTRAL, SignalEnsemble, SpectralBasis, gft, igft
+from .spectral import SPECTRAL, SignalEnsemble, SpectralBasis, _as_spectral, igft
 
 DB_OFFSET = 1e-5
 DIAGNOSTIC_FLOOR_DB = -20.0
@@ -66,14 +67,14 @@ def blind_deconvolve(
 ) -> DeconvolutionResult:
     """Invert the estimated channel on its support.
 
-    Spectrally, each reconstructed coefficient is the observed coefficient
-    divided by the estimated response, and exactly zero off support.
+    ``observations`` are vertex-domain samples or their GFT. Spectrally, each
+    reconstructed coefficient is the observed coefficient divided by the
+    estimated response, and exactly zero off support.
     """
     if not estimate.support:
         raise ValueError("estimate has empty support, nothing can be reconstructed")
     dagger = pseudo_inverse(estimate.gamma_m, estimate.support)
-    yhat = gft(basis, observations)
-    xhat = SignalEnsemble(signals=yhat.signals * dagger.gamma_dagger, domain=SPECTRAL)
+    xhat = apply_channel(dagger, _as_spectral(basis, observations))
     return DeconvolutionResult(spectral=xhat, support=estimate.support, basis=basis)
 
 
@@ -133,7 +134,6 @@ def align_component_signs(
     result: DeconvolutionResult,
     reference: SignalEnsemble,
     components: tuple[Component, ...],
-    basis: SpectralBasis,
 ) -> tuple[DeconvolutionResult, tuple[int, ...]]:
     """Flip each component's sign to best match a spectral reference ensemble.
 
@@ -159,4 +159,4 @@ def align_component_signs(
             aligned[:, cols] = -aligned[:, cols]
         flips.append(flip)
     spectral = SignalEnsemble(signals=aligned, domain=SPECTRAL)
-    return DeconvolutionResult(spectral=spectral, support=result.support, basis=basis), tuple(flips)
+    return DeconvolutionResult(spectral, result.support, result.basis), tuple(flips)

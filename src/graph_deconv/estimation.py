@@ -1,15 +1,16 @@
 """Covariance-driven estimation of a shift-invariant channel.
 
 The observer knows the source spectral covariance and sees only noisy filtered
-samples. Diagonal and off-diagonal entries of the two covariances are tied
-together by a per-edge quadratic system whose closed-form solution yields the
-response magnitude at every frequency; magnitudes are averaged over all source
-edges incident to the frequency, read as masks of the graphs' ``adjacency``
-matrices. Signs are then fixed per connected component of the observation
-graph: pick the lowest-index vertex as anchor, give it the requested sign, and
-propagate along the breadth-first spanning tree the observation graph keeps,
-one tree level at a time, using the sign of the ratio between observed and
-source covariance on each tree edge.
+samples, in either domain; ``estimate_channel`` is the one pipeline the
+simulation, the CLI and the demos call. Diagonal and off-diagonal entries of
+the two covariances are tied together by a per-edge quadratic system whose
+closed-form solution yields the response magnitude at every frequency;
+magnitudes are averaged over all source edges incident to the frequency, read
+as masks of the graphs' ``adjacency`` matrices. Signs are then fixed per
+connected component of the observation graph: pick the lowest-index vertex as
+anchor, give it the requested sign, and propagate along the breadth-first
+spanning tree the observation graph keeps, one tree level at a time, using the
+sign of the ratio between observed and source covariance on each tree edge.
 The result is the true channel up to one sign per component, which is the best
 any observer of second-order statistics can do.
 """
@@ -29,7 +30,7 @@ from .covariance import (
     ensure_positive_diagonal,
 )
 from .errors import IsolatedVertex
-from .spectral import SignalEnsemble, SpectralBasis, gft
+from .spectral import SignalEnsemble, SpectralBasis, _as_spectral
 
 
 @dataclass(frozen=True)
@@ -220,15 +221,14 @@ def estimate_channel(
     source: SourceGraph,
     delta: float,
 ) -> ChannelEstimate:
-    """Full channel estimation pipeline from vertex-domain observations.
+    """Full channel estimation pipeline from observations in either domain.
 
-    Transforms the observations, forms their empirical spectral covariance,
-    recovers magnitudes from the per-edge quadratic solution, thresholds the
-    observation graph at ``delta``, and assigns signs component by component
-    with every anchor set to +1.
+    Transforms vertex-domain observations, forms their empirical spectral
+    covariance, recovers magnitudes from the per-edge quadratic solution,
+    thresholds the observation graph at ``delta``, and assigns signs
+    component by component with every anchor set to +1.
     """
-    yhat = gft(basis, observations)
-    cov_ym = empirical_covariance(yhat)
+    cov_ym = empirical_covariance(_as_spectral(basis, observations))
     magnitudes = estimate_magnitudes(cov_x, cov_ym, source)
     obs = build_observation_graph(cov_ym, source, delta)
     return assign_signs(magnitudes, obs, cov_x, cov_ym)

@@ -161,9 +161,9 @@ def write_edge_list(path, edges) -> None:
     _write_table(path, ["i", "j"], sorted(edges))
 
 
-def read_signals(path, domain: str = VERTEX) -> SignalEnsemble:
+def read_signals(path) -> SignalEnsemble:
     table = _read_table(path, lambda n: [f"v{k}" for k in range(1, n + 1)])
-    return SignalEnsemble(signals=table.numbers(), domain=domain)
+    return SignalEnsemble(signals=table.numbers(), domain=VERTEX)
 
 
 def write_signals(path, e: SignalEnsemble) -> None:
@@ -223,27 +223,31 @@ def read_channel_estimate(csv_path, json_path=None) -> ChannelEstimate:
     """Rebuild an estimate from its CSV, with full trees when the JSON is given.
 
     Without the sidecar the component membership and anchors still come back
-    from the CSV columns, but the spanning-tree parent maps are empty. A
-    sidecar that does not fit the CSV raises ``FileFormatError``: a vertex
-    outside 1..N or in two components, an anchor or a parent link outside its
-    component, an anchor sign other than +-1, an ``n_vertices`` other than
-    the CSV's row count, or components, membership or anchors other than the
-    CSV's ``in_support``, ``component`` and ``is_anchor`` columns give.
+    from the CSV columns, but the spanning-tree parent maps are empty.
+    ``FileFormatError`` is raised, naming the row, for CSV columns that
+    contradict each other: ``in_support`` set on a row whose ``component`` is
+    zero or the reverse, an ``is_anchor`` row outside every component, or a
+    component without exactly one ``is_anchor`` row. It is raised too for a
+    sidecar that does not fit the CSV: a vertex outside 1..N or in two
+    components, an anchor or a parent link outside its component, an anchor
+    sign other than +-1, an ``n_vertices`` other than the CSV's row count, or
+    components, membership or anchors other than the CSV columns give.
     """
     table = _read_table(csv_path, _ESTIMATE_HEADER)
     order = table.index_order()
     gamma = table.numbers(float, 1)[order]
     in_support, comp_id, is_anchor = (table.numbers(int, k)[order] for k in (2, 3, 4))
     n = gamma.size
+    _check_estimate_columns(table, order, in_support, comp_id, is_anchor)
     support = frozenset(_vertices(in_support != 0))
     members = {cid: _vertices(comp_id == cid) for cid in np.unique(comp_id[comp_id != 0]).tolist()}
     anchors = _vertices(is_anchor != 0)
 
     if json_path is None:
+        anchor_of = dict(zip(comp_id[is_anchor != 0].tolist(), anchors))
         components = []
         for cid, vertices in members.items():
-            flagged = _vertices((comp_id == cid) & (is_anchor != 0))
-            anchor = flagged[-1] if flagged else vertices[0]
+            anchor = anchor_of[cid]
             components.append(Component(tuple(vertices), anchor, sign_of(gamma[anchor - 1]), {}))
         return ChannelEstimate(gamma_m=gamma, support=support, components=tuple(components))
 
@@ -266,6 +270,27 @@ def read_channel_estimate(csv_path, json_path=None) -> ChannelEstimate:
     _check_components(json_path, n, components)
     _check_components_match_csv(json_path, csv_path, support, members, anchors, components)
     return ChannelEstimate(gamma_m=gamma, support=support, components=components)
+
+
+def _check_estimate_columns(table: _Table, order, in_support, comp_id, is_anchor) -> None:
+    """Reject ``in_support``, ``component`` and ``is_anchor`` columns that contradict each other.
+
+    The columns are in vertex order; ``order`` maps a vertex back to its data row.
+    """
+
+    def fail(k: int, problem: str):
+        raise FileFormatError(f"{table.path}: row {table.first_row + order[k]}: vertex {k + 1} {problem}")
+
+    member = comp_id != 0
+    for k in np.flatnonzero(member != (in_support != 0))[:1]:
+        fail(k, f"has in_support {in_support[k]} but component {comp_id[k]}")
+    for k in np.flatnonzero((is_anchor != 0) & ~member)[:1]:
+        fail(k, "is an anchor outside every component")
+    for cid in np.unique(comp_id[member]).tolist():
+        anchors = np.flatnonzero((comp_id == cid) & (is_anchor != 0))
+        if anchors.size != 1:
+            k = anchors[1] if anchors.size else np.argmax(comp_id == cid)
+            fail(k, f"is in component {cid}, which has {anchors.size} is_anchor rows, not 1")
 
 
 def _check_components(json_path, n: int, components: tuple[Component, ...]) -> None:

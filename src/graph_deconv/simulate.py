@@ -2,10 +2,12 @@
 
 A run builds a random geometric graph, draws a dense nonstationary source with
 a decaying spectral variance profile, pushes the samples through a random
-channel with additive Gaussian noise, estimates the channel from covariances,
-deconvolves, and scores everything against the ground truth. Every random
-draw is keyed on (seed, purpose, trial), so re-running a configuration gives
-byte-identical artifacts.
+channel with additive Gaussian noise, estimates the channel with
+``estimate_channel``, deconvolves, and scores everything against the ground
+truth. Each trial transforms its observations once and hands the spectral
+ensemble to both estimation and deconvolution. Every random draw is keyed on
+(seed, purpose, trial), so re-running a configuration gives byte-identical
+artifacts.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as gio
-from .channel import operator_norm, random_channel
+from .channel import apply_channel, operator_norm, random_channel
 from .covariance import (
     BoundCheck,
     SourceGraph,
@@ -39,19 +41,13 @@ from .deconv import (
     summarize_gap,
 )
 from .errors import DegenerateSpectrum, FileFormatError
-from .estimation import (
-    ChannelEstimate,
-    assign_signs,
-    estimate_magnitudes,
-    sign_consistency_report,
-    sign_of,
-)
+from .estimation import ChannelEstimate, estimate_channel, sign_consistency_report, sign_of
 from .spectral import (
     SPECTRAL,
-    VERTEX,
     Graph,
     SignalEnsemble,
     SpectralBasis,
+    _as_spectral,
     build_radius_graph,
     eigendecompose,
     gft,
@@ -200,33 +196,17 @@ def synthetic_source(n: int, m: int, seed: int) -> tuple[np.ndarray, SignalEnsem
 
 
 def transmit(
-    sources: SignalEnsemble,
-    gamma,
-    basis: SpectralBasis,
-    sigma: float,
-    seed: int,
-    noise_domain: str = SPECTRAL,
+    sources: SignalEnsemble, gamma, basis: SpectralBasis, sigma: float, seed: int
 ) -> SignalEnsemble:
-    """Filter vertex-domain sources through the channel and add white noise.
+    """Filter sources, in either domain, through the channel and add white spectral noise.
 
-    Noise can be injected on the spectral coefficients or on the vertex
-    samples; by orthogonality of the basis the two are statistically
-    equivalent.
+    Returns vertex-domain samples. By orthogonality of the basis, the noise is
+    white on the vertex samples too.
     """
-    gamma = np.asarray(gamma, dtype=float).reshape(-1)
-    if noise_domain not in (SPECTRAL, VERTEX):
-        raise ValueError(f"unknown noise domain {noise_domain!r}")
-    xhat = gft(basis, sources)
-    filtered = xhat.signals * gamma
-    rng = np.random.default_rng(seed)
-    if noise_domain == SPECTRAL:
-        if sigma > 0:
-            filtered = filtered + sigma * rng.standard_normal(filtered.shape)
-        return igft(basis, SignalEnsemble(signals=filtered, domain=SPECTRAL))
-    y = igft(basis, SignalEnsemble(signals=filtered, domain=SPECTRAL)).signals
+    filtered = apply_channel(gamma, _as_spectral(basis, sources)).signals
     if sigma > 0:
-        y = y + sigma * rng.standard_normal(y.shape)
-    return SignalEnsemble(signals=y, domain=VERTEX)
+        filtered = filtered + sigma * np.random.default_rng(seed).standard_normal(filtered.shape)
+    return igft(basis, SignalEnsemble(signals=filtered, domain=SPECTRAL))
 
 
 def connectivity_radius(xy: np.ndarray) -> float:
@@ -370,6 +350,7 @@ def run_simulation(config: SimulationConfig, out_dir=None) -> SimulationResult:
     coords, radius, graph, basis = simulation_graph(n, config.seed)
     mixing, xhat = synthetic_source(n, m, config.seed)
     sources = igft(basis, xhat)
+    sent = gft(basis, sources)  # what trials filter; it differs from xhat by rounding
     cov_x = empirical_covariance(xhat)
     source_graph = build_source_graph(cov_x, config.pearson_threshold)
 
@@ -382,37 +363,37 @@ def run_simulation(config: SimulationConfig, out_dir=None) -> SimulationResult:
     for t in range(config.trials):
         gamma_t = random_channel(n, config.channel_amplitude, derive_seed(config.seed, _CHANNEL, t))
         y_t = transmit(
-            sources, gamma_t, basis, config.noise_sigma, derive_seed(config.seed, _NOISE, t)
+            sent, gamma_t, basis, config.noise_sigma, derive_seed(config.seed, _NOISE, t)
         )
         yhat_t = gft(basis, y_t)
-        cov_ym = empirical_covariance(yhat_t)
-        magnitudes = estimate_magnitudes(cov_x, cov_ym, source_graph)
-        obs = build_observation_graph(cov_ym, source_graph, config.delta)
-        est = assign_signs(magnitudes, obs, cov_x, cov_ym)
+        est = estimate_channel(cov_x, yhat_t, basis, source_graph, config.delta)
 
         if signs_match(est, gamma_t):
             sign_hits += 1
         mag_errors[t] = float(np.max(np.abs(np.abs(est.gamma_m) - np.abs(gamma_t))))
 
-        result = blind_deconvolve(est, y_t, basis)
+        result = blind_deconvolve(est, yhat_t, basis)
         diag = covariance_diagnostics(reconstructed_covariance(result), cov_x)
         abs_db += diag.abs_diff_db
         rel_db += diag.rel_diff_db
         inflation += diag.diagonal_inflation
 
         if t == 0:
-            aligned, flips = align_component_signs(result, xhat, est.components, basis)
-            first = {
-                "channel": gamma_t,
-                "observations": y_t,
-                "estimate": est,
-                "deconv": result,
-                "aligned": aligned,
-                "flips": flips,
-                "error": float(np.max(np.abs(aligned.reconstructed.signals - sources.signals))),
-                "diagnostics": diag,
-                "violations": sign_consistency_report(est, obs, cov_x, cov_ym),
-            }
+            aligned, flips = align_component_signs(result, xhat, est.components)
+            cov_ym = empirical_covariance(yhat_t)
+            obs = build_observation_graph(cov_ym, source_graph, config.delta)
+            error = np.max(np.abs(aligned.reconstructed.signals - sources.signals))
+            first = dict(
+                channel=gamma_t,
+                observations=y_t,
+                estimate=est,
+                deconv=result,
+                aligned=aligned,
+                flips=flips,
+                max_reconstruction_error=float(error),
+                diagnostics=diag,
+                consistency_violations=sign_consistency_report(est, obs, cov_x, cov_ym),
+            )
 
     avg = DiagnosticMatrices(
         abs_diff_db=abs_db / config.trials,
@@ -432,20 +413,12 @@ def run_simulation(config: SimulationConfig, out_dir=None) -> SimulationResult:
         spectral_sources=xhat,
         cov_x=cov_x,
         source_graph=source_graph,
-        channel=first["channel"],
-        observations=first["observations"],
-        estimate=first["estimate"],
-        deconv=first["deconv"],
-        aligned=first["aligned"],
-        flips=first["flips"],
-        max_reconstruction_error=first["error"],
-        diagnostics=first["diagnostics"],
+        **first,
         avg_diagnostics=avg,
         gap=summarize_gap(avg),
         sign_recovery_rate=sign_hits / config.trials,
         magnitude_error_max=float(mag_errors.max()),
         magnitude_error_mean=float(mag_errors.mean()),
-        consistency_violations=first["violations"],
         bound_report=bound_report,
     )
     if out_dir is not None:

@@ -356,12 +356,16 @@ def eigendecompose(shift: np.ndarray) -> SpectralBasis:
     return SpectralBasis(modes=vecs, eigenvalues=vals)
 
 
+def _check_width(basis: SpectralBasis, e: SignalEnsemble) -> None:
+    if e.n_vertices != basis.n_vertices:
+        raise ValueError(f"signal length {e.n_vertices} != basis dimension {basis.n_vertices}")
+
+
 def gft(basis: SpectralBasis, e: SignalEnsemble) -> SignalEnsemble:
     """Graph Fourier transform of a vertex-domain ensemble: each row x -> U^T x."""
     if e.domain != VERTEX:
         raise ValueError(f"gft expects a vertex-domain ensemble, got {e.domain!r}")
-    if e.n_vertices != basis.n_vertices:
-        raise ValueError(f"signal length {e.n_vertices} != basis dimension {basis.n_vertices}")
+    _check_width(basis, e)
     return SignalEnsemble(signals=e.signals @ basis.modes, domain=SPECTRAL)
 
 
@@ -369,6 +373,13 @@ def igft(basis: SpectralBasis, e: SignalEnsemble) -> SignalEnsemble:
     """Inverse graph Fourier transform: each row xhat -> U xhat."""
     if e.domain != SPECTRAL:
         raise ValueError(f"igft expects a spectral-domain ensemble, got {e.domain!r}")
-    if e.n_vertices != basis.n_vertices:
-        raise ValueError(f"signal length {e.n_vertices} != basis dimension {basis.n_vertices}")
+    _check_width(basis, e)
     return SignalEnsemble(signals=e.signals @ basis.modes.T, domain=VERTEX)
+
+
+def _as_spectral(basis: SpectralBasis, e: SignalEnsemble) -> SignalEnsemble:
+    """The GFT of a vertex-domain ensemble; a spectral one as is, once its width fits the basis."""
+    if e.domain == VERTEX:
+        return gft(basis, e)
+    _check_width(basis, e)
+    return e

@@ -134,9 +134,9 @@ class TestEstimateDeconvolveDiagnose:
             ]
         )
         assert code == 0
-        ours = gio.read_channel_estimate(est_dir / "channel_estimate.csv", est_dir / "components.json")
-        bundled = gio.read_channel_estimate(out / "channel_estimate.csv", out / "components.json")
-        np.testing.assert_allclose(ours.gamma_m, bundled.gamma_m, atol=1e-12)
+        # The CLI and run_simulation share one pipeline, so the files agree byte for byte.
+        for name in ("channel_estimate.csv", "components.json"):
+            assert (est_dir / name).read_bytes() == (out / name).read_bytes(), name
 
         dec_dir = tmp_path / "dec"
         code = cli_dispatch(
@@ -151,9 +151,8 @@ class TestEstimateDeconvolveDiagnose:
             ]
         )
         assert code == 0
-        ours = gio.read_signals(dec_dir / "reconstructed.csv")
-        bundled = gio.read_signals(out / "reconstructed.csv")
-        np.testing.assert_allclose(ours.signals, bundled.signals, atol=1e-12)
+        for name in ("reconstructed.csv", "recon_cov.csv"):
+            assert (dec_dir / name).read_bytes() == (out / name).read_bytes(), name
 
         diag_dir = tmp_path / "diag"
         code = cli_dispatch(
@@ -258,6 +257,28 @@ class TestEstimateDeconvolveDiagnose:
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and str(path) in err[0] and names in err[0]
+
+    def test_contradictory_estimate_columns_are_io_error(self, sim_bundle, tmp_path, capsys):
+        cfg, cfg_path, out = sim_bundle
+        radius = json.loads((out / "summary.json").read_text())["radius"]
+        path = tmp_path / "channel_estimate.csv"
+        lines = (out / "channel_estimate.csv").read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",1"  # a second anchor in component 1
+        path.write_text("\n".join(lines) + "\n")
+        code = cli_dispatch(
+            [
+                "deconvolve",
+                "--signals", str(out / "observations.csv"),
+                "--estimate", str(path),
+                "--coords", str(out / "coords.csv"),
+                "--radius", str(radius),
+                "--out", str(tmp_path / "dec"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"{path}: row 3: vertex 2" in err[0]
+        assert not (tmp_path / "dec").exists()
 
     def test_validate_bounds(self, sim_bundle, tmp_path, capsys):
         cfg, cfg_path, out = sim_bundle

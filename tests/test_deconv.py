@@ -183,7 +183,7 @@ class TestAlignComponentSigns:
             ),
         )
         raw = blind_deconvolve(est, observations, basis)
-        aligned, flips = align_component_signs(raw, xhat, est.components, basis)
+        aligned, flips = align_component_signs(raw, xhat, est.components)
         assert flips == (1, -1)
         assert np.max(np.abs(aligned.reconstructed.signals - sources.signals)) <= 1e-10
 
@@ -221,7 +221,7 @@ class TestLazyReconstruction:
         basis, xhat, sources, gamma, observations = noiseless_setup(seed=62)
         est = ChannelEstimate.from_response(-gamma)
         aligned, flips = align_component_signs(
-            blind_deconvolve(est, observations, basis), xhat, est.components, basis
+            blind_deconvolve(est, observations, basis), xhat, est.components
         )
         assert flips == (-1,)
         self.check_lazy(aligned, basis, igft_calls)

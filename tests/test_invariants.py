@@ -5,14 +5,20 @@
   noise and the same sources, channels gamma and -gamma give the same
   estimate up to one sign per observation-graph component, and each equals
   gamma up to that sign
+- estimation and deconvolution take observations in either domain: vertex
+  samples and their GFT give bit-equal results, and a spectral ensemble of
+  the wrong width is rejected there and by ``transmit``
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graph_deconv import (
+    ChannelEstimate,
     SignalEnsemble,
+    blind_deconvolve,
     build_source_graph,
     eigendecompose,
     empirical_covariance,
@@ -20,6 +26,7 @@ from graph_deconv import (
     gft,
     igft,
     random_channel,
+    transmit,
 )
 from graph_deconv.simulate import synthetic_source
 from graph_deconv.spectral import SPECTRAL, VERTEX
@@ -79,3 +86,41 @@ def test_negated_channel_gives_the_estimate_up_to_one_sign_per_component(n, seed
         assert equal_up_to_sign(ours.gamma_m[idx], gamma[idx], 1e-8)
     off = np.array([v not in ours.support for v in range(1, n + 1)])
     np.testing.assert_allclose(negated.gamma_m[off], ours.gamma_m[off], rtol=0, atol=1e-8)
+
+
+@SETTINGS
+@given(st.integers(2, 10), seeds, st.floats(0.0, 0.9))
+def test_vertex_observations_and_their_gft_give_bit_equal_results(n, seed, delta):
+    rng = np.random.default_rng(seed)
+    basis = random_basis(rng, n)
+    _, xhat = synthetic_source(n, 8 * n, seed)
+    cov_x = empirical_covariance(xhat)
+    source = build_source_graph(cov_x, 0.0)
+    y = transmit(xhat, random_channel(n, 0.5, seed), basis, 0.1, seed)
+    yhat = gft(basis, y)
+
+    ours, spectral = (estimate_channel(cov_x, obs, basis, source, delta) for obs in (y, yhat))
+    assert np.array_equal(ours.gamma_m, spectral.gamma_m)
+    assert ours.support == spectral.support
+    assert ours.components == spectral.components
+    if ours.support:
+        a, b = (blind_deconvolve(ours, obs, basis) for obs in (y, yhat))
+        assert np.array_equal(a.spectral.signals, b.spectral.signals)
+        assert np.array_equal(a.reconstructed.signals, b.reconstructed.signals)
+
+
+@pytest.mark.parametrize("width", [3, 5])
+def test_spectral_observations_of_the_wrong_width_are_rejected(width):
+    n = 4
+    rng = np.random.default_rng(width)
+    basis = random_basis(rng, n)
+    _, xhat = synthetic_source(n, 40, width)
+    cov_x = empirical_covariance(xhat)
+    wrong = SignalEnsemble(signals=rng.standard_normal((40, width)), domain=SPECTRAL)
+    message = f"signal length {width} != basis dimension {n}"
+    with pytest.raises(ValueError, match=message):
+        estimate_channel(cov_x, wrong, basis, build_source_graph(cov_x, 0.0), 0.001)
+    with pytest.raises(ValueError, match=message):
+        blind_deconvolve(ChannelEstimate.from_response(np.ones(n)), wrong, basis)
+    with pytest.raises(ValueError, match=message):
+        transmit(wrong, np.ones(n), basis, 0.1, 1)

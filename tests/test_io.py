@@ -167,6 +167,23 @@ class TestChannelEstimate:
         with pytest.raises(FileFormatError, match=re.escape(names)):
             gio.read_channel_estimate(csv_path, json_path)
 
+    @pytest.mark.parametrize(
+        "rows, names",
+        [
+            ("1,0.5,0,1,1\n2,0.7,1,0,0\n", "row 2: vertex 1 has in_support 0 but component 1"),
+            ("1,0.5,1,1,1\n2,0.7,1,0,0\n", "row 3: vertex 2 has in_support 1 but component 0"),
+            ("2,0.7,1,1,1\n1,0.5,1,1,1\n", "row 2: vertex 2 is in component 1, which has 2 is_anchor rows"),
+            ("1,0.5,1,1,0\n2,0.7,1,1,0\n", "row 2: vertex 1 is in component 1, which has 0 is_anchor rows"),
+            ("1,0.5,1,1,1\n2,0.7,0,0,1\n", "row 3: vertex 2 is an anchor outside every component"),
+        ],
+        ids=["component-off-support", "support-without-component", "two-anchors", "no-anchor", "stray-anchor"],
+    )
+    def test_contradictory_csv_columns_rejected(self, tmp_path, rows, names):
+        path = tmp_path / "estimate.csv"
+        path.write_text("n,gamma_m,in_support,component,is_anchor\n" + rows)
+        with pytest.raises(FileFormatError, match=re.escape(f"{path}: {names}")):
+            gio.read_channel_estimate(path)
+
     def test_csv_only_keeps_membership_and_anchors(self, tmp_path):
         est = self.make_estimate()
         csv_path = tmp_path / "estimate.csv"

@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from graph_deconv import (
     build_source_graph,
     eigendecompose,
     empirical_covariance,
+    gft,
+    igft,
     laplacian,
     pearson_matrix,
     run_simulation,
@@ -20,7 +24,7 @@ from graph_deconv import (
     transmit,
     variance_profile,
 )
-from graph_deconv import simulate
+from graph_deconv import simulate, spectral
 from graph_deconv.simulate import (
     connectivity_radius,
     mixing_matrix,
@@ -140,41 +144,22 @@ class TestSyntheticSource:
 
 
 class TestTransmit:
-    def test_zero_noise_domains_agree(self):
-        coords, radius, graph, basis = simulation_graph(6, 3)
-        mixing, xhat = synthetic_source(6, 50, 3)
-        from graph_deconv import igft
-
-        sources = igft(basis, xhat)
-        gamma = np.linspace(0.5, 1.5, 6)
-        a = transmit(sources, gamma, basis, 0.0, 1, noise_domain="spectral")
-        b = transmit(sources, gamma, basis, 0.0, 1, noise_domain="vertex")
-        np.testing.assert_array_equal(a.signals, b.signals)
-
     def test_noise_inflates_energy_equivalently_in_both_domains(self):
+        """Spectral noise adds sigma^2 of energy per vertex sample, whichever domain the sources are in."""
         coords, radius, graph, basis = simulation_graph(6, 4)
         mixing, xhat = synthetic_source(6, 5000, 4)
-        from graph_deconv import igft
-
         sources = igft(basis, xhat)
         gamma = np.ones(6)
         clean = transmit(sources, gamma, basis, 0.0, 1)
-        spec = transmit(sources, gamma, basis, 1.0, 2, noise_domain="spectral")
-        vert = transmit(sources, gamma, basis, 1.0, 3, noise_domain="vertex")
+        noisy = transmit(sources, gamma, basis, 1.0, 2)
+        assert noisy.domain == "vertex"
+        # Sources given by their GFT take the same path from the filter on.
+        same = transmit(gft(basis, sources), gamma, basis, 1.0, 2)
+        np.testing.assert_array_equal(same.signals, noisy.signals)
         # The signal-noise cross term fluctuates with the dominant source
         # variance, so the check is loose.
-        base = np.mean(clean.signals**2)
-        for noisy in (spec, vert):
-            added = np.mean(noisy.signals**2) - base
-            assert abs(added - 1.0) < 0.3
-
-    def test_unknown_noise_domain(self):
-        coords, radius, graph, basis = simulation_graph(4, 5)
-        mixing, xhat = synthetic_source(4, 10, 5)
-        from graph_deconv import igft
-
-        with pytest.raises(ValueError, match="noise domain"):
-            transmit(igft(basis, xhat), np.ones(4), basis, 0.1, 1, noise_domain="time")
+        added = np.mean(noisy.signals**2) - np.mean(clean.signals**2)
+        assert abs(added - 1.0) < 0.3
 
 
 class TestSimulationGraph:
@@ -299,6 +284,30 @@ class TestRunSimulation:
         assert {p.name for p in out_a.iterdir()} == expected
         for name in sorted(expected):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+    def test_each_trial_runs_one_gft_and_one_igft(self, monkeypatch):
+        """A trial transforms its observations once and shares them; only trial 0 reads the vertex domain."""
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(basis, e):
+                calls[name] += 1
+                return fn(basis, e)
+
+            return wrapper
+
+        transforms = {"gft": spectral.gft, "igft": spectral.igft}
+        modules = [m for name, m in sys.modules.items() if name.startswith("graph_deconv.")]
+        for module, (name, fn) in itertools.product(modules, transforms.items()):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
+        per_run = []
+        for trials in (2, 5):
+            calls.clear()
+            cfg = SimulationConfig(n_vertices=6, sample_count=60, noise_sigma=0.3, seed=8, trials=trials)
+            run_simulation(cfg)
+            per_run.append(dict(calls))
+        assert {k: (per_run[1][k] - per_run[0][k]) / 3 for k in ("gft", "igft")} == {"gft": 1, "igft": 1}
 
     def test_different_seeds_differ(self, tmp_path):
         base = dict(n_vertices=6, sample_count=120, noise_sigma=0.3, trials=1)
