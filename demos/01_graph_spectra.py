@@ -14,7 +14,7 @@ coords = [(f"station-{k + 1}", points[k, 0], points[k, 1]) for k in range(12)]
 
 graph = build_radius_graph(coords, radius=0.45)
 print(f"radius graph: {graph.n_vertices} vertices, {len(graph.edges)} edges")
-print(f"connected: {graph.is_connected()}")
+print(f"connected: {graph.connected}")
 
 shift = laplacian(graph)
 print(f"Laplacian row sums (all zero): {np.abs(shift.sum(axis=1)).max():.1e}")

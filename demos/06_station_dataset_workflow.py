@@ -37,7 +37,7 @@ coords = [(f"st{k + 1}", points[k, 0], points[k, 1]) for k in range(N_STATIONS)]
 graph = build_radius_graph(coords, radius=0.42)
 basis = eigendecompose(laplacian(graph))
 print(f"station graph: {N_STATIONS} stations, {len(graph.edges)} edges, "
-      f"connected={graph.is_connected()}")
+      f"connected={graph.connected}")
 
 # A plausible measurement field: a shared daily cycle (removed by centering)
 # plus day-to-day weather. Every spectral mode is excited (decaying strength)

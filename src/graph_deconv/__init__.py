@@ -16,12 +16,9 @@ from .channel import (
 )
 from .covariance import (
     BoundCheck,
-    ObservationGraph,
-    SourceGraph,
     build_observation_graph,
     build_source_graph,
     concentration_bound,
-    connected_components,
     delta_cap,
     empirical_covariance,
     empirical_kurtosis,

@@ -74,7 +74,7 @@ def _cmd_graph(args) -> None:
     out = _outdir(args)
     gio.write_edge_list(out / "edges.csv", g.edges)
     gio.write_covariance(out / "laplacian.csv", laplacian(g))
-    print(f"graph: {g.n_vertices} vertices, {len(g.edges)} edges, connected={g.is_connected()}")
+    print(f"graph: {g.n_vertices} vertices, {len(g.edges)} edges, connected={g.connected}")
     try:
         basis = eigendecompose(laplacian(g))
     except DegenerateSpectrum as exc:

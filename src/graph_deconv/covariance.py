@@ -3,60 +3,22 @@
 The source graph lives on frequency indices 1..N and has an edge wherever the
 source spectral covariance is (significantly) nonzero; the observation graph
 is the subgraph of it that survives thresholding of the empirical observation
-correlations. Both store the threshold mask on the upper triangle of a
-correlation matrix as their edges, like ``spectral.Graph``, and are read
-through the ``adjacency`` matrix derived from it. One level-synchronous
-``spectral.bfs_forest`` over the observation graph's support gives both its
-components and their breadth-first spanning trees, each rooted at the
-component's lowest vertex with neighbours visited in ascending order. The
-graph keeps the trees, and sign recovery propagates along them.
+correlations. Both are ``spectral.Graph``s built from the threshold mask on
+the upper triangle of a correlation matrix, so their degrees, connectivity,
+support, components and breadth-first spanning trees all come from that mask.
+Each tree is rooted at its component's lowest vertex with neighbours visited
+in ascending order, and sign recovery propagates along them.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Set
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonpositiveVariance
-from .spectral import BfsTree, EdgeGraph, EdgeSet, SignalEnsemble, adjacency_matrix, bfs_forest
-
-
-@dataclass(frozen=True)
-class SourceGraph(EdgeGraph):
-    """Graph on frequency indices with edges at thresholded source correlations."""
-
-    n_vertices: int
-    edges: Set[tuple[int, int]]
-    degrees: np.ndarray
-    connected: bool
-
-
-@dataclass(frozen=True)
-class ObservationGraph(EdgeGraph):
-    """Thresholded subgraph of the source graph seen through noisy observations.
-
-    ``support`` collects the indices with at least one surviving incident
-    correlation; ``components`` partitions the support into connected pieces,
-    each listed as an ascending tuple, ordered by their smallest vertex.
-    ``trees`` holds, entry for entry, the breadth-first spanning tree of each
-    component, rooted at its smallest vertex.
-    """
-
-    n_vertices: int
-    support: frozenset[int]
-    edges: Set[tuple[int, int]]
-    components: tuple[tuple[int, ...], ...]
-    trees: tuple[BfsTree, ...] = field(compare=False, repr=False)
-
-
-def connected_components(vertices, n_vertices: int, edges) -> tuple[tuple[int, ...], ...]:
-    """Connected components of the subgraph on ``vertices``, BFS in ascending order."""
-    members = np.zeros(n_vertices, dtype=bool)
-    members[np.fromiter(vertices, dtype=np.intp) - 1] = True
-    return tuple(tree.vertices for tree in bfs_forest(adjacency_matrix(n_vertices, edges), members))
+from .spectral import EdgeSet, Graph, SignalEnsemble
 
 
 def empirical_covariance(e: SignalEnsemble) -> np.ndarray:
@@ -93,52 +55,35 @@ def pearson_matrix(cov: np.ndarray, what: str = "covariance") -> np.ndarray:
     return np.abs(cov) / np.outer(scale, scale)
 
 
-def build_source_graph(cov_x: np.ndarray, pearson_threshold: float) -> SourceGraph:
+def build_source_graph(cov_x: np.ndarray, pearson_threshold: float) -> Graph:
     """Edges at pairs whose source correlation magnitude reaches the threshold.
 
-    Also reports whether the resulting graph is connected; estimation works
-    per component either way, but a disconnected source graph means responses
-    are only identifiable up to one sign per component.
+    Estimation works per component either way, but a disconnected source graph
+    (``connected`` false) means responses are only identifiable up to one sign
+    per component.
     """
-    if pearson_threshold < 0:
-        raise ValueError(f"pearson_threshold must be >= 0, got {pearson_threshold}")
+    if not (math.isfinite(pearson_threshold) and pearson_threshold >= 0):
+        raise ValueError(f"pearson_threshold must be a finite number >= 0, got {pearson_threshold}")
     rho = pearson_matrix(cov_x, "source covariance")
-    n = rho.shape[0]
-    upper = np.triu(rho >= pearson_threshold, 1)
-    adj = upper | upper.T
-    return SourceGraph(
-        n_vertices=n,
-        edges=EdgeSet(upper),
-        degrees=adj.sum(axis=1),
-        connected=len(bfs_forest(adj, np.ones(n, dtype=bool))) == 1,
-    )
+    return Graph(n_vertices=rho.shape[0], edges=EdgeSet(np.triu(rho >= pearson_threshold, 1)))
 
 
-def build_observation_graph(cov_ym: np.ndarray, source: SourceGraph, delta: float) -> ObservationGraph:
+def build_observation_graph(cov_ym: np.ndarray, source: Graph, delta: float) -> Graph:
     """Keep the source edges whose empirical observation correlation reaches ``delta``.
 
     The support W holds every index whose best surviving incident correlation
     reaches delta, so W is exactly the set of endpoints of kept edges (plus
     nothing else). The result is always a subgraph of the source graph.
     """
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(f"delta must be a finite number >= 0, got {delta}")
     rho = pearson_matrix(cov_ym, "observation covariance")
     if rho.shape[0] != source.n_vertices:
         raise ValueError(
             f"covariance size {rho.shape[0]} != source graph size {source.n_vertices}"
         )
     upper = np.triu(source.adjacency & (rho >= delta), 1)
-    kept = upper | upper.T
-    support = kept.any(axis=1)
-    trees = bfs_forest(kept, support)
-    return ObservationGraph(
-        n_vertices=source.n_vertices,
-        support=frozenset((np.flatnonzero(support) + 1).tolist()),
-        edges=EdgeSet(upper),
-        components=tuple(tree.vertices for tree in trees),
-        trees=trees,
-    )
+    return Graph(n_vertices=source.n_vertices, edges=EdgeSet(upper))
 
 
 def concentration_bound(
@@ -164,7 +109,7 @@ def concentration_bound(
     return numerator / (m * eps**2)
 
 
-def delta_cap(cov_x: np.ndarray, source: SourceGraph, h_norm: float) -> float:
+def delta_cap(cov_x: np.ndarray, source: Graph, h_norm: float) -> float:
     """Largest safe observation threshold, ||H||^2 * delta0 / 8.
 
     delta0 is the smallest source covariance magnitude over source edges. Only
@@ -172,7 +117,7 @@ def delta_cap(cov_x: np.ndarray, source: SourceGraph, h_norm: float) -> float:
     helper; on real data delta stays a user parameter.
     """
     cov_x = np.asarray(cov_x, dtype=float)
-    upper = np.triu(source.adjacency, 1)
+    upper = source.edges.upper
     if not upper.any():
         raise ValueError("source graph has no edges")
     return h_norm**2 * np.abs(cov_x[upper]).min() / 8.0

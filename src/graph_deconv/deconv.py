@@ -13,6 +13,7 @@ choosing the best sign per component, which ``align_component_signs`` does.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -96,6 +97,8 @@ def covariance_diagnostics(
     The relative matrix divides each discrepancy by the geometric mean of the
     two source variances, so it needs a strictly positive source diagonal.
     """
+    if not math.isfinite(floor_db):
+        raise ValueError(f"floor_db must be a finite number, got {floor_db}")
     c_recon = np.asarray(c_recon, dtype=float)
     c_source = ensure_positive_diagonal(c_source, "source covariance")
     if c_recon.shape != c_source.shape:

@@ -6,11 +6,11 @@ simulation, the CLI and the demos call. Diagonal and off-diagonal entries of
 the two covariances are tied together by a per-edge quadratic system whose
 closed-form solution yields the response magnitude at every frequency;
 magnitudes are averaged over all source edges incident to the frequency, read
-as masks of the graphs' ``adjacency`` matrices. Signs are then fixed per
+from the source graph's ``adjacency`` and ``degrees``. Signs are then fixed per
 connected component of the observation graph: pick the lowest-index vertex as
-anchor, give it the requested sign, and propagate along the breadth-first
-spanning tree the observation graph keeps, one tree level at a time, using the
-sign of the ratio between observed and source covariance on each tree edge.
+anchor, give it the requested sign, and propagate along the component's tree
+in the graph's ``trees``, one tree level at a time, using the sign of the
+ratio between observed and source covariance on each tree edge.
 The result is the true channel up to one sign per component, which is the best
 any observer of second-order statistics can do.
 """
@@ -22,15 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import (
-    ObservationGraph,
-    SourceGraph,
-    build_observation_graph,
-    empirical_covariance,
-    ensure_positive_diagonal,
-)
+from .covariance import build_observation_graph, empirical_covariance, ensure_positive_diagonal
 from .errors import IsolatedVertex
-from .spectral import SignalEnsemble, SpectralBasis, _as_spectral
+from .spectral import Graph, SignalEnsemble, SpectralBasis, _as_spectral
 
 
 @dataclass(frozen=True)
@@ -89,7 +83,7 @@ def sign_of(x: float) -> int:
     return -1 if x < 0 else 1
 
 
-def estimate_magnitudes(cov_x: np.ndarray, cov_ym: np.ndarray, source: SourceGraph) -> np.ndarray:
+def estimate_magnitudes(cov_x: np.ndarray, cov_ym: np.ndarray, source: Graph) -> np.ndarray:
     """Response magnitudes from source and observation spectral covariances.
 
     For each source edge (n, n') the two covariances give one equation pair:
@@ -158,7 +152,7 @@ def estimate_magnitudes(cov_x: np.ndarray, cov_ym: np.ndarray, source: SourceGra
 
 def assign_signs(
     magnitudes,
-    obs: ObservationGraph,
+    obs: Graph,
     cov_x: np.ndarray,
     cov_ym: np.ndarray,
     anchor_signs=None,
@@ -179,21 +173,18 @@ def assign_signs(
         raise ValueError(f"got {mags.size} magnitudes for {n} vertices")
     cov_x = np.asarray(cov_x, dtype=float)
     cov_ym = np.asarray(cov_ym, dtype=float)
+    trees = obs.trees
     if anchor_signs is None:
-        anchor_signs = [1] * len(obs.components)
+        anchor_signs = [1] * len(trees)
     anchor_signs = [int(s) for s in anchor_signs]
-    if len(anchor_signs) != len(obs.components):
-        raise ValueError(
-            f"got {len(anchor_signs)} anchor signs for {len(obs.components)} components"
-        )
+    if len(anchor_signs) != len(trees):
+        raise ValueError(f"got {len(anchor_signs)} anchor signs for {len(trees)} components")
     if any(s not in (-1, 1) for s in anchor_signs):
         raise ValueError("anchor signs must be -1 or +1")
 
     signs = np.ones(n)
     components = []
-    for eps_k, vertices, tree in zip(anchor_signs, obs.components, obs.trees):
-        if not vertices:
-            raise ValueError("observation graph produced an empty component")
+    for eps_k, tree in zip(anchor_signs, trees):
         signs[tree.root - 1] = eps_k
         for new, parent in tree.levels:
             ratio = cov_ym[new, parent] / cov_x[new, parent]
@@ -206,7 +197,9 @@ def assign_signs(
                 )
             signs[new] = signs[parent] * np.where(ratio < 0, -1.0, 1.0)
         components.append(
-            Component(vertices=vertices, anchor=tree.root, anchor_sign=eps_k, parents=tree.parents)
+            Component(
+                vertices=tree.vertices, anchor=tree.root, anchor_sign=eps_k, parents=tree.parents
+            )
         )
 
     return ChannelEstimate(
@@ -218,7 +211,7 @@ def estimate_channel(
     cov_x: np.ndarray,
     observations: SignalEnsemble,
     basis: SpectralBasis,
-    source: SourceGraph,
+    source: Graph,
     delta: float,
 ) -> ChannelEstimate:
     """Full channel estimation pipeline from observations in either domain.
@@ -236,7 +229,7 @@ def estimate_channel(
 
 def sign_consistency_report(
     estimate: ChannelEstimate,
-    obs: ObservationGraph,
+    obs: Graph,
     cov_x: np.ndarray,
     cov_ym: np.ndarray,
 ) -> list[tuple[int, int]]:
@@ -248,7 +241,7 @@ def sign_consistency_report(
     """
     cov_x = np.asarray(cov_x, dtype=float)
     cov_ym = np.asarray(cov_ym, dtype=float)
-    i, j = np.nonzero(np.triu(obs.adjacency, 1))
+    i, j = np.nonzero(obs.edges.upper)
     signs = np.where(estimate.gamma_m < 0, -1, 1)
     ratio = cov_ym[i, j] / cov_x[i, j]
     bad = signs[i] * signs[j] != np.where(ratio < 0, -1, 1)

@@ -136,9 +136,10 @@ def read_json(path):
 
 
 def write_json(path, payload) -> None:
+    """Indented JSON; a NaN or an infinity raises ``ValueError`` before the file is opened."""
+    text = json.dumps(payload, indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_coordinates(path) -> list[tuple[str, float, float]]:

@@ -24,7 +24,6 @@ from . import io as gio
 from .channel import apply_channel, operator_norm, random_channel
 from .covariance import (
     BoundCheck,
-    SourceGraph,
     build_observation_graph,
     build_source_graph,
     empirical_covariance,
@@ -265,19 +264,15 @@ class SimulationResult:
     radius: float
     graph: Graph
     basis: SpectralBasis
-    mixing: np.ndarray
     sources: SignalEnsemble
-    spectral_sources: SignalEnsemble
     cov_x: np.ndarray
-    source_graph: SourceGraph
+    source_graph: Graph
     channel: np.ndarray
     observations: SignalEnsemble
     estimate: ChannelEstimate
     deconv: DeconvolutionResult
-    aligned: DeconvolutionResult
     flips: tuple[int, ...]
     max_reconstruction_error: float
-    diagnostics: DiagnosticMatrices
     avg_diagnostics: DiagnosticMatrices
     gap: GapSummary
     sign_recovery_rate: float
@@ -348,7 +343,7 @@ def run_simulation(config: SimulationConfig, out_dir=None) -> SimulationResult:
     """
     n, m = config.n_vertices, config.sample_count
     coords, radius, graph, basis = simulation_graph(n, config.seed)
-    mixing, xhat = synthetic_source(n, m, config.seed)
+    _, xhat = synthetic_source(n, m, config.seed)
     sources = igft(basis, xhat)
     sent = gft(basis, sources)  # what trials filter; it differs from xhat by rounding
     cov_x = empirical_covariance(xhat)
@@ -388,10 +383,8 @@ def run_simulation(config: SimulationConfig, out_dir=None) -> SimulationResult:
                 observations=y_t,
                 estimate=est,
                 deconv=result,
-                aligned=aligned,
                 flips=flips,
                 max_reconstruction_error=float(error),
-                diagnostics=diag,
                 consistency_violations=sign_consistency_report(est, obs, cov_x, cov_ym),
             )
 
@@ -408,9 +401,7 @@ def run_simulation(config: SimulationConfig, out_dir=None) -> SimulationResult:
         radius=radius,
         graph=graph,
         basis=basis,
-        mixing=mixing,
         sources=sources,
-        spectral_sources=xhat,
         cov_x=cov_x,
         source_graph=source_graph,
         **first,

@@ -3,18 +3,22 @@
 Vertices are labelled 1..N everywhere in the public interface. Arrays are
 positional, so entry ``k`` of a length-N vector belongs to vertex ``k + 1``.
 
-Every graph in the package (``Graph`` here, the source and observation graphs
-in ``covariance``) stores its edges as one strictly upper-triangular boolean
-mask. ``edges`` reads it as a set of (i, j) pairs, an ``EdgeSet``, and every
-algorithm reads the symmetric ``adjacency`` matrix derived from it.
+``Graph`` is the package's one graph type: the shift's graph, the source graph
+and the observation graph are all ``Graph``s. A graph stores its vertex count
+and its edges, one strictly upper-triangular boolean mask that ``edges`` reads
+as a set of (i, j) pairs, an ``EdgeSet``. Everything else (the symmetric
+``adjacency`` matrix, degrees, connectivity, support, components and their
+spanning trees) is derived from that mask on first read, so no stored fact
+can contradict the edges.
 ``bfs`` is the one traversal. It is level-synchronous: each level of the
 breadth-first tree comes from one block of ``adjacency``, so its cost in
 Python calls grows with the tree's depth, not its size. ``bfs_forest`` runs
-it once per connected component, and ``bfs_tree`` reads a tree as labels.
+it once per connected component.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
@@ -50,12 +54,6 @@ def edge_mask(n_vertices: int, edges) -> np.ndarray:
     upper = np.zeros((n_vertices, n_vertices), dtype=bool)
     upper[ends[:, 0], ends[:, 1]] = True
     return upper
-
-
-def adjacency_matrix(n_vertices: int, edges) -> np.ndarray:
-    """Symmetric boolean N x N adjacency matrix of the edges, as ``edge_mask`` takes them."""
-    upper = edge_mask(n_vertices, edges)
-    return upper | upper.T
 
 
 class EdgeSet(Set):
@@ -96,24 +94,6 @@ class EdgeSet(Set):
         return frozenset(it)
 
     __hash__ = Set._hash
-
-
-class EdgeGraph:
-    """Base of the graph classes: ``edges`` is stored as an ``EdgeSet`` over its edge mask.
-
-    Subclasses are dataclasses with ``n_vertices`` and ``edges`` fields; they
-    may be given an ``EdgeSet`` or any iterable of 1-based vertex pairs.
-    """
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", EdgeSet(edge_mask(self.n_vertices, self.edges)))
-
-    @cached_property
-    def adjacency(self) -> np.ndarray:
-        """Read-only symmetric boolean adjacency matrix; row ``k`` is vertex ``k + 1``."""
-        adj = adjacency_matrix(self.n_vertices, self.edges)
-        adj.flags.writeable = False
-        return adj
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,12 +162,6 @@ def bfs(adj: np.ndarray, root: int, members=None) -> BfsTree:
         frontier = new
 
 
-def bfs_tree(adj: np.ndarray, root: int, members=None) -> tuple[list[int], dict[int, int]]:
-    """Visit order, root first, and parents of ``bfs``'s tree, as 1-based labels."""
-    tree = bfs(adj, root, members)
-    return tree.order, tree.parents
-
-
 def bfs_forest(adj: np.ndarray, members: np.ndarray) -> tuple[BfsTree, ...]:
     """One ``bfs`` tree per connected component of the vertices in the ``members`` mask.
 
@@ -206,11 +180,14 @@ def bfs_forest(adj: np.ndarray, members: np.ndarray) -> tuple[BfsTree, ...]:
 
 
 @dataclass(frozen=True)
-class Graph(EdgeGraph):
+class Graph:
     """Undirected, unweighted, finite graph on vertices 1..N.
 
-    Edges are unordered pairs, read back as tuples (i, j) with i < j. Self
-    loops are rejected; a duplicate pair is the same edge.
+    ``edges`` may be given as an ``EdgeSet`` or as any iterable of 1-based
+    vertex pairs; it is stored as an ``EdgeSet`` and read back as tuples
+    (i, j) with i < j. Self loops are rejected; a duplicate pair is the same
+    edge. The other attributes are read-only and computed from the edge mask
+    the first time they are read.
     """
 
     n_vertices: int
@@ -219,11 +196,43 @@ class Graph(EdgeGraph):
     def __post_init__(self):
         if self.n_vertices < 1:
             raise ValueError(f"graph needs at least one vertex, got {self.n_vertices}")
-        super().__post_init__()
+        object.__setattr__(self, "edges", EdgeSet(edge_mask(self.n_vertices, self.edges)))
 
-    def is_connected(self) -> bool:
-        order, _ = bfs_tree(self.adjacency, 1)
-        return len(order) == self.n_vertices
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """Symmetric boolean adjacency matrix; row ``k`` is vertex ``k + 1``."""
+        upper = self.edges.upper
+        return _read_only(upper | upper.T)
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """Number of edges at each vertex, by position."""
+        return _read_only(self.adjacency.sum(axis=1))
+
+    @cached_property
+    def connected(self) -> bool:
+        """True when every vertex reaches every other; a one-vertex graph is connected."""
+        return len(bfs_forest(self.adjacency, np.ones(self.n_vertices, dtype=bool))) == 1
+
+    @cached_property
+    def support(self) -> frozenset[int]:
+        """Labels of the vertices with at least one edge."""
+        return frozenset((np.flatnonzero(self.adjacency.any(axis=1)) + 1).tolist())
+
+    @cached_property
+    def trees(self) -> tuple[BfsTree, ...]:
+        """``bfs_forest`` over the support: one spanning tree per component, ordered by root."""
+        return bfs_forest(self.adjacency, self.adjacency.any(axis=1))
+
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """The support's components as ascending tuples, entry for entry with ``trees``."""
+        return tuple(tree.vertices for tree in self.trees)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def normalize_edge(pair) -> tuple[int, int]:
@@ -285,8 +294,8 @@ def build_radius_graph(coords, radius: float) -> Graph:
     ``coords`` is a sequence of (id, x, y) rows. Ids may be arbitrary but must
     be distinct; vertices are numbered 1..N in input order.
     """
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be a finite number > 0, got {radius}")
     rows = list(coords)
     if len(rows) < 2:
         raise ValueError(f"need at least 2 coordinates, got {len(rows)}")

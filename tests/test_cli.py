@@ -280,6 +280,33 @@ class TestEstimateDeconvolveDiagnose:
         assert len(err) == 1 and f"{path}: row 3: vertex 2" in err[0]
         assert not (tmp_path / "dec").exists()
 
+    @pytest.mark.parametrize(
+        "command, flag, message",
+        [
+            ("estimate", "--delta", "delta must be a finite number"),
+            ("estimate", "--pearson-threshold", "pearson_threshold must be a finite number"),
+            ("graph", "--radius", "radius must be a finite number"),
+            ("diagnose", "--floor-db", "floor_db must be a finite number"),
+        ],
+        ids=["delta", "pearson-threshold", "radius", "floor-db"],
+    )
+    def test_nan_threshold_is_validation_error(
+        self, sim_bundle, tmp_path, capsys, command, flag, message
+    ):
+        cfg, cfg_path, out = sim_bundle
+        radius = json.loads((out / "summary.json").read_text())["radius"]
+        inputs = {
+            "estimate": ["--signals", out / "observations.csv", "--cov-x", out / "cov_x.csv",
+                         "--coords", out / "coords.csv", "--radius", radius],
+            "graph": ["--coords", out / "coords.csv"],
+            "diagnose": ["--cov-recon", out / "recon_cov.csv", "--cov-x", out / "cov_x.csv"],
+        }[command]
+        argv = [command, *map(str, inputs), flag, "nan", "--out", str(tmp_path / "res")]
+        assert cli_dispatch(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0]
+        assert not (tmp_path / "res").exists()
+
     def test_validate_bounds(self, sim_bundle, tmp_path, capsys):
         cfg, cfg_path, out = sim_bundle
         vb_dir = tmp_path / "vb"

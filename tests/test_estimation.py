@@ -14,14 +14,13 @@ import numpy as np
 import pytest
 
 from graph_deconv import (
+    Graph,
     IsolatedVertex,
     NonpositiveVariance,
     SignalEnsemble,
-    SourceGraph,
     assign_signs,
     build_observation_graph,
     build_source_graph,
-    connected_components,
     eigendecompose,
     empirical_covariance,
     estimate_channel,
@@ -33,17 +32,6 @@ from graph_deconv import (
     transmit,
 )
 from graph_deconv.simulate import simulation_graph, synthetic_source
-
-
-def source_graph_from_edges(n, edges):
-    degrees = np.zeros(n, dtype=int)
-    for i, j in edges:
-        degrees[i - 1] += 1
-        degrees[j - 1] += 1
-    comps = connected_components(range(1, n + 1), n, edges)
-    return SourceGraph(
-        n_vertices=n, edges=frozenset(edges), degrees=degrees, connected=len(comps) == 1
-    )
 
 
 def exact_observation_cov(gamma, cov_x, sigma=0.0):
@@ -63,7 +51,7 @@ class TestEstimateMagnitudes:
         """
         cov_x = np.array([[1.0, 0.5], [0.5, 1.0]])
         cov_y = np.array([[4.0, 1.0], [1.0, 1.0]])
-        source = source_graph_from_edges(2, [(1, 2)])
+        source = Graph(n_vertices=2, edges=[(1, 2)])
         mags = estimate_magnitudes(cov_x, cov_y, source)
         np.testing.assert_allclose(mags, [2.0, 1.0], atol=1e-12)
 
@@ -91,32 +79,31 @@ class TestEstimateMagnitudes:
             pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
             for mask in itertools.product((False, True), repeat=len(pairs)):
                 edges = [p for p, keep in zip(pairs, mask) if keep]
-                comps = connected_components(range(1, n + 1), n, edges)
-                if len(comps) != 1:
+                source = Graph(n_vertices=n, edges=edges)
+                if not source.connected:
                     continue
                 a = rng.standard_normal((n, n))
                 cov_x = a @ a.T + n * np.eye(n)
                 gamma = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
                 cov_y = exact_observation_cov(gamma, cov_x)
-                source = source_graph_from_edges(n, edges)
                 mags = estimate_magnitudes(cov_x, cov_y, source)
                 assert np.max(np.abs(mags - np.abs(gamma))) <= 1e-10
 
     def test_isolated_vertex_rejected(self):
         cov_x = np.eye(3) + 0.5
-        source = source_graph_from_edges(3, [(1, 2)])
+        source = Graph(n_vertices=3, edges=[(1, 2)])
         with pytest.raises(IsolatedVertex, match="vertex 3"):
             estimate_magnitudes(cov_x, cov_x, source)
 
     def test_nonpositive_variance_rejected(self):
         cov_x = np.array([[1.0, 0.5], [0.5, -1.0]])
-        source = source_graph_from_edges(2, [(1, 2)])
+        source = Graph(n_vertices=2, edges=[(1, 2)])
         with pytest.raises(NonpositiveVariance):
             estimate_magnitudes(cov_x, np.eye(2), source)
 
     def test_zero_source_covariance_on_edge_rejected(self):
         cov_x = np.eye(2)
-        source = source_graph_from_edges(2, [(1, 2)])
+        source = Graph(n_vertices=2, edges=[(1, 2)])
         with pytest.raises(ValueError, match="zero"):
             estimate_magnitudes(cov_x, np.eye(2), source)
 
@@ -127,7 +114,7 @@ class TestEstimateMagnitudes:
         cov_x = np.array([[1.0, 0.9], [0.9, 1.0]])
         tiny = 1e-300
         cov_y = np.array([[0.0, 0.9 * tiny], [0.9 * tiny, tiny]])
-        source = source_graph_from_edges(2, [(1, 2)])
+        source = Graph(n_vertices=2, edges=[(1, 2)])
         with pytest.warns(RuntimeWarning, match="clamped"):
             mags = estimate_magnitudes(cov_x, cov_y, source)
         assert np.all(mags >= 0)
@@ -139,7 +126,7 @@ class TestAssignSigns:
         """Path 1-2-3 with negative ratios on both edges gives (+1, -1, +1)."""
         cov_x = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.5], [0.0, 0.5, 1.0]])
         cov_y = np.array([[1.0, -0.5, 0.0], [-0.5, 1.0, -0.5], [0.0, -0.5, 1.0]])
-        source = source_graph_from_edges(3, [(1, 2), (2, 3)])
+        source = Graph(n_vertices=3, edges=[(1, 2), (2, 3)])
         obs = build_observation_graph(cov_y, source, 0.001)
         est = assign_signs(np.array([1.0, 1.0, 1.0]), obs, cov_x, cov_y)
         np.testing.assert_array_equal(np.sign(est.gamma_m), [1.0, -1.0, 1.0])
@@ -178,7 +165,7 @@ class TestAssignSigns:
     def test_off_support_gets_positive_sign(self):
         cov_x = np.eye(3)
         cov_x[0, 1] = cov_x[1, 0] = 0.9
-        source = source_graph_from_edges(3, [(1, 2), (2, 3)])
+        source = Graph(n_vertices=3, edges=[(1, 2), (2, 3)])
         cov_y = cov_x.copy()
         cov_y[1, 2] = cov_y[2, 1] = 0.0
         obs = build_observation_graph(cov_y, source, 0.01)
@@ -189,7 +176,7 @@ class TestAssignSigns:
     def test_anchor_sign_validation(self):
         cov_x = np.eye(2) + 0.5 - 0.5 * np.eye(2)
         cov_x = np.array([[1.0, 0.5], [0.5, 1.0]])
-        source = source_graph_from_edges(2, [(1, 2)])
+        source = Graph(n_vertices=2, edges=[(1, 2)])
         obs = build_observation_graph(cov_x, source, 0.01)
         with pytest.raises(ValueError, match="anchor signs"):
             assign_signs(np.ones(2), obs, cov_x, cov_x, anchor_signs=[2])

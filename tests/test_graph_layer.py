@@ -25,7 +25,6 @@ from graph_deconv import (
     build_radius_graph,
     build_source_graph,
     center_dataset,
-    connected_components,
     delta_cap,
     laplacian,
     pearson_matrix,
@@ -34,7 +33,7 @@ from graph_deconv import (
 from graph_deconv.estimation import sign_of
 from graph_deconv.io import RawDataset, write_edge_list
 from graph_deconv.simulate import connectivity_radius
-from graph_deconv.spectral import EdgeSet, adjacency_matrix, bfs_tree
+from graph_deconv.spectral import EdgeSet, bfs
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -205,33 +204,60 @@ seeds = st.integers(0, 2**32 - 1)
 thresholds = st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.7, 0.9]) | st.floats(0.0, 1.0)
 
 
+@st.composite
+def rooted_graphs(draw):
+    """A graph, a nonempty set of member vertices, and a root among them."""
+    n, edges = draw(graphs())
+    members = draw(st.sets(st.integers(1, n), min_size=1))
+    return n, edges, members, draw(st.sampled_from(sorted(members)))
+
+
 class TestTraversal:
     @SETTINGS
-    @given(graphs(), st.data())
-    def test_components_match_reference(self, graph, data):
+    @given(graphs())
+    @example(graph=(1, set()))
+    @example(graph=(6, set()))
+    def test_components_and_support_match_reference(self, graph):
         n, edges = graph
-        vertices = data.draw(st.sets(st.integers(1, n)))
-        assert connected_components(vertices, n, edges) == reference_components(vertices, n, edges)
+        g = Graph(n_vertices=n, edges=frozenset(edges))
+        support = {v for edge in edges for v in edge}
+        assert g.support == support
+        assert g.components == reference_components(support, n, edges)
+        for tree, vertices in zip(g.trees, g.components, strict=True):
+            order, parents = reference_bfs(n, edges, set(vertices), min(vertices))
+            assert tree.order == order and tree.parents == parents
 
     @SETTINGS
-    @given(graphs(), st.data())
-    def test_bfs_tree_matches_reference(self, graph, data):
-        n, edges = graph
-        members = data.draw(st.sets(st.integers(1, n), min_size=1))
-        root = data.draw(st.sampled_from(sorted(members)))
+    @given(rooted_graphs())
+    @example(graph=(1, set(), {1}, 1))
+    @example(graph=(4, set(), {1, 2, 3, 4}, 3))
+    def test_bfs_matches_reference(self, graph):
+        n, edges, members, root = graph
         mask = np.zeros(n, dtype=bool)
         mask[[v - 1 for v in members]] = True
-        order, parents = bfs_tree(adjacency_matrix(n, edges), root, mask)
+        tree = bfs(Graph(n_vertices=n, edges=frozenset(edges)).adjacency, root, mask)
         ref_order, ref_parents = reference_bfs(n, edges, members, root)
-        assert order == ref_order
-        assert list(parents.items()) == list(ref_parents.items())
+        assert tree.order == ref_order
+        assert list(tree.parents.items()) == list(ref_parents.items())
 
     @SETTINGS
     @given(graphs())
-    def test_is_connected_matches_reference(self, graph):
+    @example(graph=(1, set()))
+    @example(graph=(2, set()))
+    def test_connected_matches_reference(self, graph):
         n, edges = graph
         expected = len(reference_components(range(1, n + 1), n, edges)) == 1
-        assert Graph(n_vertices=n, edges=frozenset(edges)).is_connected() == expected
+        assert Graph(n_vertices=n, edges=frozenset(edges)).connected == expected
+
+    @SETTINGS
+    @given(graphs())
+    def test_derived_facts_are_read_only(self, graph):
+        n, edges = graph
+        g = Graph(n_vertices=n, edges=frozenset(edges))
+        assert not g.degrees.flags.writeable
+        for name in ("adjacency", "degrees", "connected", "support", "trees", "components"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, None)
 
     @SETTINGS
     @given(graphs())

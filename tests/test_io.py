@@ -377,6 +377,13 @@ class TestWriterBytes:
         assert path.read_text() == '{\n  "a": [\n    1,\n    2.5\n  ],\n  "b": "x"\n}\n'
         assert gio.read_json(path) == {"a": [1, 2.5], "b": "x"}
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_json_number_is_not_written(self, tmp_path, value):
+        path = tmp_path / "doc.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            gio.write_json(path, {"a": [1.0, value]})
+        assert not path.exists()
+
     def test_invalid_json_names_the_file(self, tmp_path):
         path = tmp_path / "doc.json"
         path.write_bytes(b'{"a": \xff}')

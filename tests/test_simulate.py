@@ -169,7 +169,7 @@ class TestSimulationGraph:
 
     def test_graph_is_connected_and_distinct(self):
         coords, radius, graph, basis = simulation_graph(12, 9)
-        assert graph.is_connected()
+        assert graph.connected
         gaps = np.diff(np.sort(basis.eigenvalues))
         assert gaps.min() > 1e-9 * max(1.0, np.abs(basis.eigenvalues).max())
 
@@ -183,7 +183,7 @@ class TestSimulationGraph:
     def test_seeds_needing_many_redraws_reach_a_distinct_spectrum(self, seed):
         """At N=96 these seeds draw 42 and 38 layouts with a repeated eigenvalue first."""
         coords, radius, graph, basis = simulation_graph(96, seed)
-        assert graph.is_connected()
+        assert graph.connected
         gaps = np.diff(np.sort(basis.eigenvalues))
         assert gaps.min() > 1e-9 * max(1.0, np.abs(basis.eigenvalues).max())
 

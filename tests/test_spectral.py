@@ -41,9 +41,9 @@ class TestGraph:
             Graph(n_vertices=3, edges=frozenset({(1, 4)}))
 
     def test_connectivity(self):
-        assert path_graph(4).is_connected()
+        assert path_graph(4).connected
         split = Graph(n_vertices=4, edges=frozenset({(1, 2), (3, 4)}))
-        assert not split.is_connected()
+        assert not split.connected
 
 
 class TestRadiusGraph:
@@ -176,7 +176,7 @@ class TestFourierTransforms:
         pts = rng.random((8, 2))
         coords = [(k, pts[k, 0], pts[k, 1]) for k in range(8)]
         g = build_radius_graph(coords, 0.5)
-        assert g.is_connected()
+        assert g.connected
         basis = eigendecompose(laplacian(g))
         spec = gft(basis, SignalEnsemble(signals=np.ones((1, 8)), domain="vertex"))
         assert abs(spec.signals[0, 0]) > 1.0
