@@ -13,6 +13,7 @@ in ascending order, and sign recovery propagates along them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,14 @@ def pearson_matrix(cov: np.ndarray, what: str = "covariance") -> np.ndarray:
     return np.abs(cov) / np.outer(scale, scale)
 
 
+def _check_threshold(name: str, value: float) -> None:
+    """Reject a correlation threshold outside [0, 1]; no Pearson magnitude exceeds 1."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number in [0, 1], got {value}")
+    if not 0 <= value <= 1:
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
+
+
 def build_source_graph(cov_x: np.ndarray, pearson_threshold: float) -> Graph:
     """Edges at pairs whose source correlation magnitude reaches the threshold.
 
@@ -62,8 +71,7 @@ def build_source_graph(cov_x: np.ndarray, pearson_threshold: float) -> Graph:
     (``connected`` false) means responses are only identifiable up to one sign
     per component.
     """
-    if not (math.isfinite(pearson_threshold) and pearson_threshold >= 0):
-        raise ValueError(f"pearson_threshold must be a finite number >= 0, got {pearson_threshold}")
+    _check_threshold("pearson_threshold", pearson_threshold)
     rho = pearson_matrix(cov_x, "source covariance")
     return Graph(n_vertices=rho.shape[0], edges=EdgeSet(np.triu(rho >= pearson_threshold, 1)))
 
@@ -75,8 +83,7 @@ def build_observation_graph(cov_ym: np.ndarray, source: Graph, delta: float) -> 
     reaches delta, so W is exactly the set of endpoints of kept edges (plus
     nothing else). The result is always a subgraph of the source graph.
     """
-    if not (math.isfinite(delta) and delta >= 0):
-        raise ValueError(f"delta must be a finite number >= 0, got {delta}")
+    _check_threshold("delta", delta)
     rho = pearson_matrix(cov_ym, "observation covariance")
     if rho.shape[0] != source.n_vertices:
         raise ValueError(
@@ -143,6 +150,19 @@ class BoundCheck:
         return self.bound < 1.0
 
 
+def _probe_pair(probe, n: int) -> tuple[int, int]:
+    """One probe as a pair of Python ints in 1..n; anything else raises ValueError."""
+    try:
+        p, q = probe
+    except (TypeError, ValueError):
+        raise ValueError(f"probe {probe!r} must be a pair of integers") from None
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in (p, q)):
+        raise ValueError(f"probe {probe!r} must be a pair of integers")
+    if not (1 <= p <= n and 1 <= q <= n):
+        raise ValueError(f"probe ({p}, {q}) out of range 1..{n}")
+    return int(p), int(q)
+
+
 def validate_bound_monte_carlo(
     config,
     trials: int,
@@ -152,11 +172,14 @@ def validate_bound_monte_carlo(
     """Measure empirical covariance exceedance rates against the tail bounds.
 
     ``config`` is a SimulationConfig; its seed fixes the population (mixing
-    matrix and channel) while trial t re-draws sources and noise from the
-    stream seeded with ``seed + t``. For each probed entry, epsilons are
-    chosen so the theoretical bound lands on ``bound_targets``; a check is
-    flagged when the empirical frequency exceeds the bound by more than three
-    binomial standard errors.
+    matrix A and channel gamma). The sorted distinct probed columns P of the
+    spectral observations have covariance B B^T + sigma^2 I, B = gamma[P] A[P].
+    With R from qr(B^T), so that B B^T = R^T R even when B is singular, trial t
+    draws them exactly in distribution as ``w @ R + sigma * v``: w, then v (not
+    at sigma = 0), are M x len(P) standard normals from the stream seeded with
+    ``seed + t``. For each probed entry, epsilons are chosen so the theoretical
+    bound lands on ``bound_targets``; a check is flagged when the empirical
+    frequency exceeds the bound by more than three binomial standard errors.
     """
     from .simulate import population_model
 
@@ -171,9 +194,7 @@ def validate_bound_monte_carlo(
         off = np.abs(pop.cov_x - np.diag(np.diag(pop.cov_x)))
         i, j = np.unravel_index(int(np.argmax(off)), off.shape)
         probes = [(1, 1), (min(i, j) + 1, max(i, j) + 1)]
-    for p, q in probes:
-        if not (1 <= p <= n and 1 <= q <= n):
-            raise ValueError(f"probe ({p}, {q}) out of range 1..{n}")
+    probes = [_probe_pair(probe, n) for probe in probes]
 
     checks: list[tuple[int, int, float, float]] = []
     for p, q in probes:
@@ -184,19 +205,20 @@ def validate_bound_monte_carlo(
             bound = concentration_bound(pop.c4, pop.h_norm, sigma, m, eps, diagonal)
             checks.append((p, q, eps, bound))
 
+    pq = np.array([(p, q) for p, q, _, _ in checks], dtype=int).reshape(-1, 2) - 1
+    cols, at = np.unique(pq, return_inverse=True)
+    at = at.reshape(pq.shape)
+    r = np.linalg.qr((pop.gamma[cols, None] * pop.mixing[cols]).T, mode="r")
+    truth = pop.cov_y[pq[:, 0], pq[:, 1]]
+    eps_each = np.array([eps for _, _, eps, _ in checks])
     exceed = np.zeros(len(checks), dtype=int)
-    truth = {(p, q): pop.cov_y[p - 1, q - 1] for p, q, _, _ in checks}
     for t in range(trials):
         rng = np.random.default_rng(config.seed + t)
-        z = rng.standard_normal((m, n))
-        xhat = z @ pop.mixing.T
-        yhat = xhat * pop.gamma
+        yhat = rng.standard_normal((m, cols.size)) @ r
         if sigma > 0:
-            yhat = yhat + sigma * rng.standard_normal((m, n))
-        for k, (p, q, eps, _) in enumerate(checks):
-            entry = float(yhat[:, p - 1] @ yhat[:, q - 1]) / m
-            if abs(entry - truth[(p, q)]) >= eps:
-                exceed[k] += 1
+            yhat += sigma * rng.standard_normal((m, cols.size))
+        gram = yhat.T @ yhat / m
+        exceed += np.abs(gram[at[:, 0], at[:, 1]] - truth) >= eps_each
 
     report = []
     for k, (p, q, eps, bound) in enumerate(checks):

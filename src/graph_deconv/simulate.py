@@ -24,6 +24,7 @@ from . import io as gio
 from .channel import apply_channel, operator_norm, random_channel
 from .covariance import (
     BoundCheck,
+    _check_threshold,
     build_observation_graph,
     build_source_graph,
     empirical_covariance,
@@ -110,10 +111,8 @@ class SimulationConfig:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if not (0 <= self.channel_amplitude < 1):
             raise ValueError(f"channel_amplitude must be in [0, 1), got {self.channel_amplitude}")
-        if self.pearson_threshold < 0:
-            raise ValueError(f"pearson_threshold must be >= 0, got {self.pearson_threshold}")
-        if self.delta < 0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
+        _check_threshold("pearson_threshold", self.pearson_threshold)
+        _check_threshold("delta", self.delta)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.trials < 2**63:

@@ -1,0 +1,157 @@
+"""The bound Monte Carlo against the full-draw loop it replaced.
+
+``validate_bound_monte_carlo`` draws only the probed spectral observation
+columns, through a QR factor of their population covariance.
+``reference_bound_monte_carlo`` below is the loop it replaced: every trial
+draws all N source and noise columns and reads the probed ones. The two use
+different draws from the same streams, so epsilons and bounds must be equal
+and exceedance rates must agree statistically.
+"""
+
+import math
+import re
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from graph_deconv import SimulationConfig, concentration_bound, validate_bound_monte_carlo
+from graph_deconv.covariance import BoundCheck
+from graph_deconv.simulate import population_model
+
+
+def reference_bound_monte_carlo(config, trials, probes=None, bound_targets=(0.1, 0.3, 0.6)):
+    """Full-draw oracle: trial t draws M x N sources and noise from ``seed + t``."""
+    pop = population_model(config)
+    n = config.n_vertices
+    m = config.sample_count
+    sigma = config.noise_sigma
+
+    if probes is None:
+        off = np.abs(pop.cov_x - np.diag(np.diag(pop.cov_x)))
+        i, j = np.unravel_index(int(np.argmax(off)), off.shape)
+        probes = [(1, 1), (min(i, j) + 1, max(i, j) + 1)]
+
+    checks = []
+    for p, q in probes:
+        diagonal = p == q
+        numerator = concentration_bound(pop.c4, pop.h_norm, sigma, 1, 1.0, diagonal)
+        for target in bound_targets:
+            eps = math.sqrt(numerator / (m * target))
+            bound = concentration_bound(pop.c4, pop.h_norm, sigma, m, eps, diagonal)
+            checks.append((p, q, eps, bound))
+
+    exceed = np.zeros(len(checks), dtype=int)
+    truth = {(p, q): pop.cov_y[p - 1, q - 1] for p, q, _, _ in checks}
+    for t in range(trials):
+        rng = np.random.default_rng(config.seed + t)
+        z = rng.standard_normal((m, n))
+        xhat = z @ pop.mixing.T
+        yhat = xhat * pop.gamma
+        if sigma > 0:
+            yhat = yhat + sigma * rng.standard_normal((m, n))
+        for k, (p, q, eps, _) in enumerate(checks):
+            entry = float(yhat[:, p - 1] @ yhat[:, q - 1]) / m
+            if abs(entry - truth[(p, q)]) >= eps:
+                exceed[k] += 1
+
+    report = []
+    for k, (p, q, eps, bound) in enumerate(checks):
+        freq = float(exceed[k]) / trials
+        se = math.sqrt(freq * (1.0 - freq) / trials)
+        report.append(
+            BoundCheck(
+                n=p, nprime=q, eps=eps, empirical=freq, bound=bound, flag=bool(freq > bound + 3 * se)
+            )
+        )
+    return report
+
+
+def assert_agrees_with_oracle(config, trials, **kwargs):
+    """Equal probes, epsilons and bounds; rates within 4 pooled binomial SEs plus 1/trials."""
+    new = validate_bound_monte_carlo(config, trials, **kwargs)
+    old = reference_bound_monte_carlo(config, trials, **kwargs)
+    assert len(new) == len(old)
+    for a, b in zip(new, old):
+        assert (a.n, a.nprime) == (b.n, b.nprime)
+        assert a.eps == b.eps
+        assert a.bound == b.bound
+        pooled = (a.empirical + b.empirical) / 2
+        se = math.sqrt(pooled * (1 - pooled) * 2 / trials)
+        assert abs(a.empirical - b.empirical) <= 4 * se + 1 / trials, (a, b)
+    return new
+
+
+@pytest.mark.parametrize("m", [100, 400])
+def test_matches_full_draw_oracle(m):
+    config = SimulationConfig(n_vertices=8, sample_count=m, noise_sigma=0.5, seed=4242)
+    report = assert_agrees_with_oracle(config, 2000, bound_targets=(0.1, 0.3, 0.8))
+    assert not any(check.flag for check in report)
+    # Some targets must be hit by both paths, or the rate comparison says nothing.
+    assert any(check.empirical > 0 for check in report)
+
+
+@pytest.mark.parametrize("m", [100, 400])
+def test_sigma_zero_matches_oracle(m):
+    config = SimulationConfig(n_vertices=8, sample_count=m, noise_sigma=0.0, seed=17)
+    report = assert_agrees_with_oracle(
+        config, 2000, probes=[(1, 1), (2, 3), (3, 3), (8, 1)], bound_targets=(0.2, 0.6)
+    )
+    assert any(check.empirical > 0 for check in report)
+
+
+def test_singular_block_at_sigma_zero():
+    """At N=2 and seed 2 the two mixing rows are parallel, so the noiseless
+    population covariance of the probed columns has rank 1 and has no
+    Cholesky factor; the QR factor still draws from it exactly."""
+    config = SimulationConfig(n_vertices=2, sample_count=100, noise_sigma=0.0, seed=2)
+    cov_y = population_model(config).cov_y
+    assert np.linalg.matrix_rank(cov_y) == 1
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(cov_y)
+    report = assert_agrees_with_oracle(
+        config, 1000, probes=[(1, 1), (1, 2), (2, 2)], bound_targets=(0.3, 0.8)
+    )
+    assert not any(check.flag for check in report)
+
+
+def test_default_probes_are_python_ints():
+    config = SimulationConfig(n_vertices=8, sample_count=200, noise_sigma=0.5, seed=5)
+    report = validate_bound_monte_carlo(config, 100)
+    oracle = reference_bound_monte_carlo(config, 100)
+    assert [(c.n, c.nprime) for c in report] == [(int(c.n), int(c.nprime)) for c in oracle]
+    assert report[0].diagonal and not report[-1].diagonal
+    for check in report:
+        assert type(check.n) is int and type(check.nprime) is int
+
+
+@pytest.mark.parametrize(
+    "probe",
+    [(1.5, 2), (True, 2), (1, False), (1,), (1, 2, 3), "12", 7, (None, 1), (1, 9), (0, 1)],
+    ids=["float", "bool", "bool-second", "single", "triple", "string", "scalar", "none",
+         "above-n", "zero"],
+)
+def test_bad_probe_is_value_error_naming_it(probe):
+    config = SimulationConfig(n_vertices=8, sample_count=20, noise_sigma=0.1, seed=1)
+    with pytest.raises(ValueError, match=re.escape(f"probe {probe!r}")):
+        validate_bound_monte_carlo(config, 100, probes=[(1, 1), probe])
+
+
+def test_numpy_integer_probes_accepted():
+    config = SimulationConfig(n_vertices=8, sample_count=20, noise_sigma=0.1, seed=1)
+    report = validate_bound_monte_carlo(config, 100, probes=[np.array([2, 5])])
+    assert all(type(c.n) is int and (c.n, c.nprime) == (2, 5) for c in report)
+
+
+def test_memory_does_not_grow_with_n():
+    """At N=512 and M=20000 one full-width draw is an 82 MB array, and the
+    full-draw loop holds several at once; the probed-column draws stay a few
+    MB, most of it the N x N population model."""
+    config = SimulationConfig(n_vertices=512, sample_count=20000, noise_sigma=0.5, seed=3)
+    tracemalloc.start()
+    try:
+        validate_bound_monte_carlo(config, 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"

@@ -307,6 +307,28 @@ class TestEstimateDeconvolveDiagnose:
         assert len(err) == 1 and message in err[0]
         assert not (tmp_path / "res").exists()
 
+    @pytest.mark.parametrize(
+        "flag, name", [("--delta", "delta"), ("--pearson-threshold", "pearson_threshold")]
+    )
+    def test_threshold_above_one_is_validation_error(
+        self, sim_bundle, tmp_path, capsys, flag, name
+    ):
+        cfg, cfg_path, out = sim_bundle
+        radius = json.loads((out / "summary.json").read_text())["radius"]
+        argv = [
+            "estimate",
+            "--signals", str(out / "observations.csv"),
+            "--cov-x", str(out / "cov_x.csv"),
+            "--coords", str(out / "coords.csv"),
+            "--radius", str(radius),
+            flag, "2",
+            "--out", str(tmp_path / "res"),
+        ]
+        assert cli_dispatch(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"graph-deconv: {name} must be in [0, 1], got 2.0"]
+        assert not (tmp_path / "res").exists()
+
     def test_validate_bounds(self, sim_bundle, tmp_path, capsys):
         cfg, cfg_path, out = sim_bundle
         vb_dir = tmp_path / "vb"

@@ -101,6 +101,11 @@ class TestSourceGraph:
         assert source.edges == frozenset({(1, 2)})
         assert not source.connected
 
+    @pytest.mark.parametrize("threshold", [1.0 + 1e-12, 2.0, -0.1])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(ValueError, match=r"pearson_threshold must be in \[0, 1\]"):
+            build_source_graph(np.eye(3), threshold)
+
 
 @pytest.mark.skipif(
     "TEMPERATURE_DATASET" not in os.environ,
@@ -139,12 +144,12 @@ class TestObservationGraph:
         assert obs.edges == self.source.edges
         assert obs.components == ((1, 2, 3, 4),)
 
-    def test_delta_above_one_empties_the_graph(self):
+    def test_delta_above_one_is_rejected(self):
+        # No Pearson magnitude exceeds 1, so such a delta could only empty the graph.
         cov = np.full((4, 4), 0.1) + np.diag(np.ones(4))
-        obs = build_observation_graph(cov, self.source, 1.5)
-        assert obs.support == frozenset()
-        assert obs.edges == frozenset()
-        assert obs.components == ()
+        with pytest.raises(ValueError, match=r"delta must be in \[0, 1\], got 1.5"):
+            build_observation_graph(cov, self.source, 1.5)
+        assert build_observation_graph(cov, self.source, 1.0).edges == frozenset()
 
     def test_subgraph_of_source_always(self):
         rng = np.random.default_rng(15)

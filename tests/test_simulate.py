@@ -101,6 +101,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimulationConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["delta", "pearson_threshold"])
+    @pytest.mark.parametrize("value", [1.5, -0.5])
+    def test_thresholds_outside_unit_interval_rejected(self, name, value):
+        with pytest.raises(ValueError, match=rf"{name} must be in \[0, 1\]"):
+            SimulationConfig(n_vertices=4, sample_count=10, noise_sigma=0.0, **{name: value})
+
 
 class TestSyntheticSource:
     def test_variance_profile_decays_from_dominant_head(self):
