@@ -32,6 +32,19 @@ def empirical_covariance(e: SignalEnsemble) -> np.ndarray:
     return (cov + cov.T) / 2.0
 
 
+def _covariance(e: SignalEnsemble) -> np.ndarray:
+    """``empirical_covariance(e)``, computed once per ensemble and kept on it read-only.
+
+    Estimation and deconvolution of one set of spectral observations both
+    read their covariance through this, so it is formed once.
+    """
+    if e._covariance is None:
+        cov = empirical_covariance(e)
+        cov.flags.writeable = False
+        object.__setattr__(e, "_covariance", cov)
+    return e._covariance
+
+
 def empirical_kurtosis(e: SignalEnsemble) -> float:
     """Largest empirical fourth moment across components, max_n (1/M) sum_m s_m(n)^4."""
     return float(np.max(np.mean(e.signals**4, axis=0)))

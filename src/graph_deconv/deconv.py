@@ -3,9 +3,13 @@
 Recovery inverts the estimated response on its support and zeroes everything
 outside it, so frequency content at unsupported indices is unrecoverable by
 construction. Observations may come in either domain, and only vertex-domain
-ones are transformed. The result holds the spectral reconstruction; its
-vertex-domain form is one inverse GFT, run the first time ``reconstructed``
-is read, so callers that only need covariances never pay for it. Because the
+ones are transformed, once: the transform ``estimate_channel`` made of the
+same ensemble is reused. The result holds the spectral observations y and the
+inverted response d. The spectral reconstruction y * d and its vertex-domain
+form, one inverse GFT, are computed the first time ``spectral`` and
+``reconstructed`` are read. The reconstructed covariance is D C_y D with
+D = diag(d), read from the covariance of y that estimation already formed, so
+callers that only need covariances never touch an M x N array. Because the
 channel is only identified up to one sign per observation-graph component,
 reconstruction errors against a known ground truth are only meaningful after
 choosing the best sign per component, which ``align_component_signs`` does.
@@ -19,8 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import apply_channel, pseudo_inverse
-from .covariance import empirical_covariance, ensure_positive_diagonal
+from .channel import pseudo_inverse
+from .covariance import _covariance, ensure_positive_diagonal
 from .estimation import ChannelEstimate, Component
 from .spectral import SPECTRAL, SignalEnsemble, SpectralBasis, _as_spectral, igft
 
@@ -31,15 +35,23 @@ DISPLAY_FLOOR_DB = -30.0
 
 @dataclass(frozen=True)
 class DeconvolutionResult:
-    """Reconstructed spectral coefficients, the support that was inverted, and the basis.
+    """Spectral observations, the inverted response, the support that was inverted, and the basis.
 
-    The vertex-domain reconstruction, ``reconstructed``, is the inverse GFT
-    of ``spectral``; it is computed the first time it is read and kept.
+    ``inverse`` is read-only: the reciprocal response on ``support`` and zero
+    elsewhere. The spectral reconstruction ``spectral`` and the vertex-domain
+    one, ``reconstructed``, are computed the first time they are read and
+    kept.
     """
 
-    spectral: SignalEnsemble
+    observations: SignalEnsemble
+    inverse: np.ndarray
     support: frozenset[int]
     basis: SpectralBasis
+
+    @cached_property
+    def spectral(self) -> SignalEnsemble:
+        """Spectral reconstruction: each observed coefficient times the inverted response."""
+        return SignalEnsemble(signals=self.observations.signals * self.inverse, domain=SPECTRAL)
 
     @cached_property
     def reconstructed(self) -> SignalEnsemble:
@@ -68,25 +80,49 @@ def blind_deconvolve(
 ) -> DeconvolutionResult:
     """Invert the estimated channel on its support.
 
-    ``observations`` are vertex-domain samples or their GFT. Spectrally, each
-    reconstructed coefficient is the observed coefficient divided by the
-    estimated response, and exactly zero off support.
+    ``observations`` are vertex-domain samples or their GFT; vertex-domain
+    ones that ``estimate_channel`` produced ``estimate`` from are not
+    transformed again. Spectrally, each reconstructed coefficient is the
+    observed coefficient divided by the estimated response, and exactly zero
+    off support.
     """
     if not estimate.support:
         raise ValueError("estimate has empty support, nothing can be reconstructed")
     dagger = pseudo_inverse(estimate.gamma_m, estimate.support)
-    xhat = apply_channel(dagger, _as_spectral(basis, observations))
-    return DeconvolutionResult(spectral=xhat, support=estimate.support, basis=basis)
+    dagger.flags.writeable = False
+    return DeconvolutionResult(
+        observations=_as_spectral(basis, observations),
+        inverse=dagger,
+        support=estimate.support,
+        basis=basis,
+    )
 
 
 def reconstructed_covariance(result: DeconvolutionResult) -> np.ndarray:
-    """Empirical spectral covariance of the reconstruction; zero off the support."""
-    return empirical_covariance(result.spectral)
+    """Empirical spectral covariance of the reconstruction, D C_y D with D = diag(inverse).
+
+    C_y is the memoised covariance of the spectral observations, so no M x N
+    product is formed. The result equals ``empirical_covariance(result.spectral)``
+    up to rounding, is exactly symmetric, and is exactly +0.0 off the support.
+    """
+    d = result.inverse
+    cov = np.outer(d, d)
+    cov *= _covariance(result.observations)
+    cov += 0.0  # turns the -0.0 of a zero times a negative entry into +0.0
+    return cov
 
 
 def db_scale(matrix: np.ndarray, floor_db: float = DISPLAY_FLOOR_DB) -> np.ndarray:
-    """Entrywise max(10 log10(|m| + 1e-5), floor), the display scale for covariances."""
-    return np.maximum(10.0 * np.log10(np.abs(np.asarray(matrix, dtype=float)) + DB_OFFSET), floor_db)
+    """Entrywise max(10 log10(|m| + 1e-5), floor), the display scale for covariances.
+
+    Evaluated in place in one new buffer, operation for operation as written.
+    """
+    out = np.array(matrix, dtype=float)
+    np.abs(out, out=out)
+    out += DB_OFFSET
+    np.log10(out, out=out)
+    out *= 10.0
+    return np.maximum(out, floor_db, out=out)
 
 
 def covariance_diagnostics(
@@ -105,9 +141,11 @@ def covariance_diagnostics(
         raise ValueError(f"shape mismatch: {c_recon.shape} vs {c_source.shape}")
     delta = c_recon - c_source
     scale = np.sqrt(np.diag(c_source))
+    relative = np.outer(scale, scale)
+    np.divide(delta, relative, out=relative)
     return DiagnosticMatrices(
         abs_diff_db=db_scale(delta, floor_db),
-        rel_diff_db=db_scale(delta / np.outer(scale, scale), floor_db),
+        rel_diff_db=db_scale(relative, floor_db),
         diagonal_inflation=np.diag(delta).copy(),
     )
 
@@ -142,24 +180,32 @@ def align_component_signs(
 
     For every component the flip minimizing that component's squared error is
     chosen (equivalently the sign of the inner product with the reference,
-    +1 on a tie). Off-support coefficients are untouched. Returns the aligned
-    result and the per-component flips, ordered like ``components``.
+    +1 on a tie). A flip negates the component's entries of the inverted
+    response, so off-support coefficients are untouched and no M x N array is
+    copied. A component vertex outside 1..N raises ValueError naming it.
+    Returns the aligned result and the per-component flips, ordered like
+    ``components``.
     """
     if reference.domain != SPECTRAL:
         raise ValueError("reference ensemble must be spectral")
-    xhat = result.spectral.signals
-    if reference.signals.shape != xhat.shape:
+    y = result.observations.signals
+    if reference.signals.shape != y.shape:
         raise ValueError(
-            f"reference shape {reference.signals.shape} != reconstruction shape {xhat.shape}"
+            f"reference shape {reference.signals.shape} != reconstruction shape {y.shape}"
         )
-    aligned = xhat.copy()
+    n = y.shape[1]
+    inverse = result.inverse.copy()
     flips = []
     for comp in components:
+        outside = [v for v in comp.vertices if not 1 <= v <= n]
+        if outside:
+            raise ValueError(f"component vertex {outside[0]} out of range 1..{n}")
         cols = [v - 1 for v in comp.vertices]
-        inner = float(np.sum(aligned[:, cols] * reference.signals[:, cols]))
+        inner = float(np.sum(y[:, cols] * inverse[cols] * reference.signals[:, cols]))
         flip = -1 if inner < 0 else 1
         if flip < 0:
-            aligned[:, cols] = -aligned[:, cols]
+            inverse[cols] = -inverse[cols]
         flips.append(flip)
-    spectral = SignalEnsemble(signals=aligned, domain=SPECTRAL)
-    return DeconvolutionResult(spectral, result.support, result.basis), tuple(flips)
+    inverse.flags.writeable = False
+    aligned = DeconvolutionResult(result.observations, inverse, result.support, result.basis)
+    return aligned, tuple(flips)

@@ -2,7 +2,10 @@
 
 The observer knows the source spectral covariance and sees only noisy filtered
 samples, in either domain; ``estimate_channel`` is the one pipeline the
-simulation, the CLI and the demos call. Diagonal and off-diagonal entries of
+simulation, the CLI and the demos call. It transforms and squares the
+observations once and keeps their spectral form on the estimate, so
+``deconv.blind_deconvolve`` on the same observations reuses both the
+transform and the covariance. Diagonal and off-diagonal entries of
 the two covariances are tied together by a per-edge quadratic system whose
 closed-form solution yields the response magnitude at every frequency;
 magnitudes are averaged over all source edges incident to the frequency, read
@@ -18,11 +21,11 @@ any observer of second-order statistics can do.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .covariance import build_observation_graph, empirical_covariance, ensure_positive_diagonal
+from .covariance import _covariance, build_observation_graph, ensure_positive_diagonal
 from .errors import IsolatedVertex
 from .spectral import Graph, SignalEnsemble, SpectralBasis, _as_spectral
 
@@ -43,11 +46,19 @@ class Component:
 
 @dataclass(frozen=True)
 class ChannelEstimate:
-    """Estimated frequency responses with support and component structure."""
+    """Estimated frequency responses with support and component structure.
+
+    ``observations`` is the spectral ensemble ``estimate_channel`` estimated
+    from, ``None`` for an estimate read from a file or built by
+    ``from_response``. Holding it keeps the transform of vertex-domain
+    observations, and its covariance, alive for ``blind_deconvolve``; it
+    takes no part in comparisons.
+    """
 
     gamma_m: np.ndarray
     support: frozenset[int]
     components: tuple[Component, ...]
+    observations: SignalEnsemble | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -57,13 +68,17 @@ class ChannelEstimate:
     def from_response(cls, gamma, support=None) -> "ChannelEstimate":
         """Wrap a known response as an estimate, for deconvolving with ground truth.
 
-        Default support is every index with a response magnitude above 1e-12.
-        The single pseudo-component carries no spanning tree.
+        Default support is every index with a response magnitude above 1e-12;
+        a given support index outside 1..N raises ValueError naming it. The
+        single pseudo-component carries no spanning tree.
         """
         gamma = np.asarray(gamma, dtype=float).reshape(-1)
         if support is None:
             support = {n for n in range(1, gamma.size + 1) if abs(gamma[n - 1]) > 1e-12}
         support = frozenset(int(n) for n in support)
+        outside = sorted(n for n in support if not 1 <= n <= gamma.size)
+        if outside:
+            raise ValueError(f"support index {outside[0]} out of range 1..{gamma.size}")
         components: tuple[Component, ...] = ()
         if support:
             anchor = min(support)
@@ -219,12 +234,14 @@ def estimate_channel(
     Transforms vertex-domain observations, forms their empirical spectral
     covariance, recovers magnitudes from the per-edge quadratic solution,
     thresholds the observation graph at ``delta``, and assigns signs
-    component by component with every anchor set to +1.
+    component by component with every anchor set to +1. The estimate keeps
+    the spectral observations, whose covariance stays memoised on them.
     """
-    cov_ym = empirical_covariance(_as_spectral(basis, observations))
+    yhat = _as_spectral(basis, observations)
+    cov_ym = _covariance(yhat)
     magnitudes = estimate_magnitudes(cov_x, cov_ym, source)
     obs = build_observation_graph(cov_ym, source, delta)
-    return assign_signs(magnitudes, obs, cov_x, cov_ym)
+    return replace(assign_signs(magnitudes, obs, cov_x, cov_ym), observations=yhat)
 
 
 def sign_consistency_report(

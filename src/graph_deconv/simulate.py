@@ -5,9 +5,9 @@ a decaying spectral variance profile, pushes the samples through a random
 channel with additive Gaussian noise, estimates the channel with
 ``estimate_channel``, deconvolves, and scores everything against the ground
 truth. Each trial transforms its observations once and hands the spectral
-ensemble to both estimation and deconvolution. Every random draw is keyed on
-(seed, purpose, trial), so re-running a configuration gives byte-identical
-artifacts.
+ensemble to both estimation and deconvolution, which also share its one
+covariance. Every random draw is keyed on (seed, purpose, trial), so
+re-running a configuration gives byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .channel import apply_channel, operator_norm, random_channel
 from .covariance import (
     BoundCheck,
     _check_threshold,
+    _covariance,
     build_observation_graph,
     build_source_graph,
     empirical_covariance,
@@ -199,8 +200,10 @@ def transmit(
     """Filter sources, in either domain, through the channel and add white spectral noise.
 
     Returns vertex-domain samples. By orthogonality of the basis, the noise is
-    white on the vertex samples too.
+    white on the vertex samples too. ``sigma`` must be a finite number >= 0.
     """
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be a finite number >= 0, got {sigma}")
     filtered = apply_channel(gamma, _as_spectral(basis, sources)).signals
     if sigma > 0:
         filtered = filtered + sigma * np.random.default_rng(seed).standard_normal(filtered.shape)
@@ -374,7 +377,7 @@ def run_simulation(config: SimulationConfig, out_dir=None) -> SimulationResult:
 
         if t == 0:
             aligned, flips = align_component_signs(result, xhat, est.components)
-            cov_ym = empirical_covariance(yhat_t)
+            cov_ym = _covariance(yhat_t)
             obs = build_observation_graph(cov_ym, source_graph, config.delta)
             error = np.max(np.abs(aligned.reconstructed.signals - sources.signals))
             first = dict(

@@ -14,13 +14,22 @@ can contradict the edges.
 breadth-first tree comes from one block of ``adjacency``, so its cost in
 Python calls grows with the tree's depth, not its size. ``bfs_forest`` runs
 it once per connected component.
+
+Ensembles and bases are immutable values: their arrays are read-only, and an
+ensemble takes ownership of the array it is given, copying it only when it is
+a view of another array, so no live alias can change it after the fact. That
+lets a vertex-domain ensemble keep its GFT: ``_as_spectral`` transforms it
+once per basis object and keeps a weak reference to the result, so whoever
+still holds the spectral twin (a ``ChannelEstimate`` does) lets the next call
+skip the transform, and a twin nobody holds is freed as usual.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from collections.abc import Set
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -248,10 +257,15 @@ class SpectralBasis:
 
     ``modes`` holds the eigenvectors as columns; ``eigenvalues`` is sorted by
     ascending magnitude, with a (lambda, -lambda) tie ordered negative first.
+    Both are stored read-only, like an ensemble's signals.
     """
 
     modes: np.ndarray
     eigenvalues: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "modes", _owned(self.modes))
+        object.__setattr__(self, "eigenvalues", _owned(self.eigenvalues))
 
     @property
     def n_vertices(self) -> int:
@@ -263,11 +277,17 @@ class SignalEnsemble:
     """M real signals of dimension N, rows are samples.
 
     ``domain`` is "vertex" or "spectral" and records which side of the graph
-    Fourier transform the rows live on.
+    Fourier transform the rows live on. ``signals`` is read-only; an input
+    array that is a view of another array is copied first. The two private
+    fields are memos, never compared: ``_as_spectral`` keeps the GFT of a
+    vertex ensemble in ``_spectral``, and ``covariance._covariance`` keeps the
+    empirical covariance in ``_covariance``.
     """
 
     signals: np.ndarray
     domain: str = VERTEX
+    _spectral: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _covariance: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.atleast_2d(np.asarray(self.signals, dtype=float))
@@ -277,7 +297,15 @@ class SignalEnsemble:
             raise ValueError("ensemble needs at least one signal")
         if self.domain not in (VERTEX, SPECTRAL):
             raise ValueError(f"unknown domain {self.domain!r}")
-        object.__setattr__(self, "signals", arr)
+        object.__setattr__(self, "signals", _owned(arr))
+
+    def __getstate__(self):
+        # Weak references do not pickle, and the memos are recomputed on demand.
+        return {**self.__dict__, "_spectral": None, "_covariance": None}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.signals.flags.writeable = False
 
     @property
     def n_signals(self) -> int:
@@ -286,6 +314,15 @@ class SignalEnsemble:
     @property
     def n_vertices(self) -> int:
         return self.signals.shape[1]
+
+
+def _owned(a) -> np.ndarray:
+    """``a`` as a read-only float array that no other array shares.
+
+    A view is copied in its own memory layout, so products with it round as before.
+    """
+    a = np.asarray(a, dtype=float)
+    return _read_only(a.copy(order="K") if a.base is not None else a)
 
 
 def build_radius_graph(coords, radius: float) -> Graph:
@@ -387,8 +424,19 @@ def igft(basis: SpectralBasis, e: SignalEnsemble) -> SignalEnsemble:
 
 
 def _as_spectral(basis: SpectralBasis, e: SignalEnsemble) -> SignalEnsemble:
-    """The GFT of a vertex-domain ensemble; a spectral one as is, once its width fits the basis."""
-    if e.domain == VERTEX:
-        return gft(basis, e)
-    _check_width(basis, e)
-    return e
+    """The GFT of a vertex-domain ensemble; a spectral one as is, once its width fits the basis.
+
+    A vertex ensemble keeps weak references to the basis and to its GFT, so
+    the transform runs again only for another basis object or once the last
+    holder of the previous result has let it go.
+    """
+    if e.domain != VERTEX:
+        _check_width(basis, e)
+        return e
+    if e._spectral is not None:
+        memo_basis, memo = e._spectral
+        if memo_basis() is basis and (spectral := memo()) is not None:
+            return spectral
+    spectral = gft(basis, e)
+    object.__setattr__(e, "_spectral", (weakref.ref(basis), weakref.ref(spectral)))
+    return spectral

@@ -18,6 +18,7 @@ from graph_deconv import (
     blind_deconvolve,
     covariance_diagnostics,
     db_scale,
+    eigendecompose,
     empirical_covariance,
     igft,
     random_channel,
@@ -95,6 +96,25 @@ class TestReconstructedCovariance:
         x = result.spectral.signals[0]
         np.testing.assert_allclose(cov, np.outer(x, x), atol=1e-12)
         assert np.linalg.matrix_rank(cov, tol=1e-10) == 1
+
+    @pytest.mark.parametrize("n", [32, 96])
+    def test_equals_covariance_of_the_reconstruction(self, n):
+        """D C_y D matches the covariance of y * d, is exactly symmetric and exactly +0.0 off support."""
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n))
+        basis = eigendecompose((a + a.T) / 2.0)
+        _, xhat = synthetic_source(n, 3 * n, n)
+        gamma = random_channel(n, 0.2, n + 1)
+        y = transmit(igft(basis, xhat), gamma, basis, 0.5, n + 2)
+        support = {k for k in range(1, n + 1) if k % 3}
+        result = blind_deconvolve(ChannelEstimate.from_response(gamma, support=support), y, basis)
+        cov = reconstructed_covariance(result)
+        reference = empirical_covariance(result.spectral)
+        assert np.max(np.abs(cov - reference)) <= 1e-12 * np.max(np.abs(reference))
+        assert np.array_equal(cov, cov.T)
+        off = np.array([k not in support for k in range(1, n + 1)])
+        assert np.all(cov[off] == 0.0) and np.all(cov[:, off] == 0.0)
+        assert not np.signbit(cov[off]).any() and not np.signbit(cov[:, off]).any()
 
     def test_covariance_limit_diagonal_excess_and_offdiagonal_match(self):
         """sigma = 0.5, known channel: on average over trials the reconstructed
@@ -186,6 +206,19 @@ class TestAlignComponentSigns:
         aligned, flips = align_component_signs(raw, xhat, est.components)
         assert flips == (1, -1)
         assert np.max(np.abs(aligned.reconstructed.signals - sources.signals)) <= 1e-10
+        # A flip negates entries of the inverse; the observations are shared.
+        assert aligned.observations is raw.observations
+        np.testing.assert_array_equal(aligned.inverse, raw.inverse * np.repeat([1, -1], 4))
+        np.testing.assert_array_equal(aligned.spectral.signals[:, :4], raw.spectral.signals[:, :4])
+        np.testing.assert_array_equal(aligned.spectral.signals[:, 4:], -raw.spectral.signals[:, 4:])
+
+    @pytest.mark.parametrize("bad", [0, 9])
+    def test_out_of_range_component_vertex_rejected(self, bad):
+        basis, xhat, sources, gamma, observations = noiseless_setup(seed=63)
+        result = blind_deconvolve(ChannelEstimate.from_response(gamma), observations, basis)
+        comp = Component(vertices=(1, 2, bad), anchor=1, anchor_sign=1, parents={})
+        with pytest.raises(ValueError, match=f"component vertex {bad} out of range 1..8"):
+            align_component_signs(result, xhat, (comp,))
 
 
 class TestLazyReconstruction:

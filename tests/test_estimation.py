@@ -9,16 +9,19 @@ Ground truth:
 
 import itertools
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from graph_deconv import (
+    ChannelEstimate,
     Graph,
     IsolatedVertex,
     NonpositiveVariance,
     SignalEnsemble,
     assign_signs,
+    blind_deconvolve,
     build_observation_graph,
     build_source_graph,
     eigendecompose,
@@ -28,9 +31,11 @@ from graph_deconv import (
     gft,
     igft,
     random_channel,
+    reconstructed_covariance,
     sign_consistency_report,
     transmit,
 )
+from graph_deconv import covariance, spectral
 from graph_deconv.simulate import simulation_graph, synthetic_source
 
 
@@ -228,6 +233,45 @@ class TestEstimateChannel:
         b, *_ = self.run_noiseless(seed=39)
         np.testing.assert_array_equal(a.gamma_m, b.gamma_m)
         assert a.support == b.support
+
+    def test_estimation_and_deconvolution_share_one_gft_and_one_covariance(self, monkeypatch):
+        """Vertex observations passed to both calls are transformed and squared once."""
+        calls = Counter()
+        originals = {"gft": spectral.gft, "empirical_covariance": covariance.empirical_covariance}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        modules = [m for name, m in sys.modules.items() if name.startswith("graph_deconv.")]
+        for module, (name, fn) in itertools.product(modules, originals.items()):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
+        coords, radius, graph, basis = simulation_graph(8, 40)
+        _, xhat = synthetic_source(8, 500, 40)
+        cov_x = empirical_covariance(xhat)
+        source = build_source_graph(cov_x, 0.01)
+        y = transmit(igft(basis, xhat), random_channel(8, 0.2, 41), basis, 0.5, 42)
+        calls.clear()
+        est = estimate_channel(cov_x, y, basis, source, 0.001)
+        result = blind_deconvolve(est, y, basis)
+        reconstructed_covariance(result)
+        assert dict(calls) == {"gft": 1, "empirical_covariance": 1}
+        assert result.observations is est.observations
+        assert est.observations.domain == "spectral"
+
+
+class TestFromResponse:
+    @pytest.mark.parametrize("support, bad", [({0, 2}, 0), ({1, 5}, 5), ({-1, 4}, -1)])
+    def test_out_of_range_support_rejected(self, support, bad):
+        with pytest.raises(ValueError, match=f"support index {bad} out of range 1..3"):
+            ChannelEstimate.from_response(np.ones(3), support=support)
+
+    def test_has_no_observations(self):
+        assert ChannelEstimate.from_response(np.ones(3)).observations is None
 
 
 class TestSignConsistencyReport:

@@ -1,8 +1,10 @@
 """Simulation harness: configs, synthetic sources, determinism, bundles."""
 
+import gc
 import itertools
 import json
 import sys
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -166,6 +168,31 @@ class TestTransmit:
         # variance, so the check is loose.
         added = np.mean(noisy.signals**2) - np.mean(clean.signals**2)
         assert abs(added - 1.0) < 0.3
+
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
+    def test_bad_sigma_rejected(self, sigma):
+        coords, radius, graph, basis = simulation_graph(6, 4)
+        _, xhat = synthetic_source(6, 20, 4)
+        with pytest.raises(ValueError, match="sigma must be a finite number >= 0"):
+            transmit(xhat, np.ones(6), basis, sigma, 1)
+
+    def test_no_transform_of_the_sources_outlives_the_call(self, monkeypatch):
+        """The GFT memo is weak, so a long-lived source ensemble does not keep its transform alive."""
+        coords, radius, graph, basis = simulation_graph(6, 4)
+        _, xhat = synthetic_source(6, 200, 4)
+        sources = igft(basis, xhat)
+        made = []
+
+        def recorded(basis, e):
+            out = gft(basis, e)
+            made.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(spectral, "gft", recorded)
+        y = transmit(sources, np.ones(6), basis, 0.5, 1)
+        gc.collect()
+        assert len(made) == 1 and made[0]() is None
+        assert y.domain == "vertex"
 
 
 class TestSimulationGraph:

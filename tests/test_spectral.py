@@ -6,7 +6,10 @@ Ground truth:
 - GFT checked through orthogonality identities (round trip, Parseval)
 """
 
+import gc
 import math
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -21,6 +24,8 @@ from graph_deconv import (
     igft,
     laplacian,
 )
+from graph_deconv import spectral
+from graph_deconv.spectral import _as_spectral
 
 
 def path_graph(n):
@@ -235,3 +240,91 @@ class TestSignalEnsemble:
     def test_promotes_single_vector(self):
         e = SignalEnsemble(signals=np.array([1.0, 2.0, 3.0]), domain="vertex")
         assert e.signals.shape == (1, 3)
+
+    def test_signals_are_read_only(self):
+        e = SignalEnsemble(signals=np.ones((2, 3)), domain="vertex")
+        with pytest.raises(ValueError, match="read-only"):
+            e.signals[0, 0] = 5.0
+
+    def test_takes_ownership_of_an_owned_array(self):
+        a = np.ones((2, 3))
+        e = SignalEnsemble(signals=a, domain="vertex")
+        assert e.signals is a
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 5.0
+
+    @pytest.mark.parametrize(
+        "view", [lambda base: base[:, :3], lambda base: base.T, lambda base: base[1]]
+    )
+    def test_view_input_is_copied(self, view):
+        base = np.arange(12.0).reshape(3, 4)
+        e = SignalEnsemble(signals=view(base), domain="vertex")
+        before = e.signals.copy()
+        base += 100.0
+        np.testing.assert_array_equal(e.signals, before)
+
+    def test_pickle_round_trip_drops_the_memos(self):
+        basis = eigendecompose(laplacian(path_graph(4)))
+        e = SignalEnsemble(signals=np.arange(8.0).reshape(2, 4), domain="vertex")
+        spec = _as_spectral(basis, e)
+        assert e._spectral[1]() is spec
+        back = pickle.loads(pickle.dumps(e))
+        np.testing.assert_array_equal(back.signals, e.signals)
+        assert not back.signals.flags.writeable
+        assert back._spectral is None
+
+
+class TestSpectralBasis:
+    def test_modes_and_eigenvalues_are_read_only(self):
+        basis = eigendecompose(laplacian(path_graph(4)))
+        with pytest.raises(ValueError, match="read-only"):
+            basis.modes[0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            basis.eigenvalues[0] = 5.0
+
+
+class TestGftMemo:
+    """``_as_spectral`` transforms a vertex ensemble once per basis while the result is held."""
+
+    @pytest.fixture
+    def gft_calls(self, monkeypatch):
+        calls = []
+
+        def counted(basis, e):
+            calls.append(e)
+            return gft(basis, e)
+
+        monkeypatch.setattr(spectral, "gft", counted)
+        return calls
+
+    def setup_method(self):
+        rng = np.random.default_rng(23)
+        a = rng.standard_normal((6, 6))
+        self.basis = eigendecompose((a + a.T) / 2.0)
+        self.e = SignalEnsemble(signals=rng.standard_normal((40, 6)), domain="vertex")
+
+    def test_held_result_is_reused(self, gft_calls):
+        first = _as_spectral(self.basis, self.e)
+        assert _as_spectral(self.basis, self.e) is first
+        assert len(gft_calls) == 1
+        np.testing.assert_array_equal(first.signals, self.e.signals @ self.basis.modes)
+
+    def test_released_result_is_freed_and_recomputed(self, gft_calls):
+        ref = weakref.ref(_as_spectral(self.basis, self.e))
+        gc.collect()
+        assert ref() is None
+        _as_spectral(self.basis, self.e)
+        assert len(gft_calls) == 2
+
+    def test_other_basis_object_misses(self, gft_calls):
+        first = _as_spectral(self.basis, self.e)
+        rng = np.random.default_rng(24)
+        a = rng.standard_normal((6, 6))
+        for other in (
+            spectral.SpectralBasis(self.basis.modes.copy(), self.basis.eigenvalues.copy()),
+            eigendecompose((a + a.T) / 2.0),
+        ):
+            spec = _as_spectral(other, self.e)
+            assert spec is not first
+            assert np.array_equal(spec.signals, self.e.signals @ other.modes)
+        assert len(gft_calls) == 3
