@@ -26,7 +26,7 @@ import numpy as np
 from .channel import pseudo_inverse
 from .covariance import _covariance, ensure_positive_diagonal
 from .estimation import ChannelEstimate, Component
-from .spectral import SPECTRAL, SignalEnsemble, SpectralBasis, _as_spectral, igft
+from .spectral import SPECTRAL, SignalEnsemble, SpectralBasis, _as_spectral, _owned, _Value, igft
 
 DB_OFFSET = 1e-5
 DIAGNOSTIC_FLOOR_DB = -20.0
@@ -34,19 +34,22 @@ DISPLAY_FLOOR_DB = -30.0
 
 
 @dataclass(frozen=True)
-class DeconvolutionResult:
+class DeconvolutionResult(_Value):
     """Spectral observations, the inverted response, the support that was inverted, and the basis.
 
-    ``inverse`` is read-only: the reciprocal response on ``support`` and zero
-    elsewhere. The spectral reconstruction ``spectral`` and the vertex-domain
-    one, ``reconstructed``, are computed the first time they are read and
-    kept.
+    ``inverse`` is a read-only copy of the reciprocal response on ``support``,
+    zero elsewhere. The spectral reconstruction ``spectral`` and the
+    vertex-domain one, ``reconstructed``, are computed the first time they
+    are read and kept.
     """
 
     observations: SignalEnsemble
     inverse: np.ndarray
     support: frozenset[int]
     basis: SpectralBasis
+
+    def __post_init__(self):
+        object.__setattr__(self, "inverse", _owned(self.inverse, float))
 
     @cached_property
     def spectral(self) -> SignalEnsemble:
@@ -88,11 +91,9 @@ def blind_deconvolve(
     """
     if not estimate.support:
         raise ValueError("estimate has empty support, nothing can be reconstructed")
-    dagger = pseudo_inverse(estimate.gamma_m, estimate.support)
-    dagger.flags.writeable = False
     return DeconvolutionResult(
         observations=_as_spectral(basis, observations),
-        inverse=dagger,
+        inverse=pseudo_inverse(estimate.gamma_m, estimate.support),
         support=estimate.support,
         basis=basis,
     )
@@ -206,6 +207,5 @@ def align_component_signs(
         if flip < 0:
             inverse[cols] = -inverse[cols]
         flips.append(flip)
-    inverse.flags.writeable = False
     aligned = DeconvolutionResult(result.observations, inverse, result.support, result.basis)
     return aligned, tuple(flips)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .covariance import _covariance, build_observation_graph, ensure_positive_diagonal
 from .errors import IsolatedVertex
-from .spectral import Graph, SignalEnsemble, SpectralBasis, _as_spectral
+from .spectral import Graph, SignalEnsemble, SpectralBasis, _as_spectral, _Value, _owned
 
 
 @dataclass(frozen=True)
@@ -45,20 +45,23 @@ class Component:
 
 
 @dataclass(frozen=True)
-class ChannelEstimate:
+class ChannelEstimate(_Value):
     """Estimated frequency responses with support and component structure.
 
-    ``observations`` is the spectral ensemble ``estimate_channel`` estimated
-    from, ``None`` for an estimate read from a file or built by
-    ``from_response``. Holding it keeps the transform of vertex-domain
-    observations, and its covariance, alive for ``blind_deconvolve``; it
-    takes no part in comparisons.
+    ``gamma_m`` is stored as a read-only copy. ``observations`` is the
+    spectral ensemble ``estimate_channel`` estimated from, ``None`` for an
+    estimate read from a file or built by ``from_response``. It keeps the
+    transform of vertex-domain observations, and its covariance, alive for
+    ``blind_deconvolve``, and takes no part in comparisons.
     """
 
     gamma_m: np.ndarray
     support: frozenset[int]
     components: tuple[Component, ...]
     observations: SignalEnsemble | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "gamma_m", _owned(self.gamma_m, float))
 
     @property
     def n_vertices(self) -> int:

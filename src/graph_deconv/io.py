@@ -23,7 +23,7 @@ import numpy as np
 from .covariance import BoundCheck
 from .errors import FileFormatError
 from .estimation import ChannelEstimate, Component, sign_of
-from .spectral import VERTEX, SignalEnsemble
+from .spectral import VERTEX, SignalEnsemble, _Value, _owned
 
 _ESTIMATE_HEADER = ["n", "gamma_m", "in_support", "component", "is_anchor"]
 
@@ -349,18 +349,18 @@ def write_bound_report(path, report: list[BoundCheck]) -> None:
 
 
 @dataclass(frozen=True)
-class RawDataset:
+class RawDataset(_Value):
     """Complete station x hour x day grid of measurements, e.g. hourly temperatures.
 
     ``coords`` optionally carries the station coordinates as (id, x, y) rows,
-    one per station in vertex order.
+    one per station in vertex order. ``values`` is kept as a read-only copy.
     """
 
     values: np.ndarray
     coords: tuple | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+        arr = _owned(self.values, float)
         if arr.ndim != 3:
             raise ValueError(f"values must be station x hour x day, got shape {arr.shape}")
         if arr.size == 0:

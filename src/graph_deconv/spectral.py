@@ -15,13 +15,13 @@ breadth-first tree comes from one block of ``adjacency``, so its cost in
 Python calls grows with the tree's depth, not its size. ``bfs_forest`` runs
 it once per connected component.
 
-Ensembles and bases are immutable values: their arrays are read-only, and an
-ensemble takes ownership of the array it is given, copying it only when it is
-a view of another array, so no live alias can change it after the fact. That
-lets a vertex-domain ensemble keep its GFT: ``_as_spectral`` transforms it
-once per basis object and keeps a weak reference to the result, so whoever
-still holds the spectral twin (a ``ChannelEstimate`` does) lets the next call
-skip the transform, and a twin nobody holds is freed as usual.
+Every value that holds an array copies it in its constructor, also when
+unpickled, and stores the copy read-only (``_owned``), so no alias can change
+it after the fact. That lets a vertex-domain ensemble keep its GFT:
+``_as_spectral`` transforms it once per basis object and keeps a weak
+reference to the result, so whoever still holds the spectral twin (a
+``ChannelEstimate`` does) lets the next call skip the transform, and a twin
+nobody holds is freed as usual.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import weakref
 from collections.abc import Set
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -45,16 +45,18 @@ VERTEX = "vertex"
 SPECTRAL = "spectral"
 
 
+class _Value:
+    """Base of the dataclass values that own arrays: they unpickle through their constructor."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+
 def edge_mask(n_vertices: int, edges) -> np.ndarray:
     """Strictly upper-triangular boolean N x N mask of the edges.
 
-    ``edges`` is an ``EdgeSet``, whose mask is returned as is, or 1-based
-    ``(i, j)`` pairs in either order, which are normalised and range-checked.
+    ``edges`` are 1-based ``(i, j)`` pairs in either order; each is range-checked.
     """
-    if isinstance(edges, EdgeSet):
-        if edges.upper.shape != (n_vertices, n_vertices):
-            raise ValueError(f"edge mask {edges.upper.shape} does not fit {n_vertices} vertices")
-        return edges.upper
     pairs = {normalize_edge(e) for e in edges}
     for i, j in pairs:
         if not (1 <= i < j <= n_vertices):
@@ -70,12 +72,14 @@ class EdgeSet(Set):
 
     It compares, subtracts and hashes like the frozenset of the same pairs.
     Iteration yields Python-int pairs in row-major, hence sorted, order. The
-    mask is made read-only and is not copied.
+    mask is copied and stored read-only.
     """
 
     def __init__(self, upper: np.ndarray):
-        upper.flags.writeable = False
-        self.upper = upper
+        self.upper = _owned(upper, bool)
+
+    def __reduce__(self):
+        return EdgeSet, (self.upper,)
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.upper))
@@ -189,23 +193,27 @@ def bfs_forest(adj: np.ndarray, members: np.ndarray) -> tuple[BfsTree, ...]:
 
 
 @dataclass(frozen=True)
-class Graph:
+class Graph(_Value):
     """Undirected, unweighted, finite graph on vertices 1..N.
 
     ``edges`` may be given as an ``EdgeSet`` or as any iterable of 1-based
     vertex pairs; it is stored as an ``EdgeSet`` and read back as tuples
     (i, j) with i < j. Self loops are rejected; a duplicate pair is the same
-    edge. The other attributes are read-only and computed from the edge mask
-    the first time they are read.
+    edge; an ``EdgeSet`` is kept as is. The other attributes are read-only
+    and computed from the edge mask the first time they are read.
     """
 
     n_vertices: int
     edges: Set[tuple[int, int]]
 
     def __post_init__(self):
-        if self.n_vertices < 1:
-            raise ValueError(f"graph needs at least one vertex, got {self.n_vertices}")
-        object.__setattr__(self, "edges", EdgeSet(edge_mask(self.n_vertices, self.edges)))
+        n = self.n_vertices
+        if n < 1:
+            raise ValueError(f"graph needs at least one vertex, got {n}")
+        if not isinstance(self.edges, EdgeSet):
+            object.__setattr__(self, "edges", EdgeSet(edge_mask(n, self.edges)))
+        if self.edges.upper.shape != (n, n):
+            raise ValueError(f"edge mask {self.edges.upper.shape} does not fit {n} vertices")
 
     @cached_property
     def adjacency(self) -> np.ndarray:
@@ -244,6 +252,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _owned(a, dtype) -> np.ndarray:
+    """A read-only copy of ``a`` as ``dtype``, in ``a``'s memory layout so that products round alike."""
+    return _read_only(np.array(a, dtype=dtype))
+
+
 def normalize_edge(pair) -> tuple[int, int]:
     i, j = int(pair[0]), int(pair[1])
     if i == j:
@@ -252,20 +265,20 @@ def normalize_edge(pair) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class SpectralBasis:
+class SpectralBasis(_Value):
     """Orthonormal eigenmodes of a symmetric graph shift.
 
     ``modes`` holds the eigenvectors as columns; ``eigenvalues`` is sorted by
     ascending magnitude, with a (lambda, -lambda) tie ordered negative first.
-    Both are stored read-only, like an ensemble's signals.
+    Both are copied and stored read-only, like an ensemble's signals.
     """
 
     modes: np.ndarray
     eigenvalues: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "modes", _owned(self.modes))
-        object.__setattr__(self, "eigenvalues", _owned(self.eigenvalues))
+        object.__setattr__(self, "modes", _owned(self.modes, float))
+        object.__setattr__(self, "eigenvalues", _owned(self.eigenvalues, float))
 
     @property
     def n_vertices(self) -> int:
@@ -273,15 +286,15 @@ class SpectralBasis:
 
 
 @dataclass(frozen=True)
-class SignalEnsemble:
+class SignalEnsemble(_Value):
     """M real signals of dimension N, rows are samples.
 
     ``domain`` is "vertex" or "spectral" and records which side of the graph
-    Fourier transform the rows live on. ``signals`` is read-only; an input
-    array that is a view of another array is copied first. The two private
-    fields are memos, never compared: ``_as_spectral`` keeps the GFT of a
-    vertex ensemble in ``_spectral``, and ``covariance._covariance`` keeps the
-    empirical covariance in ``_covariance``.
+    Fourier transform the rows live on. ``signals`` is a read-only copy of
+    the input. The two private fields are memos, never compared or pickled:
+    ``_as_spectral`` keeps the GFT of a vertex ensemble in ``_spectral``, and
+    ``covariance._covariance`` keeps the empirical covariance in
+    ``_covariance``.
     """
 
     signals: np.ndarray
@@ -290,22 +303,14 @@ class SignalEnsemble:
     _covariance: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = np.atleast_2d(np.asarray(self.signals, dtype=float))
+        arr = _owned(np.atleast_2d(self.signals), float)
         if arr.ndim != 2:
             raise ValueError(f"signals must be a 2-D array, got ndim={arr.ndim}")
         if arr.shape[0] < 1:
             raise ValueError("ensemble needs at least one signal")
         if self.domain not in (VERTEX, SPECTRAL):
             raise ValueError(f"unknown domain {self.domain!r}")
-        object.__setattr__(self, "signals", _owned(arr))
-
-    def __getstate__(self):
-        # Weak references do not pickle, and the memos are recomputed on demand.
-        return {**self.__dict__, "_spectral": None, "_covariance": None}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self.signals.flags.writeable = False
+        object.__setattr__(self, "signals", arr)
 
     @property
     def n_signals(self) -> int:
@@ -314,15 +319,6 @@ class SignalEnsemble:
     @property
     def n_vertices(self) -> int:
         return self.signals.shape[1]
-
-
-def _owned(a) -> np.ndarray:
-    """``a`` as a read-only float array that no other array shares.
-
-    A view is copied in its own memory layout, so products with it round as before.
-    """
-    a = np.asarray(a, dtype=float)
-    return _read_only(a.copy(order="K") if a.base is not None else a)
 
 
 def build_radius_graph(coords, radius: float) -> Graph:

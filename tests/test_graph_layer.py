@@ -321,10 +321,12 @@ class TestEdgeSetView:
         from_view = Graph(n_vertices=n, edges=EdgeSet(upper_mask(n, edges)))
         assert from_pairs == from_view and hash(from_pairs) == hash(from_view)
 
-    def test_view_mask_passes_through_uncopied(self):
+    def test_view_copies_the_mask_and_the_graph_keeps_the_view(self):
         upper = np.triu(np.ones((4, 4), dtype=bool), 1)
-        graph = Graph(n_vertices=4, edges=EdgeSet(upper))
-        assert graph.edges.upper is upper and not upper.flags.writeable
+        edges = EdgeSet(upper)
+        graph = Graph(n_vertices=4, edges=edges)
+        assert graph.edges is edges and not np.shares_memory(edges.upper, upper)
+        assert upper.flags.writeable and not edges.upper.flags.writeable
         with pytest.raises(ValueError, match="does not fit 5 vertices"):
             Graph(n_vertices=5, edges=EdgeSet(upper))
 
