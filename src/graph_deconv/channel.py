@@ -8,6 +8,8 @@ form only shows up in test oracles).
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import NearZeroResponse
@@ -43,16 +45,12 @@ def operator_norm(gamma) -> float:
 def pseudo_inverse(gamma, support) -> np.ndarray:
     """Entrywise inverse of the response on ``support`` (1-based vertex indices), zero elsewhere.
 
-    Raises ValueError for a support index outside 1..N and NearZeroResponse
-    when some supported entry has magnitude at or below 1e-12, which would
+    Raises ValueError for a support index that is not an integer or lies
+    outside 1..N, and NearZeroResponse when some supported entry has magnitude at or below 1e-12, which would
     blow up the inversion; either error names the lowest offending vertex.
     """
     gamma = as_response(gamma)
-    vertices = sorted({int(n) for n in support})
-    outside = [n for n in vertices if not 1 <= n <= gamma.size]
-    if outside:
-        raise ValueError(f"support index {outside[0]} out of range 1..{gamma.size}")
-    idx = np.array(vertices, dtype=np.intp) - 1
+    idx = np.array(_support_labels(support, gamma.size), dtype=np.intp) - 1
     small = idx[np.abs(gamma[idx]) <= RESPONSE_FLOOR]
     if small.size:
         k = small[0]
@@ -62,6 +60,24 @@ def pseudo_inverse(gamma, support) -> np.ndarray:
     dagger = np.zeros_like(gamma)
     dagger[idx] = 1.0 / gamma[idx]
     return dagger
+
+
+def _support_labels(support, n: int) -> list[int]:
+    """``support`` as ascending Python-int labels in 1..n.
+
+    A label must be an integer, and a bool is not one. A label that is not,
+    or that lies outside 1..n, raises ValueError; a range error names the
+    lowest offender.
+    """
+    labels = list(support)
+    for v in labels:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ValueError(f"support index {v!r} is not an integer")
+    vertices = sorted({int(v) for v in labels})
+    outside = [v for v in vertices if not 1 <= v <= n]
+    if outside:
+        raise ValueError(f"support index {outside[0]} out of range 1..{n}")
+    return vertices
 
 
 def random_channel(n: int, amplitude: float, seed) -> np.ndarray:

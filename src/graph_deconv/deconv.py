@@ -87,8 +87,13 @@ def blind_deconvolve(
     ones that ``estimate_channel`` produced ``estimate`` from are not
     transformed again. Spectrally, each reconstructed coefficient is the
     observed coefficient divided by the estimated response, and exactly zero
-    off support.
+    off support. An estimate of another length than the basis raises
+    ValueError naming both.
     """
+    if estimate.n_vertices != basis.n_vertices:
+        raise ValueError(
+            f"estimate has {estimate.n_vertices} responses, basis dimension is {basis.n_vertices}"
+        )
     if not estimate.support:
         raise ValueError("estimate has empty support, nothing can be reconstructed")
     return DeconvolutionResult(

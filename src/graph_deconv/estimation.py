@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .channel import _support_labels
 from .covariance import _covariance, build_observation_graph, ensure_positive_diagonal
 from .errors import IsolatedVertex
 from .spectral import Graph, SignalEnsemble, SpectralBasis, _as_spectral, _Value, _owned
@@ -72,16 +73,14 @@ class ChannelEstimate(_Value):
         """Wrap a known response as an estimate, for deconvolving with ground truth.
 
         Default support is every index with a response magnitude above 1e-12;
-        a given support index outside 1..N raises ValueError naming it. The
-        single pseudo-component carries no spanning tree.
+        a given support index that is not an integer or lies outside 1..N
+        raises ValueError naming it. The single pseudo-component carries no
+        spanning tree.
         """
         gamma = np.asarray(gamma, dtype=float).reshape(-1)
         if support is None:
             support = {n for n in range(1, gamma.size + 1) if abs(gamma[n - 1]) > 1e-12}
-        support = frozenset(int(n) for n in support)
-        outside = sorted(n for n in support if not 1 <= n <= gamma.size)
-        if outside:
-            raise ValueError(f"support index {outside[0]} out of range 1..{gamma.size}")
+        support = frozenset(_support_labels(support, gamma.size))
         components: tuple[Component, ...] = ()
         if support:
             anchor = min(support)

@@ -5,6 +5,8 @@ Ground truth:
 - channel application vs a dense shift multiply routed through the GFT
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,15 @@ class TestPseudoInverse:
     def test_out_of_range_support(self):
         with pytest.raises(ValueError, match="out of range"):
             pseudo_inverse([1.0, 2.0], {3})
+
+    @pytest.mark.parametrize("bad", [1.5, True, "2", 2.0, np.bool_(True)])
+    def test_non_integer_support_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"support index {re.escape(repr(bad))} is not an integer"):
+            pseudo_inverse([1.0, 2.0, 3.0], [1, bad])
+
+    def test_numpy_integer_support_accepted(self):
+        out = pseudo_inverse([2.0, 4.0], np.array([2], dtype=np.int64))
+        np.testing.assert_array_equal(out, [0.0, 0.25])
 
     def test_matches_the_entrywise_loop(self):
         rng = np.random.default_rng(4)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from graph_deconv import SimulationConfig
+from graph_deconv import ChannelEstimate, SimulationConfig
 from graph_deconv import simulate
 from graph_deconv.cli import cli_dispatch
 from graph_deconv import io as gio
@@ -278,6 +278,27 @@ class TestEstimateDeconvolveDiagnose:
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and f"{path}: row 3: vertex 2" in err[0]
+        assert not (tmp_path / "dec").exists()
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_estimate_of_another_size_is_validation_error(self, sim_bundle, tmp_path, capsys, n):
+        cfg, cfg_path, out = sim_bundle
+        radius = json.loads((out / "summary.json").read_text())["radius"]
+        path = tmp_path / "channel_estimate.csv"
+        gio.write_channel_estimate(path, ChannelEstimate.from_response(np.ones(n)))
+        code = cli_dispatch(
+            [
+                "deconvolve",
+                "--signals", str(out / "observations.csv"),
+                "--estimate", str(path),
+                "--coords", str(out / "coords.csv"),
+                "--radius", str(radius),
+                "--out", str(tmp_path / "dec"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"estimate has {n} responses, basis dimension is 6" in err[0]
         assert not (tmp_path / "dec").exists()
 
     @pytest.mark.parametrize(

@@ -68,6 +68,13 @@ class TestBlindDeconvolve:
         with pytest.raises(ValueError, match="empty support"):
             blind_deconvolve(est, observations, basis)
 
+    @pytest.mark.parametrize("n", [7, 9])
+    def test_estimate_of_another_length_rejected(self, n):
+        basis, xhat, sources, gamma, observations = noiseless_setup(seed=53)
+        est = ChannelEstimate.from_response(np.ones(n))
+        with pytest.raises(ValueError, match=f"estimate has {n} responses, basis dimension is 8"):
+            blind_deconvolve(est, observations, basis)
+
     def test_near_zero_response_on_support_rejected(self):
         basis, xhat, sources, gamma, observations = noiseless_setup(seed=54)
         bad = gamma.copy()
