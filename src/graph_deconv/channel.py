@@ -46,8 +46,9 @@ def pseudo_inverse(gamma, support) -> np.ndarray:
     """Entrywise inverse of the response on ``support`` (1-based vertex indices), zero elsewhere.
 
     Raises ValueError for a support index that is not an integer or lies
-    outside 1..N, and NearZeroResponse when some supported entry has magnitude at or below 1e-12, which would
-    blow up the inversion; either error names the lowest offending vertex.
+    outside 1..N, and NearZeroResponse when some supported entry has magnitude
+    at or below 1e-12, which would blow up the inversion; a range error or a
+    NearZeroResponse names the lowest offending vertex.
     """
     gamma = as_response(gamma)
     idx = np.array(_support_labels(support, gamma.size), dtype=np.intp) - 1
@@ -65,9 +66,8 @@ def pseudo_inverse(gamma, support) -> np.ndarray:
 def _support_labels(support, n: int) -> list[int]:
     """``support`` as ascending Python-int labels in 1..n.
 
-    A label must be an integer, and a bool is not one. A label that is not,
-    or that lies outside 1..n, raises ValueError; a range error names the
-    lowest offender.
+    A label that is not an integer (a bool is not one) or lies outside 1..n
+    raises ValueError; a range error names the lowest such label.
     """
     labels = list(support)
     for v in labels:

@@ -253,7 +253,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _owned(a, dtype) -> np.ndarray:
-    """A read-only copy of ``a`` as ``dtype``, in ``a``'s memory layout so that products round alike."""
+    """A read-only copy of ``a`` as ``dtype`` in ``a``'s memory layout, so products round alike."""
     return _read_only(np.array(a, dtype=dtype))
 
 

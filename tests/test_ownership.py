@@ -199,14 +199,17 @@ def pickled_values():
     result.reconstructed
     graph = Graph(4, {(1, 2), (2, 3)})
     graph.trees, graph.degrees
+    raw = RawDataset(values=np.arange(24.0).reshape(2, 3, 4))
     return {
         "ensemble": (y, ["signals"], [""]),
         "basis": (basis, ["modes", "eigenvalues"], []),
         "edge set": (graph.edges, ["upper"], []),
         "graph": (graph, ["edges.upper", "adjacency", "degrees"], [""]),
         "estimate": (est, ["gamma_m"], []),
-        "result": (result, ["inverse", "observations.signals", "basis.modes"], ["", "observations"]),
-        "dataset": (RawDataset(values=np.arange(24.0).reshape(2, 3, 4)), ["values"], []),
+        "result": (
+            result, ["inverse", "observations.signals", "basis.modes"], ["", "observations"]
+        ),
+        "dataset": (raw, ["values"], []),
     }
 
 
