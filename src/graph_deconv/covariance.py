@@ -21,6 +21,10 @@ import numpy as np
 from .errors import NonpositiveVariance
 from .spectral import EdgeSet, Graph, SignalEnsemble
 
+# Rows per block where an N x N elementwise expression is evaluated a block at
+# a time, so its temporaries stay _ROW_BLOCK x N however large N grows.
+_ROW_BLOCK = 64
+
 
 def empirical_covariance(e: SignalEnsemble) -> np.ndarray:
     """Empirical second-moment matrix (1/M) sum_m s_m s_m^T of an ensemble.
@@ -51,22 +55,49 @@ def empirical_kurtosis(e: SignalEnsemble) -> float:
 
 
 def ensure_positive_diagonal(cov: np.ndarray, what: str) -> np.ndarray:
+    """``cov`` as a float array once it is square with a positive, finite diagonal.
+
+    Raises NonpositiveVariance naming the first vertex whose variance is zero,
+    negative, infinite or NaN; only the diagonal is read.
+    """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError(f"{what} must be square, got shape {cov.shape}")
     diag = np.diag(cov)
-    bad = np.nonzero(diag <= 0)[0]
+    bad = np.flatnonzero(~((diag > 0) & (diag < np.inf)))
     if bad.size:
-        raise NonpositiveVariance(
-            f"{what} has nonpositive variance at vertex {bad[0] + 1} ({diag[bad[0]]:.3e})"
-        )
+        k = bad[0]
+        kind = "nonpositive" if diag[k] <= 0 else "non-finite"
+        raise NonpositiveVariance(f"{what} has {kind} variance at vertex {k + 1} ({diag[k]:.3e})")
     return cov
 
 
 def pearson_matrix(cov: np.ndarray, what: str = "covariance") -> np.ndarray:
+    """Pearson magnitudes |C_pq| / (s_p s_q), s the square roots of the variances."""
     cov = ensure_positive_diagonal(cov, what)
     scale = np.sqrt(np.diag(cov))
     return np.abs(cov) / np.outer(scale, scale)
+
+
+def _pearson_upper(cov: np.ndarray, threshold: float, within=None) -> np.ndarray:
+    """Strictly upper-triangular mask of ``pearson_matrix(cov) >= threshold``.
+
+    Evaluated _ROW_BLOCK rows at a time with the same expression, so no N x N
+    float matrix is formed; ``within``, a boolean N x N mask, keeps only its
+    pairs. ``cov`` must already have passed ``ensure_positive_diagonal``.
+    """
+    n = cov.shape[0]
+    scale = np.sqrt(np.diag(cov))
+    upper = np.empty((n, n), dtype=bool)
+    for r0 in range(0, n, _ROW_BLOCK):
+        rows = slice(r0, r0 + _ROW_BLOCK)
+        rho = np.abs(cov[rows])
+        rho /= np.outer(scale[rows], scale)
+        kept = rho >= threshold
+        if within is not None:
+            kept &= within[rows]
+        upper[rows] = np.triu(kept, r0 + 1)
+    return upper
 
 
 def _check_threshold(name: str, value: float) -> None:
@@ -85,8 +116,9 @@ def build_source_graph(cov_x: np.ndarray, pearson_threshold: float) -> Graph:
     per component.
     """
     _check_threshold("pearson_threshold", pearson_threshold)
-    rho = pearson_matrix(cov_x, "source covariance")
-    return Graph(n_vertices=rho.shape[0], edges=EdgeSet(np.triu(rho >= pearson_threshold, 1)))
+    cov_x = ensure_positive_diagonal(cov_x, "source covariance")
+    upper = _pearson_upper(cov_x, pearson_threshold)
+    return Graph(n_vertices=upper.shape[0], edges=EdgeSet(upper))
 
 
 def build_observation_graph(cov_ym: np.ndarray, source: Graph, delta: float) -> Graph:
@@ -97,12 +129,12 @@ def build_observation_graph(cov_ym: np.ndarray, source: Graph, delta: float) -> 
     nothing else). The result is always a subgraph of the source graph.
     """
     _check_threshold("delta", delta)
-    rho = pearson_matrix(cov_ym, "observation covariance")
-    if rho.shape[0] != source.n_vertices:
+    cov_ym = ensure_positive_diagonal(cov_ym, "observation covariance")
+    if cov_ym.shape[0] != source.n_vertices:
         raise ValueError(
-            f"covariance size {rho.shape[0]} != source graph size {source.n_vertices}"
+            f"covariance size {cov_ym.shape[0]} != source graph size {source.n_vertices}"
         )
-    upper = np.triu(source.adjacency & (rho >= delta), 1)
+    upper = _pearson_upper(cov_ym, delta, source.adjacency)
     return Graph(n_vertices=source.n_vertices, edges=EdgeSet(upper))
 
 

@@ -118,17 +118,22 @@ def reconstructed_covariance(result: DeconvolutionResult) -> np.ndarray:
     return cov
 
 
+def _db_in_place(a: np.ndarray, floor_db: float) -> np.ndarray:
+    """Overwrite ``a`` with max(10 log10(|a| + 1e-5), floor), operation for operation."""
+    np.abs(a, out=a)
+    a += DB_OFFSET
+    np.log10(a, out=a)
+    a *= 10.0
+    return np.maximum(a, floor_db, out=a)
+
+
 def db_scale(matrix: np.ndarray, floor_db: float = DISPLAY_FLOOR_DB) -> np.ndarray:
     """Entrywise max(10 log10(|m| + 1e-5), floor), the display scale for covariances.
 
-    Evaluated in place in one new buffer, operation for operation as written.
+    Evaluated in place on one new copy of ``matrix``, by the same routine that
+    ``covariance_diagnostics`` runs on its own buffers.
     """
-    out = np.array(matrix, dtype=float)
-    np.abs(out, out=out)
-    out += DB_OFFSET
-    np.log10(out, out=out)
-    out *= 10.0
-    return np.maximum(out, floor_db, out=out)
+    return _db_in_place(np.array(matrix, dtype=float), floor_db)
 
 
 def covariance_diagnostics(
@@ -138,6 +143,9 @@ def covariance_diagnostics(
 
     The relative matrix divides each discrepancy by the geometric mean of the
     two source variances, so it needs a strictly positive source diagonal.
+    The raw diagonal excess is read from the discrepancy first; the dB scale
+    then overwrites the discrepancy and the relative matrix in place, so the
+    two outputs are the only N x N arrays formed.
     """
     if not math.isfinite(floor_db):
         raise ValueError(f"floor_db must be a finite number, got {floor_db}")
@@ -146,13 +154,14 @@ def covariance_diagnostics(
     if c_recon.shape != c_source.shape:
         raise ValueError(f"shape mismatch: {c_recon.shape} vs {c_source.shape}")
     delta = c_recon - c_source
+    inflation = np.diag(delta).copy()
     scale = np.sqrt(np.diag(c_source))
     relative = np.outer(scale, scale)
     np.divide(delta, relative, out=relative)
     return DiagnosticMatrices(
-        abs_diff_db=db_scale(delta, floor_db),
-        rel_diff_db=db_scale(relative, floor_db),
-        diagonal_inflation=np.diag(delta).copy(),
+        abs_diff_db=_db_in_place(delta, floor_db),
+        rel_diff_db=_db_in_place(relative, floor_db),
+        diagonal_inflation=inflation,
     )
 
 

@@ -190,8 +190,7 @@ def synthetic_source(n: int, m: int, seed: int) -> tuple[np.ndarray, SignalEnsem
     """
     mixing = mixing_matrix(n, derive_seed(seed, _MIXING))
     rng = np.random.default_rng(derive_seed(seed, _SOURCE))
-    z = rng.standard_normal((m, n))
-    return mixing, SignalEnsemble(signals=z @ mixing.T, domain=SPECTRAL)
+    return mixing, SignalEnsemble(signals=rng.standard_normal((m, n)) @ mixing.T, domain=SPECTRAL)
 
 
 def transmit(
@@ -201,13 +200,19 @@ def transmit(
 
     Returns vertex-domain samples. By orthogonality of the basis, the noise is
     white on the vertex samples too. ``sigma`` must be a finite number >= 0.
+    The filtered samples are added into the scaled noise's own buffer, and
+    no M x N array but the spectral ensemble is held while ``igft`` runs.
     """
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be a finite number >= 0, got {sigma}")
-    filtered = apply_channel(gamma, _as_spectral(basis, sources)).signals
+    spectral = apply_channel(gamma, _as_spectral(basis, sources))
     if sigma > 0:
-        filtered = filtered + sigma * np.random.default_rng(seed).standard_normal(filtered.shape)
-    return igft(basis, SignalEnsemble(signals=filtered, domain=SPECTRAL))
+        noisy = np.random.default_rng(seed).standard_normal(spectral.signals.shape)
+        noisy *= sigma
+        noisy += spectral.signals
+        spectral = SignalEnsemble(signals=noisy, domain=SPECTRAL)
+        del noisy
+    return igft(basis, spectral)
 
 
 def connectivity_radius(xy: np.ndarray) -> float:

@@ -389,10 +389,16 @@ def eigendecompose(shift: np.ndarray) -> SpectralBasis:
         if nonzero.size and col[nonzero[0]] < 0:
             vecs[:, k] = -col
 
-    residual = np.max(np.abs(vecs @ np.diag(vals) @ vecs.T - shift))
+    # Both residuals are formed in place in their one product: U diag(vals) U^T
+    # as (U * vals) U^T, and U^T U - I by subtracting 1 on the diagonal.
+    residual = (vecs * vals) @ vecs.T
+    residual -= shift
+    residual = np.max(np.abs(residual, out=residual))
     if residual > RECONSTRUCTION_TOL:
         raise ValueError(f"eigendecomposition residual {residual:.3e} exceeds {RECONSTRUCTION_TOL}")
-    gram = np.max(np.abs(vecs.T @ vecs - np.eye(vecs.shape[0])))
+    gram = vecs.T @ vecs
+    gram[np.diag_indices_from(gram)] -= 1.0
+    gram = np.max(np.abs(gram, out=gram))
     if gram > SYMMETRY_TOL:
         raise ValueError(f"eigenvectors lost orthogonality ({gram:.3e})")
     return SpectralBasis(modes=vecs, eigenvalues=vals)

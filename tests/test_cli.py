@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from graph_deconv import ChannelEstimate, SimulationConfig
+from graph_deconv import ChannelEstimate, SignalEnsemble, SimulationConfig
 from graph_deconv import simulate
 from graph_deconv.cli import cli_dispatch
 from graph_deconv import io as gio
@@ -326,6 +326,28 @@ class TestEstimateDeconvolveDiagnose:
         assert cli_dispatch(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and message in err[0]
+        assert not (tmp_path / "res").exists()
+
+    def test_overflowing_observations_are_validation_error(self, sim_bundle, tmp_path, capsys):
+        """Their covariance is infinite; the estimate used to be written with
+        empty support and NaN responses, which ``deconvolve`` then refused."""
+        cfg, cfg_path, out = sim_bundle
+        radius = json.loads((out / "summary.json").read_text())["radius"]
+        obs = gio.read_signals(out / "observations.csv")
+        big = tmp_path / "big.csv"
+        gio.write_signals(big, SignalEnsemble(signals=obs.signals * 1e160, domain=obs.domain))
+        argv = [
+            "estimate",
+            "--signals", str(big),
+            "--cov-x", str(out / "cov_x.csv"),
+            "--coords", str(out / "coords.csv"),
+            "--radius", str(radius),
+            "--out", str(tmp_path / "res"),
+        ]
+        with np.errstate(all="ignore"):
+            assert cli_dispatch(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("graph-deconv: magnitude at vertex 1 is nan")
         assert not (tmp_path / "res").exists()
 
     @pytest.mark.parametrize(

@@ -93,6 +93,16 @@ class TestSourceGraph:
         with pytest.raises(NonpositiveVariance, match="vertex 2"):
             build_source_graph(cov, 0.01)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_variance_rejected(self, bad):
+        """A NaN variance passes a `<= 0` test, so finiteness is checked on its own."""
+        cov = np.diag([1.0, 2.0, bad])
+        with pytest.raises(NonpositiveVariance, match=f"non-finite variance at vertex 3 \\({bad}\\)"):
+            build_source_graph(cov, 0.01)
+        source = build_source_graph(np.eye(3) + 0.5, 0.01)
+        with pytest.raises(NonpositiveVariance, match="observation covariance has non-finite"):
+            build_observation_graph(cov, source, 0.01)
+
     def test_threshold_filters_weak_pairs(self):
         cov = np.eye(3)
         cov[0, 1] = cov[1, 0] = 0.5

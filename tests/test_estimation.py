@@ -107,6 +107,17 @@ class TestEstimateMagnitudes:
         with pytest.raises(NonpositiveVariance):
             estimate_magnitudes(cov_x, np.eye(2), source)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_observation_covariance_names_the_vertex(self, bad):
+        """Without the check an infinite variance gave a NaN magnitude that the
+        observation graph then silently dropped from the support."""
+        cov_x = np.full((3, 3), 0.5) + np.eye(3)
+        cov_ym = cov_x.copy()
+        cov_ym[1, 1] = bad
+        source = build_source_graph(cov_x, 0.01)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="vertex 1 is nan"):
+            estimate_magnitudes(cov_x, cov_ym, source)
+
     def test_zero_source_covariance_on_edge_rejected(self):
         cov_x = np.eye(2)
         source = Graph(n_vertices=2, edges=[(1, 2)])
@@ -228,6 +239,14 @@ class TestEstimateChannel:
                 ratio = cov_ym[child - 1, parent - 1] / cov_x[child - 1, parent - 1]
                 lhs = np.sign(est.gamma_m[child - 1]) * np.sign(est.gamma_m[parent - 1])
                 assert lhs == np.sign(ratio)
+
+    def test_overflowing_observations_rejected(self):
+        """Observations scaled by 1e160 square to infinity in their covariance;
+        without the check the estimate came back with an empty support."""
+        _, _, cov_x, source, observations, basis = self.run_noiseless()
+        big = SignalEnsemble(signals=observations.signals * 1e160)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="magnitude at vertex 1 "):
+            estimate_channel(cov_x, big, basis, source, 0.001)
 
     def test_deterministic(self):
         a, *_ = self.run_noiseless(seed=39)
