@@ -21,10 +21,6 @@ import numpy as np
 from .errors import NonpositiveVariance
 from .spectral import EdgeSet, Graph, SignalEnsemble
 
-# Rows per block where an N x N elementwise expression is evaluated a block at
-# a time, so its temporaries stay _ROW_BLOCK x N however large N grows.
-_ROW_BLOCK = 64
-
 
 def empirical_covariance(e: SignalEnsemble) -> np.ndarray:
     """Empirical second-moment matrix (1/M) sum_m s_m s_m^T of an ensemble.
@@ -79,27 +75,6 @@ def pearson_matrix(cov: np.ndarray, what: str = "covariance") -> np.ndarray:
     return np.abs(cov) / np.outer(scale, scale)
 
 
-def _pearson_upper(cov: np.ndarray, threshold: float, within=None) -> np.ndarray:
-    """Strictly upper-triangular mask of ``pearson_matrix(cov) >= threshold``.
-
-    Evaluated _ROW_BLOCK rows at a time with the same expression, so no N x N
-    float matrix is formed; ``within``, a boolean N x N mask, keeps only its
-    pairs. ``cov`` must already have passed ``ensure_positive_diagonal``.
-    """
-    n = cov.shape[0]
-    scale = np.sqrt(np.diag(cov))
-    upper = np.empty((n, n), dtype=bool)
-    for r0 in range(0, n, _ROW_BLOCK):
-        rows = slice(r0, r0 + _ROW_BLOCK)
-        rho = np.abs(cov[rows])
-        rho /= np.outer(scale[rows], scale)
-        kept = rho >= threshold
-        if within is not None:
-            kept &= within[rows]
-        upper[rows] = np.triu(kept, r0 + 1)
-    return upper
-
-
 def _check_threshold(name: str, value: float) -> None:
     """Reject a correlation threshold outside [0, 1]; no Pearson magnitude exceeds 1."""
     if not math.isfinite(value):
@@ -116,9 +91,8 @@ def build_source_graph(cov_x: np.ndarray, pearson_threshold: float) -> Graph:
     per component.
     """
     _check_threshold("pearson_threshold", pearson_threshold)
-    cov_x = ensure_positive_diagonal(cov_x, "source covariance")
-    upper = _pearson_upper(cov_x, pearson_threshold)
-    return Graph(n_vertices=upper.shape[0], edges=EdgeSet(upper))
+    rho = pearson_matrix(cov_x, "source covariance")
+    return Graph(n_vertices=rho.shape[0], edges=EdgeSet(np.triu(rho >= pearson_threshold, 1)))
 
 
 def build_observation_graph(cov_ym: np.ndarray, source: Graph, delta: float) -> Graph:
@@ -129,12 +103,12 @@ def build_observation_graph(cov_ym: np.ndarray, source: Graph, delta: float) -> 
     nothing else). The result is always a subgraph of the source graph.
     """
     _check_threshold("delta", delta)
-    cov_ym = ensure_positive_diagonal(cov_ym, "observation covariance")
-    if cov_ym.shape[0] != source.n_vertices:
+    rho = pearson_matrix(cov_ym, "observation covariance")
+    if rho.shape[0] != source.n_vertices:
         raise ValueError(
-            f"covariance size {cov_ym.shape[0]} != source graph size {source.n_vertices}"
+            f"covariance size {rho.shape[0]} != source graph size {source.n_vertices}"
         )
-    upper = _pearson_upper(cov_ym, delta, source.adjacency)
+    upper = np.triu(source.adjacency & (rho >= delta), 1)
     return Graph(n_vertices=source.n_vertices, edges=EdgeSet(upper))
 
 

@@ -14,7 +14,7 @@ class NearZeroResponse(GraphDeconvError):
 
 
 class NonpositiveVariance(GraphDeconvError):
-    """A covariance matrix has a nonpositive diagonal entry where a positive one is required."""
+    """A covariance matrix has a diagonal entry that is not positive and finite where it must be."""
 
 
 class IsolatedVertex(GraphDeconvError):

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import _support_labels
-from .covariance import _ROW_BLOCK, _covariance, build_observation_graph, ensure_positive_diagonal
-from .errors import IsolatedVertex
+from .covariance import _covariance, build_observation_graph, ensure_positive_diagonal
+from .errors import IsolatedVertex, NonpositiveVariance
 from .spectral import Graph, SignalEnsemble, SpectralBasis, _as_spectral, _Value, _owned
 
 
@@ -113,11 +113,11 @@ def estimate_magnitudes(cov_x: np.ndarray, cov_ym: np.ndarray, source: Graph) ->
     and the estimate averages this over the theta(n) edges incident to n.
     Sampling noise can push the inner radicand sqrt(mu) + alpha slightly below
     zero (mathematically it cannot be); such values are clamped to zero and a
-    RuntimeWarning reports how many edges were affected and the smallest
-    radicand. The expression is evaluated _ROW_BLOCK rows at a time, operation
-    for operation as written, so no N x N temporary is formed and each row
-    sums its edges exactly as a full-matrix evaluation would. A magnitude
-    that comes out infinite or NaN raises ValueError naming its vertex.
+    RuntimeWarning reports how many edges were affected. A NaN or infinite
+    variance in either covariance raises NonpositiveVariance naming its vertex
+    (a zero observation variance is allowed); a magnitude that still comes out
+    infinite or NaN, from finite entries whose squares overflow, raises
+    ValueError naming its vertex.
     """
     cov_x = ensure_positive_diagonal(cov_x, "source covariance")
     cov_ym = np.asarray(cov_ym, dtype=float)
@@ -126,6 +126,13 @@ def estimate_magnitudes(cov_x: np.ndarray, cov_ym: np.ndarray, source: Graph) ->
         raise ValueError(
             f"covariance shapes {cov_x.shape}, {cov_ym.shape} do not match graph size {n}"
         )
+    diag_y = np.diag(cov_ym)
+    non_finite = np.flatnonzero(~np.isfinite(diag_y))
+    if non_finite.size:
+        k = non_finite[0]
+        raise NonpositiveVariance(
+            f"observation covariance has non-finite variance at vertex {k + 1} ({diag_y[k]:.3e})"
+        )
     isolated = np.nonzero(source.degrees == 0)[0]
     if isolated.size:
         raise IsolatedVertex(
@@ -133,47 +140,40 @@ def estimate_magnitudes(cov_x: np.ndarray, cov_ym: np.ndarray, source: Graph) ->
         )
 
     adjacent = source.adjacency
+    if np.any(adjacent & (cov_x == 0)):
+        i, j = np.argwhere(adjacent & (cov_x == 0))[0]
+        raise ValueError(f"source covariance is zero on edge ({i + 1}, {j + 1})")
+
     diag_x = np.diag(cov_x)
-    diag_y = np.diag(cov_ym)
-    sums = np.empty(n)
-    clamped = 0
-    worst = np.inf
-    for r0 in range(0, n, _ROW_BLOCK):
-        rows = slice(r0, r0 + _ROW_BLOCK)
-        adj = adjacent[rows]
-        zero = adj & (cov_x[rows] == 0)
-        if zero.any():
-            i, j = np.argwhere(zero)[0]
-            raise ValueError(f"source covariance is zero on edge ({r0 + i + 1}, {j + 1})")
-        alpha = diag_y[rows, None] - diag_y[None, :]
-        # mu = 4 C_src(n,n) C_src(n',n') beta^2 + alpha^2 is evaluated in
-        # place, so it is bit-equal to the plain expression; beta's buffer is
-        # reused for the squares and the per-edge values, which are zero off
-        # the source edges.
-        beta = np.divide(cov_ym[rows], cov_x[rows], out=np.zeros(adj.shape), where=adj)
-        mu = np.outer(diag_x[rows], diag_x)
-        mu *= 4.0
-        mu *= np.square(beta, out=beta)
-        mu += np.square(alpha, out=beta)
-        inner = np.sqrt(mu, out=mu)
-        inner += alpha
+    alpha = diag_y[:, None] - diag_y[None, :]
+    # mu = 4 C_src(n,n) C_src(n',n') beta^2 + alpha^2 is evaluated in place,
+    # operation for operation as written, so it is bit-equal to the plain
+    # expression; beta's buffer is reused for the squares and the per-edge
+    # values, which are zero off the source edges.
+    beta = np.divide(cov_ym, cov_x, out=np.zeros((n, n)), where=adjacent)
+    mu = np.outer(diag_x, diag_x)
+    mu *= 4.0
+    mu *= np.square(beta, out=beta)
+    mu += np.square(alpha, out=beta)
+    inner = np.sqrt(mu, out=mu)
+    inner += alpha
 
-        negative = inner < 0
-        negative &= adj
-        clamped += int(np.count_nonzero(negative))
-        worst = np.minimum(worst, np.min(inner, where=adj, initial=np.inf))
-        np.maximum(inner, 0.0, out=inner)
-
-        beta.fill(0.0)
-        per_edge = np.sqrt(inner, out=beta, where=adj)
-        sums[rows] = per_edge.sum(axis=1)
+    negative = inner < 0
+    negative &= adjacent
+    clamped = int(np.count_nonzero(negative))
     if clamped:
+        worst = float(np.min(inner[adjacent]))
         warnings.warn(
-            f"clamped negative radicand on {clamped} edge(s) (min {float(worst):.3e}); "
+            f"clamped negative radicand on {clamped} edge(s) (min {worst:.3e}); "
             "the two covariances are inconsistent, likely from sampling noise",
             RuntimeWarning,
             stacklevel=2,
         )
+        np.maximum(inner, 0.0, out=inner)
+
+    beta.fill(0.0)
+    per_edge = np.sqrt(inner, out=beta, where=adjacent)
+    sums = per_edge.sum(axis=1)
     magnitudes = sums / (source.degrees * np.sqrt(2.0 * diag_x))
     bad = np.flatnonzero(~np.isfinite(magnitudes))
     if bad.size:

@@ -347,7 +347,9 @@ class TestEstimateDeconvolveDiagnose:
         with np.errstate(all="ignore"):
             assert cli_dispatch(argv) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("graph-deconv: magnitude at vertex 1 is nan")
+        assert len(err) == 1 and err[0].startswith(
+            "graph-deconv: observation covariance has non-finite variance at vertex 1"
+        )
         assert not (tmp_path / "res").exists()
 
     @pytest.mark.parametrize(

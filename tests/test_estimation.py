@@ -115,8 +115,16 @@ class TestEstimateMagnitudes:
         cov_ym = cov_x.copy()
         cov_ym[1, 1] = bad
         source = build_source_graph(cov_x, 0.01)
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="vertex 1 is nan"):
+        with pytest.raises(NonpositiveVariance, match="observation covariance has non-finite "
+                           "variance at vertex 2"):
             estimate_magnitudes(cov_x, cov_ym, source)
+
+    def test_overflowing_magnitude_names_the_vertex(self):
+        """Finite covariances whose squared ratio overflows give an infinite magnitude."""
+        cov_x = np.array([[1.0, 0.5], [0.5, 1.0]])
+        source = Graph(n_vertices=2, edges=[(1, 2)])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="vertex 1 is inf"):
+            estimate_magnitudes(cov_x, 1e200 * cov_x, source)
 
     def test_zero_source_covariance_on_edge_rejected(self):
         cov_x = np.eye(2)
@@ -245,7 +253,9 @@ class TestEstimateChannel:
         without the check the estimate came back with an empty support."""
         _, _, cov_x, source, observations, basis = self.run_noiseless()
         big = SignalEnsemble(signals=observations.signals * 1e160)
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match="magnitude at vertex 1 "):
+        with np.errstate(all="ignore"), pytest.raises(
+            NonpositiveVariance, match="observation covariance has non-finite variance at vertex 1"
+        ):
             estimate_channel(cov_x, big, basis, source, 0.001)
 
     def test_deterministic(self):
