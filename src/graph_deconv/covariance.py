@@ -26,10 +26,19 @@ def empirical_covariance(e: SignalEnsemble) -> np.ndarray:
     """Empirical second-moment matrix (1/M) sum_m s_m s_m^T of an ensemble.
 
     Symmetric by construction and positive semidefinite with rank at most M.
+    Overflow raises no warning: it leaves a non-finite variance, and an
+    off-diagonal entry cannot exceed the larger variance of its pair, so the
+    checks on the diagonal downstream see every overflow.
     """
     y = e.signals
-    cov = (y.T @ y) / y.shape[0]
-    return (cov + cov.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        # In place, bit-equal to ((y.T @ y) / M + its transpose) / 2: numpy
+        # buffers the overlapping transpose, and * 0.5 rounds like / 2.
+        cov = y.T @ y
+        cov /= y.shape[0]
+        cov += cov.T
+        cov *= 0.5
+    return cov
 
 
 def _covariance(e: SignalEnsemble) -> np.ndarray:

@@ -3,7 +3,10 @@
 Vertex indices in files are 1-based. CSV tables go through ``_read_table`` and
 ``_write_table``: blank lines are skipped, a numeric cell is a finite number in
 Python's ``float`` grammar (``int`` grammar within int64 for index columns),
-and floats are written as ``repr(float(x))`` with ``\\n`` line endings. JSON
+and floats are written as ``repr(float(x))`` with ``\\n`` line endings.
+Numeric tables are parsed by numpy's C reader; a table it rejects is read
+again cell by cell with ``csv.reader``, ``float`` and ``int``, so the grammar,
+the messages and the values are those of Python's reader either way. JSON
 files go through ``read_json`` and ``write_json``: indent 2, trailing newline.
 A file that breaks its format raises ``FileFormatError`` naming the file and,
 in a table, the row.
@@ -14,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import operator
+import warnings
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
@@ -29,23 +33,37 @@ _ESTIMATE_HEADER = ["n", "gamma_m", "in_support", "component", "is_anchor"]
 
 
 class _Table(NamedTuple):
-    """The data rows of a checked CSV table with the file row number of the first."""
+    """The data rows of a checked CSV table and the file row number of the first.
+
+    ``types`` holds the grammar of each column's cells: ``float``, ``int``, or
+    ``str`` for a text column. ``parsed`` is numpy's parse of a numeric table,
+    rows x width or one structured field per column; ``rows`` holds the cells
+    as text when that parse was not used.
+    """
 
     path: object
-    rows: list[list[str]]
-    width: int
+    types: tuple
     first_row: int
+    rows: list[list[str]] | None = None
+    parsed: np.ndarray | None = None
 
-    def numbers(self, dtype=float, col=None) -> np.ndarray:
+    def numbers(self, col=None) -> np.ndarray:
         """Column ``col``, or the whole table as rows x width, as float64 or int64.
 
-        The ``dtype`` constructor, ``float`` or ``int``, is the grammar of a
-        cell. The first cell that does not parse, fit int64 or is finite is
-        named by its row and column.
+        The column's type, ``float`` or ``int``, is the grammar of a cell. The
+        first cell that does not parse, fit int64 or is finite is named by its
+        row and column.
         """
+        if self.parsed is not None:
+            names = self.parsed.dtype.names
+            if col is None:
+                return self.parsed
+            return self.parsed[:, col] if names is None else self.parsed[names[col]]
+        dtype = self.types[0 if col is None else col]
+        width = len(self.types)
         rows = iter(self.rows)
         cells = chain.from_iterable(rows) if col is None else map(operator.itemgetter(col), rows)
-        count = len(self.rows) * (self.width if col is None else 1)
+        count = len(self.rows) * (width if col is None else 1)
         try:
             values = np.fromiter(map(dtype, cells), np.float64 if dtype is float else np.int64, count)
         except (ValueError, OverflowError):
@@ -53,16 +71,16 @@ class _Table(NamedTuple):
             r = len(self.rows) - operator.length_hint(rows) - 1
             if col is None:  # Parse that row a column at a time; the bad column raises.
                 row = self._replace(rows=self.rows[r : r + 1], first_row=self.first_row + r)
-                for c in range(self.width):
-                    row.numbers(dtype, c)
+                for c in range(width):
+                    row.numbers(c)
             problem = "not a number" if dtype is float else "not an int64 integer"
         else:
             bad = np.flatnonzero(~np.isfinite(values))
             if not bad.size:
-                return values if col is not None else values.reshape(-1, self.width)
+                return values if col is not None else values.reshape(-1, width)
             r, problem = int(bad[0]), "non-finite value"
             if col is None:
-                r, col = divmod(r, self.width)
+                r, col = divmod(r, width)
         raise FileFormatError(
             f"{self.path}: row {self.first_row + r}, column {col + 1}: "
             f"{problem}: {self.rows[r][col]!r}"
@@ -70,21 +88,31 @@ class _Table(NamedTuple):
 
     def index_order(self) -> np.ndarray:
         """The row order that sorts column 0, which must hold exactly 1..rows."""
-        index = self.numbers(int, 0)
+        index = self.numbers(0)
         order = np.argsort(index)
         if not np.array_equal(index[order], np.arange(1, index.size + 1)):
             raise FileFormatError(f"{self.path}: indices must be exactly 1..{index.size}")
         return order
 
 
-def _read_table(path, header, allow_empty: bool = False) -> _Table:
+def _read_table(path, header, types=float, allow_empty: bool = False) -> _Table:
     """Read a CSV table and check its shape.
 
     ``header`` is the expected header row, a function from the header's width
-    to that row, or None for a headerless square table. Blank lines are
-    skipped and header cells compared stripped; every data row must be as wide
-    as the header (a headerless table: as wide as it is long).
+    to that row, or None for a headerless square table. ``types`` is the
+    grammar of every cell, ``float`` or ``int``, or a tuple with one per
+    column. Blank lines are skipped and header cells compared stripped; every
+    data row must be as wide as the header (a headerless table: as wide as it
+    is long).
+
+    A numeric table is parsed by numpy's C reader. Anything it rejects, and a
+    table with a non-finite value or a text column, is read again by
+    ``csv.reader`` and Python's ``float`` and ``int``, which decide what is
+    accepted and name what is not.
     """
+    table = _parse_numeric(path, header, types)
+    if table is not None:
+        return table
     try:
         with open(path, newline="") as fh:
             rows = [row for row in csv.reader(fh) if row]
@@ -109,16 +137,87 @@ def _read_table(path, header, allow_empty: bool = False) -> _Table:
         raise FileFormatError(
             f"{path}: row {first_row + r} has {lengths[r]} columns, expected {width}"
         )
-    return _Table(path, rows, width, first_row)
+    return _Table(path, _per_column(types, width), first_row, rows=rows)
+
+
+_NUMPY_TYPES = {float: np.float64, int: np.int64}
+
+
+def _per_column(types, width: int) -> tuple:
+    return types if isinstance(types, tuple) else (types,) * width
+
+
+def _parse_numeric(path, header, types) -> _Table | None:
+    """The table as numpy's C reader parses it, or None where Python's reader must decide.
+
+    numpy converts a float cell with ``PyOS_string_to_double``, the
+    conversion ``float`` uses, reads int64 cells in ``int``'s grammar over
+    ASCII digits, and ends rows at the line ends ``csv.reader`` does. None is
+    returned wherever the two readers could differ: a header other than
+    ``header``, a cell numpy rejects (quotes, underscores, non-ASCII digits,
+    whitespace-only or ragged rows, a float in an int column), a warning, a
+    non-finite value, a line longer than ``csv.field_size_limit()``, or a
+    text column.
+    """
+    if isinstance(types, tuple):  # One structured field per column.
+        if not _NUMPY_TYPES.keys() >= set(types):
+            return None
+        dtype, ndmin = [(f"c{k}", _NUMPY_TYPES[t]) for k, t in enumerate(types)], 1
+    else:
+        dtype, ndmin = _NUMPY_TYPES[types], 2
+    try:
+        with open(path, newline="") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if header is not None:
+                got = [c.strip() for c in next(filter(None, csv.reader(fh)), ())]
+                if not got or got != (header(len(got)) if callable(header) else header):
+                    return None
+            parsed = np.loadtxt(
+                _lines_within(fh, csv.field_size_limit()),
+                dtype=dtype, delimiter=",", comments=None, ndmin=ndmin,
+            )
+    except (csv.Error, ValueError, Warning):
+        return None
+    names = parsed.dtype.names
+    width = parsed.shape[1] if names is None else len(names)
+    if width != (len(parsed) if header is None else len(got)):
+        return None
+    columns = [parsed] if names is None else [parsed[name] for name in names]
+    if not all(np.isfinite(c).all() for c in columns):
+        return None
+    return _Table(path, _per_column(types, width), 1 if header is None else 2, parsed=parsed)
+
+
+def _lines_within(fh, limit: int):
+    """The remaining lines of ``fh``, raising ``ValueError`` at one longer than ``limit``.
+
+    Such a line may hold a cell longer than ``csv.reader`` accepts.
+    """
+    for line in fh:
+        if len(line) > limit:
+            raise ValueError(f"line longer than {limit}")
+        yield line
+
+
+_PLAIN = frozenset({int, float})
 
 
 def _write_table(path, header, rows) -> None:
-    """Write CSV rows; Python floats come out as their ``repr``, strings quoted as CSV needs."""
+    """Write CSV rows; Python floats come out as their ``repr``, strings quoted as CSV needs.
+
+    A row of Python ints and floats only is joined directly: ``csv.writer``
+    writes a float as its ``repr`` and an int as its ``str``, which is its
+    ``repr`` too, and neither ever needs quoting.
+    """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         if header is not None:
             w.writerow(header)
-        w.writerows(rows)
+        for row in rows:
+            if _PLAIN.issuperset(map(type, row)):
+                fh.write(",".join(map(repr, row)) + "\n")
+            else:
+                w.writerow(row)
 
 
 def _floats(values):
@@ -143,9 +242,9 @@ def write_json(path, payload) -> None:
 
 
 def read_coordinates(path) -> list[tuple[str, float, float]]:
-    table = _read_table(path, ["id", "x", "y"])
+    table = _read_table(path, ["id", "x", "y"], (str, float, float))
     ids = map(str.strip, map(operator.itemgetter(0), table.rows))
-    return list(zip(ids, table.numbers(float, 1).tolist(), table.numbers(float, 2).tolist()))
+    return list(zip(ids, table.numbers(1).tolist(), table.numbers(2).tolist()))
 
 
 def write_coordinates(path, coords) -> None:
@@ -154,8 +253,8 @@ def write_coordinates(path, coords) -> None:
 
 
 def read_edge_list(path) -> list[tuple[int, int]]:
-    table = _read_table(path, ["i", "j"], allow_empty=True)
-    return list(map(tuple, table.numbers(int).tolist()))
+    table = _read_table(path, ["i", "j"], int, allow_empty=True)
+    return list(map(tuple, table.numbers().tolist()))
 
 
 def write_edge_list(path, edges) -> None:
@@ -180,8 +279,8 @@ def write_covariance(path, cov: np.ndarray) -> None:
 
 
 def read_response(path) -> np.ndarray:
-    table = _read_table(path, ["n", "gamma"])
-    return table.numbers(float, 1)[table.index_order()]
+    table = _read_table(path, ["n", "gamma"], (int, float))
+    return table.numbers(1)[table.index_order()]
 
 
 def write_response(path, gamma) -> None:
@@ -234,10 +333,10 @@ def read_channel_estimate(csv_path, json_path=None) -> ChannelEstimate:
     sign other than +-1, an ``n_vertices`` other than the CSV's row count, or
     components, membership or anchors other than the CSV columns give.
     """
-    table = _read_table(csv_path, _ESTIMATE_HEADER)
+    table = _read_table(csv_path, _ESTIMATE_HEADER, (int, float, int, int, int))
     order = table.index_order()
-    gamma = table.numbers(float, 1)[order]
-    in_support, comp_id, is_anchor = (table.numbers(int, k)[order] for k in (2, 3, 4))
+    gamma = table.numbers(1)[order]
+    in_support, comp_id, is_anchor = (table.numbers(k)[order] for k in (2, 3, 4))
     n = gamma.size
     _check_estimate_columns(table, order, in_support, comp_id, is_anchor)
     support = frozenset(_vertices(in_support != 0))
@@ -394,9 +493,9 @@ def load_raw_dataset(path, coords_path=None) -> RawDataset:
     complete: every (station, day, hour) combination exactly once. A
     coordinates CSV can be attached via ``coords_path``.
     """
-    table = _read_table(path, ["station", "day", "hour", "value"])
-    station, day, hour = cells = np.stack([table.numbers(int, k) for k in range(3)])
-    value = table.numbers(float, 3)
+    table = _read_table(path, ["station", "day", "hour", "value"], (int, int, int, float))
+    station, day, hour = cells = np.stack([table.numbers(k) for k in range(3)])
+    value = table.numbers(3)
     out_of_range = np.flatnonzero((station < 1) | (day < 1) | (hour < 0))
     if out_of_range.size:
         where = tuple(cells[:, out_of_range[0]].tolist())

@@ -42,7 +42,7 @@ from .deconv import (
     summarize_gap,
 )
 from .errors import DegenerateSpectrum, FileFormatError
-from .estimation import ChannelEstimate, estimate_channel, sign_consistency_report, sign_of
+from .estimation import ChannelEstimate, estimate_channel, sign_consistency_report
 from .spectral import (
     SPECTRAL,
     Graph,
@@ -327,13 +327,15 @@ def population_model(config: SimulationConfig) -> PopulationModel:
 
 
 def signs_match(estimate: ChannelEstimate, gamma_true: np.ndarray) -> bool:
-    """True when every component's sign pattern equals the truth up to one flip."""
+    """True when every component's sign pattern equals the truth up to one flip.
+
+    Zero counts as positive, as in ``sign_of``.
+    """
+    gamma_true = np.asarray(gamma_true)
     for comp in estimate.components:
-        idx = [v - 1 for v in comp.vertices]
-        rel = [
-            sign_of(estimate.gamma_m[k]) * sign_of(gamma_true[k]) for k in idx
-        ]
-        if any(r != rel[0] for r in rel):
+        idx = np.asarray(comp.vertices) - 1
+        flipped = (estimate.gamma_m[idx] < 0) != (gamma_true[idx] < 0)
+        if flipped.any() and not flipped.all():
             return False
     return True
 

@@ -1,10 +1,15 @@
 """Command line surface: exit codes, file outputs, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graph_deconv
 from graph_deconv import ChannelEstimate, SignalEnsemble, SimulationConfig
 from graph_deconv import simulate
 from graph_deconv.cli import cli_dispatch
@@ -351,6 +356,35 @@ class TestEstimateDeconvolveDiagnose:
             "graph-deconv: observation covariance has non-finite variance at vertex 1"
         )
         assert not (tmp_path / "res").exists()
+
+    def test_overflowing_observations_print_one_stderr_line(self, sim_bundle, tmp_path):
+        """Run as a user runs it, under Python's default warning filters:
+        numpy's overflow warnings must not precede the one-line error."""
+        cfg, cfg_path, out = sim_bundle
+        radius = json.loads((out / "summary.json").read_text())["radius"]
+        obs = gio.read_signals(out / "observations.csv")
+        big = tmp_path / "big.csv"
+        gio.write_signals(big, SignalEnsemble(signals=obs.signals * 1e160, domain=obs.domain))
+        argv = [
+            "estimate",
+            "--signals", str(big),
+            "--cov-x", str(out / "cov_x.csv"),
+            "--coords", str(out / "coords.csv"),
+            "--radius", str(radius),
+            "--out", str(tmp_path / "res"),
+        ]
+        package_root = str(Path(graph_deconv.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])}
+        env.pop("PYTHONWARNINGS", None)
+        run = subprocess.run(
+            [sys.executable, "-c", "from graph_deconv.cli import main; main()", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 1
+        err = run.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "graph-deconv: observation covariance has non-finite variance at vertex 1"
+        ), run.stderr
 
     @pytest.mark.parametrize(
         "flag, name", [("--delta", "delta"), ("--pearson-threshold", "pearson_threshold")]

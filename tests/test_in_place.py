@@ -1,11 +1,12 @@
 """The in-place evaluations against the full-matrix bodies they replaced.
 
-``covariance_diagnostics`` scales its own buffers to dB in place, and
-``transmit`` adds the filtered samples into the noise's buffer. The
+``covariance_diagnostics`` scales its own buffers to dB in place,
+``transmit`` adds the filtered samples into the noise's buffer, and
+``empirical_covariance`` symmetrises its product in place. The
 ``reference_*`` functions below are the bodies they replaced, each forming
 its N x N (or M x N) temporaries whole. Every output must be bit-equal. The
 memory tests bound what one estimate-to-diagnostics pass and one ``transmit``
-allocate.
+allocate, and one ``empirical_covariance``.
 """
 
 import tracemalloc
@@ -55,6 +56,12 @@ def reference_transmit(sources, gamma, basis, sigma, seed):
     return gd.igft(basis, SignalEnsemble(signals=filtered, domain=SPECTRAL))
 
 
+def reference_empirical_covariance(e):
+    y = e.signals
+    cov = (y.T @ y) / y.shape[0]
+    return (cov + cov.T) / 2.0
+
+
 def psd(rng, n, scale=1.0):
     """A random covariance with a positive diagonal and off-diagonal entries of either sign."""
     b = rng.standard_normal((n, n + 2))
@@ -88,6 +95,21 @@ def test_transmit_bit_equal(n, m, seed, domain, sigma):
     want = reference_transmit(sources, gamma, basis, sigma, seed)
     assert got.domain == want.domain == VERTEX
     assert np.array_equal(got.signals, want.signals)
+
+
+@SETTINGS
+@given(SIZES, st.integers(1, 40), seeds, st.sampled_from(["C", "F", "strided"]),
+       st.sampled_from([1.0, 1e-170, 1e160]))
+def test_empirical_covariance_bit_equal(n, m, seed, layout, scale):
+    """Also for strided and Fortran-ordered samples, 1 x 1 ones, and products
+    that underflow or overflow."""
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((2 * m, 2 * n)) * scale
+    y = {"C": y[:m, :n], "F": np.asfortranarray(y[:m, :n]), "strided": y[::2, ::2]}[layout]
+    e = SignalEnsemble(signals=y, domain=SPECTRAL)
+    with np.errstate(all="ignore"):
+        want = reference_empirical_covariance(e)
+    assert np.array_equal(gd.empirical_covariance(e), want, equal_nan=True)
 
 
 N_MEM, M_MEM = 512, 1000
@@ -143,3 +165,12 @@ def test_transmit_holds_one_ensemble_of_slack(large_inputs):
     y, peak = traced_peak(lambda: gd.transmit(sources, gamma, basis, 0.5, 14))
     assert y.signals.shape == (M_MEM, N_MEM)
     assert peak <= 3 * MN + 64 * N_MEM * 8, f"peak {peak / 1e6:.1f} MB, {peak / MN:.3f} M x N"
+
+
+def test_empirical_covariance_holds_one_square_of_slack():
+    """Beside the N x N it returns, only numpy's buffer for the overlapping
+    transpose may be live; the full-matrix body held two more."""
+    e = SignalEnsemble(signals=np.random.default_rng(15).standard_normal((M_MEM, N_MEM)), domain=SPECTRAL)
+    cov, peak = traced_peak(lambda: gd.empirical_covariance(e))
+    assert np.array_equal(cov, reference_empirical_covariance(e))
+    assert peak <= 2 * NN + 64 * N_MEM * 8, f"peak {peak / 1e6:.1f} MB, {peak / NN:.3f} N x N"

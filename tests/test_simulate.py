@@ -9,6 +9,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graph_deconv import (
     DegenerateSpectrum,
@@ -34,7 +36,7 @@ from graph_deconv.simulate import (
     signs_match,
     simulation_graph,
 )
-from graph_deconv.estimation import ChannelEstimate, Component
+from graph_deconv.estimation import ChannelEstimate, Component, sign_of
 
 
 class TestConfig:
@@ -278,6 +280,39 @@ class TestSignsMatch:
         comps = (Component(vertices=(1, 2, 3), anchor=1, anchor_sign=1, parents={}),)
         est = self.make_estimate(wrong, comps)
         assert not signs_match(est, gamma)
+
+
+def reference_signs_match(estimate, gamma_true):
+    for comp in estimate.components:
+        idx = [v - 1 for v in comp.vertices]
+        rel = [sign_of(estimate.gamma_m[k]) * sign_of(gamma_true[k]) for k in idx]
+        if any(r != rel[0] for r in rel):
+            return False
+    return True
+
+
+SIGNED = st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.5, 3.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_signs_match_equals_the_loop(data):
+    """Zero entries of either sign and one-vertex components included; label
+    k > 0 puts a vertex in component k, label 0 leaves it off the support."""
+    n = data.draw(st.integers(1, 8))
+    gamma_m, gamma_true = (np.array(data.draw(st.lists(SIGNED, min_size=n, max_size=n))) for _ in "mt")
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    members = [tuple(v for v in range(1, n + 1) if labels[v - 1] == k) for k in (1, 2, 3)]
+    components = tuple(
+        Component(vertices=vs, anchor=vs[0], anchor_sign=1, parents={v: vs[0] for v in vs[1:]})
+        for vs in members if vs
+    )
+    est = ChannelEstimate(
+        gamma_m=gamma_m,
+        support=frozenset(v for c in components for v in c.vertices),
+        components=components,
+    )
+    assert signs_match(est, gamma_true) == reference_signs_match(est, gamma_true)
 
 
 class TestRunSimulation:
