@@ -101,9 +101,9 @@ def _read_table(path, header, types=float, allow_empty: bool = False) -> _Table:
     ``header`` is the expected header row, a function from the header's width
     to that row, or None for a headerless square table. ``types`` is the
     grammar of every cell, ``float`` or ``int``, or a tuple with one per
-    column. Blank lines are skipped and header cells compared stripped; every
-    data row must be as wide as the header (a headerless table: as wide as it
-    is long).
+    column (``str`` for a text column). Blank lines are skipped and header
+    cells compared stripped; every data row must be as wide as the header (a
+    headerless table: as wide as it is long).
 
     A numeric table is parsed by numpy's C reader. Anything it rejects, and a
     table with a non-finite value or a text column, is read again by
@@ -156,8 +156,7 @@ def _parse_numeric(path, header, types) -> _Table | None:
     returned wherever the two readers could differ: a header other than
     ``header``, a cell numpy rejects (quotes, underscores, non-ASCII digits,
     whitespace-only or ragged rows, a float in an int column), a warning, a
-    non-finite value, a line longer than ``csv.field_size_limit()``, or a
-    text column.
+    non-finite value, a line ``_checked_lines`` refuses, or a text column.
     """
     if isinstance(types, tuple):  # One structured field per column.
         if not _NUMPY_TYPES.keys() >= set(types):
@@ -173,7 +172,7 @@ def _parse_numeric(path, header, types) -> _Table | None:
                 if not got or got != (header(len(got)) if callable(header) else header):
                     return None
             parsed = np.loadtxt(
-                _lines_within(fh, csv.field_size_limit()),
+                _checked_lines(fh, csv.field_size_limit()),
                 dtype=dtype, delimiter=",", comments=None, ndmin=ndmin,
             )
     except (csv.Error, ValueError, Warning):
@@ -188,15 +187,23 @@ def _parse_numeric(path, header, types) -> _Table | None:
     return _Table(path, _per_column(types, width), 1 if header is None else 2, parsed=parsed)
 
 
-def _lines_within(fh, limit: int):
-    """The remaining lines of ``fh``, raising ``ValueError`` at one longer than ``limit``.
+def _checked_lines(fh, limit: int):
+    """The remaining lines of ``fh``, checked a batch at a time before numpy reads them.
 
-    Such a line may hold a cell longer than ``csv.reader`` accepts.
+    A line longer than ``limit`` may hold a cell longer than ``csv.reader``
+    accepts, and numpy strips the ASCII separators ``\\x1c``-``\\x1f`` from a
+    cell as whitespace where ``float`` and ``int`` reject them; either raises
+    ``ValueError``.
     """
-    for line in fh:
-        if len(line) > limit:
-            raise ValueError(f"line longer than {limit}")
-        yield line
+
+    def batches():
+        for batch in iter(lambda: fh.readlines(1 << 16), []):
+            text = "".join(batch)
+            if max(map(len, batch)) > limit or any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
+                raise ValueError("a line numpy could read differently from csv.reader")
+            yield batch
+
+    return chain.from_iterable(batches())
 
 
 _PLAIN = frozenset({int, float})

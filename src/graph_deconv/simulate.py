@@ -333,7 +333,7 @@ def signs_match(estimate: ChannelEstimate, gamma_true: np.ndarray) -> bool:
     """
     gamma_true = np.asarray(gamma_true)
     for comp in estimate.components:
-        idx = np.asarray(comp.vertices) - 1
+        idx = np.array(comp.vertices, dtype=np.intp) - 1
         flipped = (estimate.gamma_m[idx] < 0) != (gamma_true[idx] < 0)
         if flipped.any() and not flipped.all():
             return False

@@ -373,8 +373,8 @@ class TestEstimateDeconvolveDiagnose:
             "--radius", str(radius),
             "--out", str(tmp_path / "res"),
         ]
-        package_root = str(Path(graph_deconv.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])}
+        path = [str(Path(graph_deconv.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         env.pop("PYTHONWARNINGS", None)
         run = subprocess.run(
             [sys.executable, "-c", "from graph_deconv.cli import main; main()", *argv],

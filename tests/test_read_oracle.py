@@ -225,8 +225,9 @@ def tables(tmp_path_factory):
     return {kind: (root / kind).read_bytes() for kind in READERS}
 
 
-CELLS = (*TOKENS, "1_000.5", " 2 ", '"1.5"', '"2"', "١٢", "１", "2.0", "1e5", "+1", "-0", "0x10",
-         "inf", "1#2", " 1 ", "1\x00", " ", "\t", "4 5", "9223372036854775808")
+CELLS = (*TOKENS, "1_000.5", " 2 ", '"1.5"', '"2"', "\u0661\u0662", "\uff11", "2.0", "1e5", "+1",
+         "-0", "0x10", "inf", "1#2", "\u20031\u2003", "\xa01.5", "2\x0b", "\x1c2", "1\x00", " ", "\t",
+         "4 5", "9223372036854775808", ".", "1e", "--1", "-.5E-3")
 
 
 def _cell_mutations(data: bytes, first: int, rng):
@@ -261,18 +262,25 @@ def _row_mutations(data: bytes, rng):
     yield ""
     limit = csv.field_size_limit()
     yield "\n".join(lines[:at] + [" " * limit + lines[at]] + lines[at + 1 :]) + "\n"
-    yield "\n".join(lines[:at] + [lines[at] + " " * (limit // 2)] + lines[at + 1 :]) + "\n"
+    padded = ",".join(cell + " " * (limit // 2) for cell in cells)  # A long line of short cells.
+    yield "\n".join(lines[:at] + [padded] + lines[at + 1 :]) + "\n"
 
 
 @pytest.mark.parametrize("kind", list(READERS))
 def test_mutated_tables_read_as_the_oracle_reads_them(tables, tmp_path, monkeypatch, kind):
     """Numeric tables must take numpy's parse on some cases and Python's on others."""
-    parses = []
-    parse = gio._parse_numeric
-    monkeypatch.setattr(gio, "_parse_numeric", lambda *args: parses.append(parse(*args)) or parses[-1])
+    parses, parse = [], gio._parse_numeric
+
+    def spy(*args):
+        parses.append(parse(*args))
+        return parses[-1]
+
+    monkeypatch.setattr(gio, "_parse_numeric", spy)
     original = tables[kind]
     rng = np.random.default_rng([sum(kind.encode()), 1])
-    cases = [m.encode() for m in chain(_cell_mutations(original, int(kind != "covariance"), rng), _row_mutations(original, rng))]
+    first_data_line = int(kind != "covariance")
+    texts = chain(_cell_mutations(original, first_data_line, rng), _row_mutations(original, rng))
+    cases = [text.encode() for text in texts]
     cases += [mutate(original, k, arg, rng) for _ in range(3) for k, arg in MUTATIONS]
     outcomes = set()
     for case, data in enumerate(cases):
@@ -299,8 +307,8 @@ def test_written_matrices_read_back_bit_for_bit(tmp_path, scale):
 
 
 def test_load_raw_dataset_traces_under_ten_megabytes(tmp_path):
-    """96 stations x 31 days x 24 hours, 71,424 rows: the cells are never
-    held as Python strings."""
+    """96 stations x 31 days x 24 hours, 71,424 rows: the table is never
+    held as rows of Python strings."""
     n, d, t = 96, 31, 24
     values = np.random.default_rng(42).normal(15.0, 3.0, size=(n, t, d))
     grid = values.tolist()
