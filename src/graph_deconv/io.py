@@ -55,9 +55,9 @@ class _Table(NamedTuple):
         row and column.
         """
         if self.parsed is not None:
-            names = self.parsed.dtype.names
             if col is None:
                 return self.parsed
+            names = self.parsed.dtype.names
             return self.parsed[:, col] if names is None else self.parsed[names[col]]
         dtype = self.types[0 if col is None else col]
         width = len(self.types)
