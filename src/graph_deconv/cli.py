@@ -108,8 +108,12 @@ def _cmd_deconvolve(args) -> None:
     estimate = gio.read_channel_estimate(args.estimate, args.components)
     result = blind_deconvolve(estimate, observations, basis)
     out = _outdir(args)
-    gio.write_signals(out / "reconstructed.csv", result.reconstructed)
-    gio.write_covariance(out / "recon_cov.csv", reconstructed_covariance(result))
+    gio.write_reconstruction(
+        out / "reconstructed.csv",
+        result.reconstructed,
+        out / "recon_cov.csv",
+        reconstructed_covariance(result),
+    )
     print(
         f"deconvolved {observations.n_signals} samples on support "
         f"{len(result.support)}/{observations.n_vertices}"

@@ -3,7 +3,8 @@
 Vertex indices in files are 1-based. CSV tables go through ``_read_table`` and
 ``_write_table``: blank lines are skipped, a numeric cell is a finite number in
 Python's ``float`` grammar (``int`` grammar within int64 for index columns),
-and floats are written as ``repr(float(x))`` with ``\\n`` line endings.
+and floats are written as ``repr(float(x))`` with ``\\n`` line endings; a
+NaN or an infinity raises ``ValueError`` before its file is opened.
 Numeric tables are parsed by numpy's C reader; a table it rejects is read
 again cell by cell with ``csv.reader``, ``float`` and ``int``, so the grammar,
 the messages and the values are those of Python's reader either way. JSON
@@ -227,9 +228,22 @@ def _write_table(path, header, rows) -> None:
                 w.writerow(row)
 
 
-def _floats(values):
-    """Python floats, a row of a matrix at a time, so a table cell is ``repr(float(x))``."""
+def _floats(path, values, row: int, col: int = 1):
+    """Python floats, a row of a matrix at a time, so a table cell is ``repr(float(x))``.
+
+    ``values``, a column or a matrix, is written to ``path`` from file row
+    ``row`` and column ``col`` on. A NaN or an infinity raises ``ValueError``
+    naming its row and column, here, so before the file is opened.
+    """
     values = np.asarray(values, dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(finite.argmin())
+        r, c = divmod(k, values.shape[1]) if values.ndim == 2 else (k, 0)
+        raise ValueError(
+            f"{path}: row {row + r}, column {col + c}: "
+            f"non-finite value {float(values.flat[k])!r} cannot be written"
+        )
     return map(np.ndarray.tolist, values) if values.ndim == 2 else values.tolist()
 
 
@@ -256,7 +270,7 @@ def read_coordinates(path) -> list[tuple[str, float, float]]:
 
 def write_coordinates(path, coords) -> None:
     ids, x, y = zip(*coords) if coords else ((), (), ())
-    _write_table(path, ["id", "x", "y"], zip(ids, _floats(x), _floats(y)))
+    _write_table(path, ["id", "x", "y"], zip(ids, _floats(path, x, 2, 2), _floats(path, y, 2, 3)))
 
 
 def read_edge_list(path) -> list[tuple[int, int]]:
@@ -268,13 +282,17 @@ def write_edge_list(path, edges) -> None:
     _write_table(path, ["i", "j"], sorted(edges))
 
 
+def _signals_header(n: int) -> list[str]:
+    return [f"v{k}" for k in range(1, n + 1)]
+
+
 def read_signals(path) -> SignalEnsemble:
-    table = _read_table(path, lambda n: [f"v{k}" for k in range(1, n + 1)])
+    table = _read_table(path, _signals_header)
     return SignalEnsemble(signals=table.numbers(), domain=VERTEX)
 
 
 def write_signals(path, e: SignalEnsemble) -> None:
-    _write_table(path, [f"v{k}" for k in range(1, e.n_vertices + 1)], _floats(e.signals))
+    _write_table(path, _signals_header(e.n_vertices), _floats(path, e.signals, 2))
 
 
 def read_covariance(path) -> np.ndarray:
@@ -282,7 +300,14 @@ def read_covariance(path) -> np.ndarray:
 
 
 def write_covariance(path, cov: np.ndarray) -> None:
-    _write_table(path, None, _floats(cov))
+    _write_table(path, None, _floats(path, cov, 1))
+
+
+def write_reconstruction(signals_path, e: SignalEnsemble, cov_path, cov: np.ndarray) -> None:
+    """``write_signals`` and ``write_covariance``, or neither when either table is not finite."""
+    signals, cov_rows = _floats(signals_path, e.signals, 2), _floats(cov_path, cov, 1)
+    _write_table(signals_path, _signals_header(e.n_vertices), signals)
+    _write_table(cov_path, None, cov_rows)
 
 
 def read_response(path) -> np.ndarray:
@@ -291,11 +316,11 @@ def read_response(path) -> np.ndarray:
 
 
 def write_response(path, gamma) -> None:
-    _write_table(path, ["n", "gamma"], enumerate(_floats(np.ravel(gamma)), start=1))
+    _write_table(path, ["n", "gamma"], enumerate(_floats(path, np.ravel(gamma), 2, 2), start=1))
 
 
 def write_eigenvalues(path, eigenvalues) -> None:
-    _write_table(path, ["n", "lambda"], enumerate(_floats(eigenvalues), start=1))
+    _write_table(path, ["n", "lambda"], enumerate(_floats(path, eigenvalues, 2, 2), start=1))
 
 
 def write_channel_estimate(csv_path, estimate: ChannelEstimate, json_path=None) -> None:
@@ -305,7 +330,7 @@ def write_channel_estimate(csv_path, estimate: ChannelEstimate, json_path=None) 
     for k, comp in enumerate(estimate.components, start=1):
         flags[1, [v - 1 for v in comp.vertices]] = k
         flags[2, comp.anchor - 1] = 1
-    rows = zip(range(1, n + 1), _floats(estimate.gamma_m), *flags.tolist())
+    rows = zip(range(1, n + 1), _floats(csv_path, estimate.gamma_m, 2, 2), *flags.tolist())
     _write_table(csv_path, _ESTIMATE_HEADER, rows)
     if json_path is not None:
         components = [
@@ -450,7 +475,8 @@ def _check_components_match_csv(json_path, csv_path, support, members, anchors, 
 
 
 def write_bound_report(path, report: list[BoundCheck]) -> None:
-    rows = ((c.n, c.nprime, *_floats([c.eps, c.empirical, c.bound]), int(c.flag)) for c in report)
+    stats = _floats(path, [[c.eps, c.empirical, c.bound] for c in report], 2, 3)
+    rows = ((c.n, c.nprime, *s, int(c.flag)) for c, s in zip(report, stats))
     _write_table(path, ["n", "nprime", "eps", "empirical", "bound", "flag"], rows)
 
 
@@ -493,25 +519,41 @@ class RawDataset(_Value):
         return self.values.shape[2]
 
 
+def _first_repeat(cells) -> int | None:
+    """The first row whose cell, its values across ``cells``, an earlier row already holds.
+
+    A stable sort by cell puts every row right after the earlier rows that
+    hold its cell, so a row equal to its sorted predecessor repeats one.
+    Sorted neighbours are compared a column at a time into one mask, and the
+    sort order and mask are freed on return, before the grid is filled.
+    """
+    order = np.lexsort(cells[::-1])
+    repeated = np.ones(order.size - 1, dtype=bool)
+    for c in cells:
+        sorted_c = c[order]
+        repeated &= sorted_c[1:] == sorted_c[:-1]
+    return int(order[1:][repeated].min()) if repeated.any() else None
+
+
 def load_raw_dataset(path, coords_path=None) -> RawDataset:
     """Read a long-format CSV with columns station,day,hour,value.
 
     Stations and days are numbered from 1, hours from 0. The grid must be
     complete: every (station, day, hour) combination exactly once. A
-    coordinates CSV can be attached via ``coords_path``.
+    repeated cell is reported for the first row, in file order, whose cell an
+    earlier row already holds. A coordinates CSV can be attached via
+    ``coords_path``.
     """
     table = _read_table(path, ["station", "day", "hour", "value"], (int, int, int, float))
-    station, day, hour = cells = np.stack([table.numbers(k) for k in range(3)])
+    cells = station, day, hour = [table.numbers(k) for k in range(3)]
     value = table.numbers(3)
     out_of_range = np.flatnonzero((station < 1) | (day < 1) | (hour < 0))
     if out_of_range.size:
-        where = tuple(cells[:, out_of_range[0]].tolist())
+        where = tuple(int(c[out_of_range[0]]) for c in cells)
         raise FileFormatError(f"{path}: indices out of range in row {where}")
-    # Rows sorted by cell; a row equal to its sorted predecessor repeats a cell.
-    order = np.lexsort(cells[::-1])
-    repeats = order[1:][np.all(np.diff(cells[:, order], axis=1) == 0, axis=0)]
-    if repeats.size:
-        where = tuple(cells[:, repeats.min()].tolist())
+    row = _first_repeat(cells)
+    if row is not None:
+        where = tuple(int(c[row]) for c in cells)
         raise FileFormatError(f"{path}: duplicate entry for {where}")
     n, d, t = int(station.max()), int(day.max()), int(hour.max()) + 1
     missing = n * d * t - value.size

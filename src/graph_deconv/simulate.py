@@ -244,7 +244,7 @@ def simulation_graph(n: int, seed: int) -> tuple[list[tuple[str, float, float]],
     (twin vertices produce them) are redrawn, up to a bounded number of
     attempts; every redraw is itself seed-deterministic.
     """
-    last_error: Exception | None = None
+    last_error: str | None = None
     for attempt in range(_GRAPH_ATTEMPTS):
         rng = np.random.default_rng(derive_seed(seed, _COORDS, attempt))
         xy = rng.random((n, 2))
@@ -254,7 +254,8 @@ def simulation_graph(n: int, seed: int) -> tuple[list[tuple[str, float, float]],
         try:
             basis = eigendecompose(laplacian(graph))
         except DegenerateSpectrum as exc:
-            last_error = exc
+            # Text only: the traceback would pin the callers' frames until a full GC.
+            last_error = str(exc)
             continue
         return coords, radius, graph, basis
     raise DegenerateSpectrum(

@@ -36,6 +36,17 @@ def _component(vertices, anchor, parents, sign=1):
     }
 
 
+def _main(argv) -> subprocess.CompletedProcess:
+    """Run the CLI's ``main`` in a fresh interpreter under Python's default warning filters."""
+    path = [str(Path(graph_deconv.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run(
+        [sys.executable, "-c", "from graph_deconv.cli import main; main()", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 class TestGraphCommand:
     def test_from_coordinates(self, tmp_path, capsys):
         coords_path = tmp_path / "coords.csv"
@@ -373,18 +384,40 @@ class TestEstimateDeconvolveDiagnose:
             "--radius", str(radius),
             "--out", str(tmp_path / "res"),
         ]
-        path = [str(Path(graph_deconv.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        env.pop("PYTHONWARNINGS", None)
-        run = subprocess.run(
-            [sys.executable, "-c", "from graph_deconv.cli import main; main()", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        run = _main(argv)
         assert run.returncode == 1
         err = run.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith(
             "graph-deconv: observation covariance has non-finite variance at vertex 1"
         ), run.stderr
+
+    def test_non_finite_reconstruction_is_not_written(self, tmp_path):
+        """Observations scaled by 1e170 have a finite reconstruction but an
+        infinite covariance, which ``diagnose`` would refuse to read."""
+        cfg = SimulationConfig(n_vertices=12, sample_count=200, noise_sigma=0.5, seed=3, trials=1)
+        cfg_path, out = tmp_path / "sim.json", tmp_path / "bundle"
+        cfg.to_json_file(cfg_path)
+        assert cli_dispatch(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        radius = json.loads((out / "summary.json").read_text())["radius"]
+        obs = gio.read_signals(out / "observations.csv")
+        big = tmp_path / "big.csv"
+        gio.write_signals(big, SignalEnsemble(signals=obs.signals * 1e170, domain=obs.domain))
+        res = tmp_path / "res"
+        run = _main([
+            "deconvolve",
+            "--signals", str(big),
+            "--estimate", str(out / "channel_estimate.csv"),
+            "--components", str(out / "components.json"),
+            "--coords", str(out / "coords.csv"),
+            "--radius", str(radius),
+            "--out", str(res),
+        ])
+        assert run.returncode == 1
+        err = run.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            f"graph-deconv: {res / 'recon_cov.csv'}: row 1, column 1: non-finite value"
+        ), run.stderr
+        assert not (res / "reconstructed.csv").exists() and not (res / "recon_cov.csv").exists()
 
     @pytest.mark.parametrize(
         "flag, name", [("--delta", "delta"), ("--pearson-threshold", "pearson_threshold")]

@@ -384,6 +384,34 @@ class TestWriterBytes:
             gio.write_json(path, {"a": [1.0, value]})
         assert not path.exists()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_table_value_is_not_written(self, tmp_path, value):
+        matrix = np.zeros((3, 3))
+        matrix[2, 1] = value
+        report = [BoundCheck(n=1, nprime=1, eps=0.5, empirical=0.0, bound=value, flag=False)]
+        cases = [
+            (gio.write_signals, SignalEnsemble(signals=matrix, domain="vertex"), "row 4, column 2"),
+            (gio.write_covariance, matrix, "row 3, column 2"),
+            (gio.write_response, matrix[:, 1], "row 4, column 2"),
+            (gio.write_bound_report, report, "row 2, column 5"),
+        ]
+        for write, payload, where in cases:
+            path = tmp_path / f"{write.__name__}.csv"
+            with pytest.raises(ValueError) as info:
+                write(path, payload)
+            assert str(info.value) == f"{path}: {where}: non-finite value {value!r} cannot be written"
+            assert not path.exists()
+
+    def test_non_finite_reconstruction_writes_neither_table(self, tmp_path):
+        signals = SignalEnsemble(signals=np.ones((2, 2)), domain="vertex")
+        paths = tmp_path / "reconstructed.csv", tmp_path / "recon_cov.csv"
+        with pytest.raises(ValueError, match="row 1, column 1: non-finite value inf"):
+            gio.write_reconstruction(paths[0], signals, paths[1], np.full((2, 2), np.inf))
+        assert not any(p.exists() for p in paths)
+        gio.write_reconstruction(paths[0], signals, paths[1], np.eye(2))
+        assert gio.read_signals(paths[0]).signals.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+        assert gio.read_covariance(paths[1]).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
     def test_invalid_json_names_the_file(self, tmp_path):
         path = tmp_path / "doc.json"
         path.write_bytes(b'{"a": \xff}')

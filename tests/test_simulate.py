@@ -246,6 +246,21 @@ class TestSimulationGraph:
         assert np.array_equal(got_basis.eigenvalues, basis.eigenvalues)
         assert np.array_equal(got_basis.modes, basis.modes)
 
+    def test_exhausted_search_reports_the_last_attempt(self, monkeypatch):
+        attempts = []
+
+        def degenerate(operator):
+            attempts.append(operator)
+            raise DegenerateSpectrum(f"attempt {len(attempts)} repeats an eigenvalue")
+
+        monkeypatch.setattr(simulate, "eigendecompose", degenerate)
+        with pytest.raises(DegenerateSpectrum) as info:
+            simulation_graph(6, 3)
+        assert len(attempts) == 256
+        assert str(info.value) == (
+            "no layout with a distinct spectrum in 256 attempts: attempt 256 repeats an eigenvalue"
+        )
+
 
 class TestPopulationModel:
     def test_shapes_and_norm(self):
@@ -376,6 +391,31 @@ class TestRunSimulation:
             run_simulation(cfg)
             per_run.append(dict(calls))
         assert {k: (per_run[1][k] - per_run[0][k]) / 3 for k in ("gft", "igft")} == {"gft": 1, "igft": 1}
+
+    def test_finished_run_is_freed_without_the_cyclic_gc(self, monkeypatch):
+        """A redrawn layout's exception must not keep the run's frames, and its arrays, alive."""
+        redraws = []
+
+        def counted(operator):
+            try:
+                return eigendecompose(operator)
+            except DegenerateSpectrum:
+                redraws.append(operator)
+                raise
+
+        monkeypatch.setattr(simulate, "eigendecompose", counted)
+        cfg = SimulationConfig(n_vertices=6, sample_count=40, noise_sigma=0.3, seed=3, trials=1)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            result = run_simulation(cfg)
+            sources = weakref.ref(result.sources)
+            del result
+            assert sources() is None
+        finally:
+            if enabled:
+                gc.enable()
+        assert redraws
 
     def test_different_seeds_differ(self, tmp_path):
         base = dict(n_vertices=6, sample_count=120, noise_sigma=0.3, trials=1)
