@@ -37,7 +37,7 @@ print(f"dense 2-norm agrees: {np.linalg.norm(dense, 2):.4f}")
 
 # Filtering is entrywise in the spectral domain; inverting on a support set
 # undoes it there and zeroes everything else.
-x = SignalEnsemble(signals=rng.standard_normal((4, 10)), domain="vertex")
+x = SignalEnsemble(signals=rng.standard_normal((4, 10)))
 xhat = gft(basis, x)
 yhat = apply_channel(gamma, xhat)
 support = {1, 2, 3, 4, 5, 6, 7}

@@ -63,20 +63,15 @@ def _load_graph(args) -> Graph:
     raise _UsageError("one of --coords or --edges is required")
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _cmd_graph(args) -> None:
     g = _load_graph(args)
-    out = _outdir(args)
+    out = Path(args.out)
     gio.write_edge_list(out / "edges.csv", g.edges)
-    gio.write_covariance(out / "laplacian.csv", laplacian(g))
+    lap = laplacian(g)
+    gio.write_covariance(out / "laplacian.csv", lap)
     print(f"graph: {g.n_vertices} vertices, {len(g.edges)} edges, connected={g.connected}")
     try:
-        basis = eigendecompose(laplacian(g))
+        basis = eigendecompose(lap)
     except DegenerateSpectrum as exc:
         print(f"spectrum: degenerate ({exc}); eigenvalues.csv not written")
         return
@@ -91,23 +86,23 @@ def _cmd_estimate(args) -> None:
     cov_x = gio.read_covariance(args.cov_x)
     source = build_source_graph(cov_x, args.pearson_threshold)
     estimate = estimate_channel(cov_x, observations, basis, source, args.delta)
-    out = _outdir(args)
-    gio.write_channel_estimate(out / "channel_estimate.csv", estimate, out / "components.json")
+    out = Path(args.out)
+    gio.write_channel_estimate(out / "channel_estimate.csv", estimate)
     print(
         f"source graph: {len(source.edges)} edges, connected={source.connected}; "
         f"support {len(estimate.support)}/{estimate.n_vertices}, "
         f"{len(estimate.components)} component(s)"
     )
-    print(f"wrote {out / 'channel_estimate.csv'} and {out / 'components.json'}")
+    print(f"wrote {out / 'channel_estimate.csv'}")
 
 
 def _cmd_deconvolve(args) -> None:
     g = _load_graph(args)
     basis = eigendecompose(laplacian(g))
     observations = gio.read_signals(args.signals)
-    estimate = gio.read_channel_estimate(args.estimate, args.components)
+    estimate = gio.read_channel_estimate(args.estimate)
     result = blind_deconvolve(estimate, observations, basis)
-    out = _outdir(args)
+    out = Path(args.out)
     gio.write_reconstruction(
         out / "reconstructed.csv",
         result.reconstructed,
@@ -126,7 +121,7 @@ def _cmd_diagnose(args) -> None:
     c_source = gio.read_covariance(args.cov_x)
     d = covariance_diagnostics(c_recon, c_source, args.floor_db)
     gap = summarize_gap(d)
-    out = _outdir(args)
+    out = Path(args.out)
     gio.write_covariance(out / "abs_diff_db.csv", d.abs_diff_db)
     gio.write_covariance(out / "rel_diff_db.csv", d.rel_diff_db)
     summary = {**asdict(gap), "diagonal_inflation": d.diagonal_inflation.tolist()}
@@ -146,7 +141,7 @@ def _load_config(args) -> SimulationConfig:
 
 def _cmd_simulate(args) -> None:
     config = _load_config(args)
-    result = run_simulation(config, out_dir=_outdir(args))
+    result = run_simulation(config, out_dir=args.out)
     print(
         f"simulated N={config.n_vertices} M={config.sample_count} sigma={config.noise_sigma} "
         f"trials={config.trials} seed={config.seed}"
@@ -167,7 +162,7 @@ def _cmd_validate_bounds(args) -> None:
     config = _load_config(args)
     trials = args.trials if args.trials is not None else max(config.trials, 100)
     report = validate_bound_monte_carlo(config, trials)
-    out = _outdir(args)
+    out = Path(args.out)
     gio.write_bound_report(out / "bound_report.csv", report)
     for check in report:
         status = "FLAG" if check.flag else ("ok" if check.informative else "uninformative")
@@ -202,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("deconvolve", help="invert an estimated channel on its support")
     p.add_argument("--signals", required=True, help="observations CSV")
     p.add_argument("--estimate", required=True, help="channel estimate CSV")
-    p.add_argument("--components", default=None, help="components JSON sidecar (optional)")
+    p.add_argument("--components", help="retired: accepted and never opened")
     _add_graph_source(p)
     _add_out(p)
     p.set_defaults(func=_cmd_deconvolve)

@@ -9,8 +9,10 @@ Numeric tables are parsed by numpy's C reader; a table it rejects is read
 again cell by cell with ``csv.reader``, ``float`` and ``int``, so the grammar,
 the messages and the values are those of Python's reader either way. JSON
 files go through ``read_json`` and ``write_json``: indent 2, trailing newline.
-A file that breaks its format raises ``FileFormatError`` naming the file and,
-in a table, the row.
+Writers make a missing parent directory only once their checks pass. A file
+that breaks its format raises ``FileFormatError`` naming the file and, in a
+table, the row. A channel estimate is one CSV; its spanning-tree parent maps
+exist only in memory (``Component.parents``).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import operator
 import warnings
 from dataclasses import dataclass
 from itertools import chain
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -217,6 +220,7 @@ def _write_table(path, header, rows) -> None:
     writes a float as its ``repr`` and an int as its ``str``, which is its
     ``repr`` too, and neither ever needs quoting.
     """
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         if header is not None:
@@ -258,6 +262,7 @@ def read_json(path):
 def write_json(path, payload) -> None:
     """Indented JSON; a NaN or an infinity raises ``ValueError`` before the file is opened."""
     text = json.dumps(payload, indent=2, allow_nan=False)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
@@ -323,27 +328,36 @@ def write_eigenvalues(path, eigenvalues) -> None:
     _write_table(path, ["n", "lambda"], enumerate(_floats(path, eigenvalues, 2, 2), start=1))
 
 
-def write_channel_estimate(csv_path, estimate: ChannelEstimate, json_path=None) -> None:
+def write_channel_estimate(csv_path, estimate: ChannelEstimate) -> None:
+    """Write the estimate's CSV, the whole record of its support, components and anchors.
+
+    An estimate the CSV cannot hold raises ``ValueError`` naming the vertex,
+    before the file is opened: a component vertex outside 1..N or listed
+    twice, an anchor outside its component, or a support other than the
+    components' union. Anchor signs and parent maps are not written.
+    """
     n = estimate.n_vertices
+
+    def fail(v, problem: str):
+        raise ValueError(f"{csv_path}: vertex {v} {problem}; the estimate cannot be written")
+
     flags = np.zeros((3, n), dtype=int)  # in_support, component, is_anchor
-    flags[0, [v - 1 for v in estimate.support]] = 1
     for k, comp in enumerate(estimate.components, start=1):
-        flags[1, [v - 1 for v in comp.vertices]] = k
+        for v in comp.vertices:
+            if not 1 <= v <= n:
+                fail(v, f"of component {k} is outside 1..{n}")
+            if flags[1, v - 1]:
+                fail(v, f"is listed in component {flags[1, v - 1]} and again in component {k}")
+            flags[1, v - 1] = k
+        if comp.anchor not in comp.vertices:
+            fail(comp.anchor, f"is the anchor of component {k} but not one of its vertices")
         flags[2, comp.anchor - 1] = 1
+    listed = set(_vertices(flags[1]))
+    for v in sorted(listed ^ estimate.support)[:1]:
+        fail(v, "is in a component but not in the support" if v in listed else "is in the support but no component")
+    flags[0] = flags[1] != 0
     rows = zip(range(1, n + 1), _floats(csv_path, estimate.gamma_m, 2, 2), *flags.tolist())
     _write_table(csv_path, _ESTIMATE_HEADER, rows)
-    if json_path is not None:
-        components = [
-            {
-                "vertices": list(comp.vertices),
-                "anchor": comp.anchor,
-                "anchor_sign": comp.anchor_sign,
-                "parents": {str(child): parent for child, parent in sorted(comp.parents.items())},
-            }
-            for comp in estimate.components
-        ]
-        payload = {"n_vertices": n, "support": sorted(estimate.support), "components": components}
-        write_json(json_path, payload)
 
 
 def _vertices(mask: np.ndarray) -> list[int]:
@@ -352,56 +366,31 @@ def _vertices(mask: np.ndarray) -> list[int]:
 
 
 def read_channel_estimate(csv_path, json_path=None) -> ChannelEstimate:
-    """Rebuild an estimate from its CSV, with full trees when the JSON is given.
+    """Rebuild an estimate from its CSV, the whole record of its support and components.
 
-    Without the sidecar the component membership and anchors still come back
-    from the CSV columns, but the spanning-tree parent maps are empty.
-    ``FileFormatError`` is raised, naming the row, for CSV columns that
+    Membership and anchors come from the ``component`` and ``is_anchor``
+    columns, with each component's vertices ascending, and each anchor's sign
+    from its response. Spanning-tree parent maps exist only in memory, so
+    ``parents`` comes back empty. ``json_path`` is retired: it is accepted
+    and never opened, so a leftover sidecar file is ignored.
+
+    ``FileFormatError`` is raised, naming the row, for columns that
     contradict each other: ``in_support`` set on a row whose ``component`` is
     zero or the reverse, an ``is_anchor`` row outside every component, or a
-    component without exactly one ``is_anchor`` row. It is raised too for a
-    sidecar that does not fit the CSV: a vertex outside 1..N or in two
-    components, an anchor or a parent link outside its component, an anchor
-    sign other than +-1, an ``n_vertices`` other than the CSV's row count, or
-    components, membership or anchors other than the CSV columns give.
+    component without exactly one ``is_anchor`` row.
     """
     table = _read_table(csv_path, _ESTIMATE_HEADER, (int, float, int, int, int))
     order = table.index_order()
     gamma = table.numbers(1)[order]
     in_support, comp_id, is_anchor = (table.numbers(k)[order] for k in (2, 3, 4))
-    n = gamma.size
     _check_estimate_columns(table, order, in_support, comp_id, is_anchor)
+    anchor_of = dict(zip(comp_id[is_anchor != 0].tolist(), _vertices(is_anchor != 0)))
+    components = []
+    for cid in np.unique(comp_id[comp_id != 0]).tolist():
+        anchor = anchor_of[cid]
+        components.append(Component(tuple(_vertices(comp_id == cid)), anchor, sign_of(gamma[anchor - 1]), {}))
     support = frozenset(_vertices(in_support != 0))
-    members = {cid: _vertices(comp_id == cid) for cid in np.unique(comp_id[comp_id != 0]).tolist()}
-    anchors = _vertices(is_anchor != 0)
-
-    if json_path is None:
-        anchor_of = dict(zip(comp_id[is_anchor != 0].tolist(), anchors))
-        components = []
-        for cid, vertices in members.items():
-            anchor = anchor_of[cid]
-            components.append(Component(tuple(vertices), anchor, sign_of(gamma[anchor - 1]), {}))
-        return ChannelEstimate(gamma_m=gamma, support=support, components=tuple(components))
-
-    payload = read_json(json_path)
-    try:
-        declared = int(payload.get("n_vertices", n))
-        components = tuple(
-            Component(
-                vertices=tuple(int(v) for v in comp["vertices"]),
-                anchor=int(comp["anchor"]),
-                anchor_sign=int(comp["anchor_sign"]),
-                parents={int(c): int(p) for c, p in comp["parents"].items()},
-            )
-            for comp in payload["components"]
-        )
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise FileFormatError(f"{json_path}: malformed components sidecar: {exc!r}") from exc
-    if declared != n:
-        raise FileFormatError(f"{json_path}: n_vertices {declared} != {n} rows in {csv_path}")
-    _check_components(json_path, n, components)
-    _check_components_match_csv(json_path, csv_path, support, members, anchors, components)
-    return ChannelEstimate(gamma_m=gamma, support=support, components=components)
+    return ChannelEstimate(gamma_m=gamma, support=support, components=tuple(components))
 
 
 def _check_estimate_columns(table: _Table, order, in_support, comp_id, is_anchor) -> None:
@@ -423,55 +412,6 @@ def _check_estimate_columns(table: _Table, order, in_support, comp_id, is_anchor
         if anchors.size != 1:
             k = anchors[1] if anchors.size else np.argmax(comp_id == cid)
             fail(k, f"is in component {cid}, which has {anchors.size} is_anchor rows, not 1")
-
-
-def _check_components(json_path, n: int, components: tuple[Component, ...]) -> None:
-    """Reject sidecar components that are not disjoint anchored trees on vertices 1..n."""
-    seen: set[int] = set()
-    for k, comp in enumerate(components, start=1):
-        where = f"{json_path}: component {k}"
-        for v in comp.vertices:
-            if not 1 <= v <= n:
-                raise FileFormatError(f"{where}: vertex {v} outside 1..{n}")
-            if v in seen:
-                raise FileFormatError(f"{where}: vertex {v} appears in more than one place")
-            seen.add(v)
-        members = set(comp.vertices)
-        if comp.anchor not in members:
-            raise FileFormatError(f"{where}: anchor {comp.anchor} is not one of its vertices")
-        if comp.anchor_sign not in (-1, 1):
-            raise FileFormatError(f"{where}: anchor_sign {comp.anchor_sign} is not -1 or +1")
-        for child, parent in comp.parents.items():
-            if child not in members or parent not in members:
-                raise FileFormatError(f"{where}: parent link {child} -> {parent} leaves the component")
-
-
-def _check_components_match_csv(json_path, csv_path, support, members, anchors, components) -> None:
-    """Reject sidecar components that disagree with the CSV's support, component and anchor columns.
-
-    Their vertices together must be the rows with ``in_support`` set,
-    component k must list exactly the rows whose ``component`` is k, and the
-    anchors must be exactly the rows with ``is_anchor`` set.
-    """
-    listed = {v for comp in components for v in comp.vertices}
-    if listed != support:
-        raise FileFormatError(
-            f"{json_path}: components cover vertices {sorted(listed)}, "
-            f"but {csv_path} has in_support rows {sorted(support)}"
-        )
-    rows_of = {k: set(vs) for k, vs in members.items()}
-    listed_of = {k: set(comp.vertices) for k, comp in enumerate(components, start=1)}
-    if rows_of != listed_of:
-        k = min(k for k in rows_of.keys() | listed_of.keys() if rows_of.get(k) != listed_of.get(k))
-        raise FileFormatError(
-            f"{json_path}: component {k} lists vertices {sorted(listed_of.get(k, ()))}, "
-            f"but {csv_path} has component {k} rows {sorted(rows_of.get(k, ()))}"
-        )
-    listed_anchors = sorted(comp.anchor for comp in components)
-    if listed_anchors != anchors:
-        raise FileFormatError(
-            f"{json_path}: anchors {listed_anchors}, but {csv_path} has is_anchor rows {anchors}"
-        )
 
 
 def write_bound_report(path, report: list[BoundCheck]) -> None:

@@ -430,7 +430,6 @@ def run_simulation(config: SimulationConfig, out_dir=None) -> SimulationResult:
 def write_bundle(result: SimulationResult, out_dir) -> None:
     """Serialize every artifact of a run into ``out_dir``."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     result.config.to_json_file(out / "config.json")
     gio.write_coordinates(out / "coords.csv", result.coords)
     gio.write_edge_list(out / "edges.csv", result.graph.edges)
@@ -438,9 +437,7 @@ def write_bundle(result: SimulationResult, out_dir) -> None:
     gio.write_signals(out / "observations.csv", result.observations)
     gio.write_covariance(out / "cov_x.csv", result.cov_x)
     gio.write_response(out / "true_channel.csv", result.channel)
-    gio.write_channel_estimate(
-        out / "channel_estimate.csv", result.estimate, out / "components.json"
-    )
+    gio.write_channel_estimate(out / "channel_estimate.csv", result.estimate)
     gio.write_signals(out / "reconstructed.csv", result.deconv.reconstructed)
     gio.write_covariance(out / "recon_cov.csv", reconstructed_covariance(result.deconv))
     gio.write_covariance(out / "abs_diff_db.csv", result.avg_diagnostics.abs_diff_db)

@@ -26,16 +26,6 @@ def sim_bundle(tmp_path):
     return cfg, cfg_path, out
 
 
-def _component(vertices, anchor, parents, sign=1):
-    """One components-sidecar entry, as ``io.write_channel_estimate`` writes it."""
-    return {
-        "vertices": vertices,
-        "anchor": anchor,
-        "anchor_sign": sign,
-        "parents": {str(child): parent for child, parent in parents.items()},
-    }
-
-
 def _main(argv) -> subprocess.CompletedProcess:
     """Run the CLI's ``main`` in a fresh interpreter under Python's default warning filters."""
     path = [str(Path(graph_deconv.__file__).parents[1]), os.environ.get("PYTHONPATH")]
@@ -150,9 +140,11 @@ class TestEstimateDeconvolveDiagnose:
             ]
         )
         assert code == 0
-        # The CLI and run_simulation share one pipeline, so the files agree byte for byte.
-        for name in ("channel_estimate.csv", "components.json"):
-            assert (est_dir / name).read_bytes() == (out / name).read_bytes(), name
+        # The CSV is the whole estimate, and since the CLI and run_simulation
+        # share one pipeline, it equals the bundle's byte for byte.
+        assert [p.name for p in est_dir.iterdir()] == ["channel_estimate.csv"]
+        name = "channel_estimate.csv"
+        assert (est_dir / name).read_bytes() == (out / name).read_bytes()
 
         dec_dir = tmp_path / "dec"
         code = cli_dispatch(
@@ -160,7 +152,6 @@ class TestEstimateDeconvolveDiagnose:
                 "deconvolve",
                 "--signals", str(out / "observations.csv"),
                 "--estimate", str(est_dir / "channel_estimate.csv"),
-                "--components", str(est_dir / "components.json"),
                 "--coords", str(out / "coords.csv"),
                 "--radius", str(radius),
                 "--out", str(dec_dir),
@@ -184,95 +175,22 @@ class TestEstimateDeconvolveDiagnose:
         assert {"mean_diagonal_db", "mean_offdiagonal_db", "gap_db", "diagonal_inflation"} <= set(summary)
         assert "gap" in capsys.readouterr().out
 
-    @pytest.mark.parametrize(
-        "sidecar",
-        ["{not json", '{"n_vertices": 6, "support": [1]}', '{"components": [{"vertices": 3}]}'],
-        ids=["malformed-json", "no-components-key", "ill-typed-entry"],
-    )
-    def test_bad_components_sidecar_is_io_error(self, sim_bundle, tmp_path, capsys, sidecar):
+    def test_retired_components_flag_is_never_opened(self, sim_bundle, tmp_path):
         cfg, cfg_path, out = sim_bundle
         radius = json.loads((out / "summary.json").read_text())["radius"]
-        path = tmp_path / "components.json"
-        path.write_text(sidecar)
-        code = cli_dispatch(
-            [
-                "deconvolve",
-                "--signals", str(out / "observations.csv"),
-                "--estimate", str(out / "channel_estimate.csv"),
-                "--components", str(path),
-                "--coords", str(out / "coords.csv"),
-                "--radius", str(radius),
-                "--out", str(tmp_path / "dec"),
-            ]
-        )
-        assert code == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and str(path) in err[0]
-
-    @pytest.mark.parametrize(
-        "n_vertices, components, names",
-        [
-            (6, [_component([1, 2, 3, 4, 5, 6, 9], 1, {2: 1})], "vertex 9 outside 1..6"),
-            (
-                6,
-                [_component([1, 2, 3], 1, {2: 1, 3: 1}), _component([3, 4, 5, 6], 4, {5: 4})],
-                "vertex 3 appears in more than one place",
-            ),
-            (6, [_component([1, 2, 3], 4, {2: 1})], "anchor 4 is not one of its vertices"),
-            (6, [_component([1, 2, 3], 1, {2: 1}, sign=5)], "anchor_sign 5 is not -1 or +1"),
-            (6, [_component([1, 2, 3], 1, {5: 1})], "parent link 5 -> 1 leaves the component"),
-            (6, [_component([1, 2, 3], 1, {2: 6})], "parent link 2 -> 6 leaves the component"),
-            (7, [_component([1, 2, 3], 1, {2: 1})], "n_vertices 7 != 6 rows"),
-            (
-                6,
-                [_component([1, 2, 3], 1, {2: 1, 3: 1})],
-                "components cover vertices [1, 2, 3], but",
-            ),
-            (
-                6,
-                [_component([1, 2, 3], 1, {2: 1, 3: 1}), _component([4, 5, 6], 4, {5: 4, 6: 4})],
-                "component 1 lists vertices [1, 2, 3], but",
-            ),
-            (
-                6,
-                [_component([1, 2, 3, 4, 5, 6], 2, {1: 2, 3: 2, 4: 2, 5: 2, 6: 2})],
-                "anchors [2], but",
-            ),
-        ],
-        ids=[
-            "vertex-out-of-range",
-            "overlapping-components",
-            "anchor-outside-component",
-            "anchor-sign-not-unit",
-            "parent-key-outside-component",
-            "parent-value-outside-component",
-            "n-vertices-mismatch",
-            "support-differs-from-csv",
-            "membership-differs-from-csv",
-            "anchor-differs-from-csv",
-        ],
-    )
-    def test_inconsistent_components_sidecar_is_io_error(
-        self, sim_bundle, tmp_path, capsys, n_vertices, components, names
-    ):
-        cfg, cfg_path, out = sim_bundle
-        radius = json.loads((out / "summary.json").read_text())["radius"]
-        path = tmp_path / "components.json"
-        path.write_text(json.dumps({"n_vertices": n_vertices, "components": components}))
-        code = cli_dispatch(
-            [
-                "deconvolve",
-                "--signals", str(out / "observations.csv"),
-                "--estimate", str(out / "channel_estimate.csv"),
-                "--components", str(path),
-                "--coords", str(out / "coords.csv"),
-                "--radius", str(radius),
-                "--out", str(tmp_path / "dec"),
-            ]
-        )
-        assert code == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and str(path) in err[0] and names in err[0]
+        argv = [
+            "deconvolve",
+            "--signals", str(out / "observations.csv"),
+            "--estimate", str(out / "channel_estimate.csv"),
+            "--coords", str(out / "coords.csv"),
+            "--radius", str(radius),
+        ]
+        missing = tmp_path / "components.json"
+        assert cli_dispatch([*argv, "--out", str(tmp_path / "plain")]) == 0
+        assert cli_dispatch([*argv, "--components", str(missing), "--out", str(tmp_path / "flag")]) == 0
+        assert not missing.exists()
+        for name in ("reconstructed.csv", "recon_cov.csv"):
+            assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
     def test_contradictory_estimate_columns_are_io_error(self, sim_bundle, tmp_path, capsys):
         cfg, cfg_path, out = sim_bundle
@@ -407,7 +325,6 @@ class TestEstimateDeconvolveDiagnose:
             "deconvolve",
             "--signals", str(big),
             "--estimate", str(out / "channel_estimate.csv"),
-            "--components", str(out / "components.json"),
             "--coords", str(out / "coords.csv"),
             "--radius", str(radius),
             "--out", str(res),
@@ -417,7 +334,7 @@ class TestEstimateDeconvolveDiagnose:
         assert len(err) == 1 and err[0].startswith(
             f"graph-deconv: {res / 'recon_cov.csv'}: row 1, column 1: non-finite value"
         ), run.stderr
-        assert not (res / "reconstructed.csv").exists() and not (res / "recon_cov.csv").exists()
+        assert not res.exists()
 
     @pytest.mark.parametrize(
         "flag, name", [("--delta", "delta"), ("--pearson-threshold", "pearson_threshold")]

@@ -74,7 +74,6 @@ def _commands(root, radius, name, path):
         "coords.csv": run / "coords.csv",
         "edges.csv": run / "edges.csv",
         "channel_estimate.csv": run / "channel_estimate.csv",
-        "components.json": run / "components.json",
         "sim.json": root / "sim.json",
         name: path,
     }
@@ -84,7 +83,7 @@ def _commands(root, radius, name, path):
     return {
         "observations.csv": [
             ["estimate", "--signals", f["observations.csv"], "--cov-x", f["cov_x.csv"], *coords],
-            [*deconvolve, "--components", f["components.json"], *coords],
+            [*deconvolve, *coords],
         ],
         "cov_x.csv": [
             ["estimate", "--signals", f["observations.csv"], "--cov-x", f["cov_x.csv"], *coords],
@@ -98,11 +97,7 @@ def _commands(root, radius, name, path):
             ["graph", "--edges", f["edges.csv"]],
             [*deconvolve, "--edges", f["edges.csv"]],
         ],
-        "channel_estimate.csv": [
-            [*deconvolve, "--components", f["components.json"], *coords],
-            [*deconvolve, *coords],
-        ],
-        "components.json": [[*deconvolve, "--components", f["components.json"], *coords]],
+        "channel_estimate.csv": [[*deconvolve, *coords]],
         "sim.json": [
             ["simulate", "--config", f["sim.json"]],
             ["validate-bounds", "--config", f["sim.json"], "--trials", "100"],
@@ -118,7 +113,6 @@ def _commands(root, radius, name, path):
         "coords.csv",
         "edges.csv",
         "channel_estimate.csv",
-        "components.json",
         "sim.json",
     ],
 )

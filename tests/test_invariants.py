@@ -5,10 +5,14 @@
   noise and the same sources, channels gamma and -gamma give the same
   estimate up to one sign per observation-graph component, and each equals
   gamma up to that sign
+- the estimate CSV holds every estimate ``estimate_channel`` makes: it reads
+  back equal, but for the spanning-tree parent maps, which are not written
 - estimation and deconvolution take observations in either domain: vertex
   samples and their GFT give bit-equal results, and a spectral ensemble of
   the wrong width is rejected there and by ``transmit``
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from graph_deconv import (
     random_channel,
     transmit,
 )
+from graph_deconv import io as gio
 from graph_deconv.simulate import synthetic_source
 from graph_deconv.spectral import SPECTRAL, VERTEX
 
@@ -86,6 +91,25 @@ def test_negated_channel_gives_the_estimate_up_to_one_sign_per_component(n, seed
         assert equal_up_to_sign(ours.gamma_m[idx], gamma[idx], 1e-8)
     off = np.array([v not in ours.support for v in range(1, n + 1)])
     np.testing.assert_allclose(negated.gamma_m[off], ours.gamma_m[off], rtol=0, atol=1e-8)
+
+
+@SETTINGS
+@given(st.integers(2, 12), seeds, st.floats(0.6, 0.9))
+def test_every_estimate_reads_back_from_its_csv(tmp_path_factory, n, seed, delta):
+    # A delta from 0.6 up splits the observation graph into several components,
+    # and near 0.9 often leaves no support at all.
+    rng = np.random.default_rng(seed)
+    basis = random_basis(rng, n)
+    _, xhat = synthetic_source(n, 4 * n, seed)
+    cov_x = empirical_covariance(xhat)
+    y = SignalEnsemble(signals=xhat.signals * random_channel(n, 0.5, seed), domain=SPECTRAL)
+    est = estimate_channel(cov_x, y, basis, build_source_graph(cov_x, 0.0), delta)
+    path = tmp_path_factory.mktemp("estimate") / "channel_estimate.csv"
+    gio.write_channel_estimate(path, est)
+    back = gio.read_channel_estimate(path)
+    np.testing.assert_array_equal(back.gamma_m, est.gamma_m)
+    assert back.support == est.support
+    assert back.components == tuple(replace(c, parents={}) for c in est.components)
 
 
 @SETTINGS

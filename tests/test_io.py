@@ -122,50 +122,39 @@ class TestChannelEstimate:
             ),
         )
 
-    def test_round_trip_with_sidecar(self, tmp_path):
-        est = self.make_estimate()
-        csv_path = tmp_path / "estimate.csv"
-        json_path = tmp_path / "components.json"
-        gio.write_channel_estimate(csv_path, est, json_path)
-        back = gio.read_channel_estimate(csv_path, json_path)
-        np.testing.assert_array_equal(back.gamma_m, est.gamma_m)
-        assert back.support == est.support
-        assert back.components == est.components
+    def test_retired_sidecar_argument_is_never_opened(self, tmp_path):
+        path, missing = tmp_path / "estimate.csv", tmp_path / "components.json"
+        gio.write_channel_estimate(path, self.make_estimate())
+        plain, with_sidecar = gio.read_channel_estimate(path), gio.read_channel_estimate(path, missing)
+        np.testing.assert_array_equal(with_sidecar.gamma_m, plain.gamma_m)
+        assert (with_sidecar.support, with_sidecar.components) == (plain.support, plain.components)
+        assert not missing.exists()
 
     @pytest.mark.parametrize(
-        "components, names",
+        "support, components, names",
         [
+            ({1, 2, 3}, (), "vertex 1 is in the support but no component"),
             (
-                (Component(vertices=(1, 2), anchor=1, anchor_sign=1, parents={2: 1}),),
-                "components cover vertices [1, 2], but",
+                {1, 2, 3},
+                (((1, 2), 1), ((2, 3), 2)),
+                "vertex 2 is listed in component 1 and again in component 2",
             ),
-            (
-                (Component(vertices=(1, 2, 4), anchor=1, anchor_sign=1, parents={2: 1, 4: 1}),),
-                "component 1 lists vertices [1, 2, 4], but",
-            ),
-            (
-                (
-                    Component(vertices=(1, 2), anchor=2, anchor_sign=1, parents={1: 2}),
-                    Component(vertices=(4,), anchor=4, anchor_sign=1, parents={}),
-                ),
-                "anchors [2, 4], but",
-            ),
+            ({1, 2, 3}, (((1, 2, 3, 4), 1),), "vertex 4 of component 1 is outside 1..3"),
+            ({1, 2}, (((1, 2), 1), ((3,), 3)), "vertex 3 is in a component but not in the support"),
+            ({1, 2}, (((1, 2), 3),), "vertex 3 is the anchor of component 1 but not one of its vertices"),
         ],
-        ids=["support", "membership", "anchor"],
+        ids=["support-without-components", "overlapping", "out-of-range", "off-support", "stray-anchor"],
     )
-    def test_sidecar_must_match_the_csv_columns(self, tmp_path, components, names):
-        est = self.make_estimate()
-        csv_path = tmp_path / "estimate.csv"
-        json_path = tmp_path / "components.json"
-        gio.write_channel_estimate(csv_path, est)
-        other = ChannelEstimate(
-            gamma_m=est.gamma_m,
-            support=frozenset(v for comp in components for v in comp.vertices),
-            components=components,
+    def test_estimate_the_csv_cannot_hold_is_refused(self, tmp_path, support, components, names):
+        est = ChannelEstimate(
+            gamma_m=[1.0, 2.0, 3.0],
+            support=frozenset(support),
+            components=tuple(Component(vs, anchor, 1, {}) for vs, anchor in components),
         )
-        gio.write_channel_estimate(tmp_path / "other.csv", other, json_path)
-        with pytest.raises(FileFormatError, match=re.escape(names)):
-            gio.read_channel_estimate(csv_path, json_path)
+        path = tmp_path / "out" / "estimate.csv"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {names}")):
+            gio.write_channel_estimate(path, est)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "rows, names",
@@ -194,6 +183,13 @@ class TestChannelEstimate:
         assert [c.vertices for c in back.components] == [(1, 2), (4,)]
         assert [c.anchor for c in back.components] == [1, 4]
         assert all(c.parents == {} for c in back.components)
+
+
+def test_writers_make_a_missing_parent_directory(tmp_path):
+    gio.write_json(tmp_path / "a" / "b" / "payload.json", {"x": 1})
+    gio.write_response(tmp_path / "c" / "gamma.csv", [1.0, -2.0])
+    assert gio.read_json(tmp_path / "a" / "b" / "payload.json") == {"x": 1}
+    np.testing.assert_array_equal(gio.read_response(tmp_path / "c" / "gamma.csv"), [1.0, -2.0])
 
 
 class TestBoundReport:

@@ -356,7 +356,6 @@ class TestRunSimulation:
             "cov_x.csv",
             "true_channel.csv",
             "channel_estimate.csv",
-            "components.json",
             "reconstructed.csv",
             "recon_cov.csv",
             "abs_diff_db.csv",
