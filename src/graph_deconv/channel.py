@@ -13,7 +13,7 @@ import numbers
 import numpy as np
 
 from .errors import NearZeroResponse
-from .spectral import SPECTRAL, SignalEnsemble
+from .spectral import SPECTRAL, SignalEnsemble, _Taken
 
 RESPONSE_FLOOR = 1e-12
 
@@ -34,7 +34,7 @@ def apply_channel(gamma, e: SignalEnsemble) -> SignalEnsemble:
         raise ValueError(f"apply_channel expects a spectral ensemble, got {e.domain!r}")
     if e.n_vertices != gamma.size:
         raise ValueError(f"response length {gamma.size} != signal length {e.n_vertices}")
-    return SignalEnsemble(signals=e.signals * gamma, domain=SPECTRAL)
+    return SignalEnsemble(signals=_Taken(e.signals * gamma), domain=SPECTRAL)
 
 
 def operator_norm(gamma) -> float:

@@ -19,7 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonpositiveVariance
-from .spectral import EdgeSet, Graph, SignalEnsemble
+from .spectral import (
+    VERTEX,
+    EdgeSet,
+    Graph,
+    SignalEnsemble,
+    SpectralBasis,
+    _as_spectral,
+    _spectral_memo,
+)
 
 
 def empirical_covariance(e: SignalEnsemble) -> np.ndarray:
@@ -52,6 +60,22 @@ def _covariance(e: SignalEnsemble) -> np.ndarray:
         cov.flags.writeable = False
         object.__setattr__(e, "_covariance", cov)
     return e._covariance
+
+
+def _spectral_covariance(basis: SpectralBasis, e: SignalEnsemble) -> np.ndarray:
+    """``_covariance`` of ``e``'s GFT under ``basis``, or of ``e`` itself when spectral.
+
+    A vertex ensemble keeps the covariance in its memo for the basis object,
+    next to the weak reference to its GFT, so the M x N transform can be let
+    go while the N x N covariance stays: observations estimated from are
+    transformed and squared once, whoever holds them next.
+    """
+    if e.domain != VERTEX:
+        return _covariance(_as_spectral(basis, e))
+    memo = _spectral_memo(basis, e, make=True)
+    if memo.covariance is None:
+        memo.covariance = _covariance(_as_spectral(basis, e))
+    return memo.covariance
 
 
 def empirical_kurtosis(e: SignalEnsemble) -> float:

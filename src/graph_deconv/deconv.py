@@ -2,13 +2,14 @@
 
 Recovery inverts the estimated response on its support and zeroes everything
 outside it, so frequency content at unsupported indices is unrecoverable by
-construction. Observations may come in either domain, and only vertex-domain
-ones are transformed, once: the transform ``estimate_channel`` made of the
-same ensemble is reused. The result holds the spectral observations y and the
-inverted response d. The spectral reconstruction y * d and its vertex-domain
-form, one inverse GFT, are computed the first time ``spectral`` and
-``reconstructed`` are read. The reconstructed covariance is D C_y D with
-D = diag(d), read from the covariance of y that estimation already formed, so
+construction. The result holds the observations as given, in either domain,
+and the inverted response d. Their spectral form y, the GFT of vertex-domain
+observations, is computed at most once, the first time ``spectral``,
+``reconstructed`` or ``align_component_signs`` needs it, and kept on the
+result. The spectral reconstruction y * d and its vertex-domain form, one
+inverse GFT, are computed the first time ``spectral`` and ``reconstructed``
+are read. The reconstructed covariance is D C_y D with D = diag(d), read from
+the covariance of y that ``estimate_channel`` kept on the observations, so
 callers that only need covariances never touch an M x N array. Because the
 channel is only identified up to one sign per observation-graph component,
 reconstruction errors against a known ground truth are only meaningful after
@@ -26,7 +27,18 @@ import numpy as np
 from .channel import pseudo_inverse
 from .covariance import _covariance, ensure_positive_diagonal
 from .estimation import ChannelEstimate, Component
-from .spectral import SPECTRAL, SignalEnsemble, SpectralBasis, _as_spectral, _owned, _Value, igft
+from .spectral import (
+    SPECTRAL,
+    SignalEnsemble,
+    SpectralBasis,
+    _as_spectral,
+    _check_width,
+    _owned,
+    _spectral_memo,
+    _Taken,
+    _Value,
+    igft,
+)
 
 DB_OFFSET = 1e-5
 DIAGNOSTIC_FLOOR_DB = -20.0
@@ -35,12 +47,13 @@ DISPLAY_FLOOR_DB = -30.0
 
 @dataclass(frozen=True)
 class DeconvolutionResult(_Value):
-    """Spectral observations, the inverted response, the support that was inverted, and the basis.
+    """Observations as given, the inverted response, the support that was inverted, and the basis.
 
-    ``inverse`` is a read-only copy of the reciprocal response on ``support``,
-    zero elsewhere. The spectral reconstruction ``spectral`` and the
+    ``observations`` is in either domain. ``inverse`` is a read-only copy of
+    the reciprocal response on ``support``, zero elsewhere. The spectral
+    observations, the spectral reconstruction ``spectral`` and the
     vertex-domain one, ``reconstructed``, are computed the first time they
-    are read and kept.
+    are needed and kept.
     """
 
     observations: SignalEnsemble
@@ -52,9 +65,15 @@ class DeconvolutionResult(_Value):
         object.__setattr__(self, "inverse", _owned(self.inverse, float))
 
     @cached_property
+    def _observed(self) -> SignalEnsemble:
+        """The spectral observations: the GFT of vertex-domain ones, formed at most once."""
+        return _as_spectral(self.basis, self.observations)
+
+    @cached_property
     def spectral(self) -> SignalEnsemble:
         """Spectral reconstruction: each observed coefficient times the inverted response."""
-        return SignalEnsemble(signals=self.observations.signals * self.inverse, domain=SPECTRAL)
+        product = self._observed.signals * self.inverse
+        return SignalEnsemble(signals=_Taken(product), domain=SPECTRAL)
 
     @cached_property
     def reconstructed(self) -> SignalEnsemble:
@@ -83,12 +102,11 @@ def blind_deconvolve(
 ) -> DeconvolutionResult:
     """Invert the estimated channel on its support.
 
-    ``observations`` are vertex-domain samples or their GFT; vertex-domain
-    ones that ``estimate_channel`` produced ``estimate`` from are not
-    transformed again. Spectrally, each reconstructed coefficient is the
-    observed coefficient divided by the estimated response, and exactly zero
-    off support. An estimate of another length than the basis raises
-    ValueError naming both.
+    ``observations`` are vertex-domain samples or their GFT, kept as given;
+    nothing is transformed until an output needs it. Spectrally, each
+    reconstructed coefficient is the observed coefficient divided by the
+    estimated response, and exactly zero off support. An estimate of another
+    length than the basis raises ValueError naming both.
     """
     if estimate.n_vertices != basis.n_vertices:
         raise ValueError(
@@ -96,8 +114,9 @@ def blind_deconvolve(
         )
     if not estimate.support:
         raise ValueError("estimate has empty support, nothing can be reconstructed")
+    _check_width(basis, observations)
     return DeconvolutionResult(
-        observations=_as_spectral(basis, observations),
+        observations=observations,
         inverse=pseudo_inverse(estimate.gamma_m, estimate.support),
         support=estimate.support,
         basis=basis,
@@ -107,13 +126,20 @@ def blind_deconvolve(
 def reconstructed_covariance(result: DeconvolutionResult) -> np.ndarray:
     """Empirical spectral covariance of the reconstruction, D C_y D with D = diag(inverse).
 
-    C_y is the memoised covariance of the spectral observations, so no M x N
-    product is formed. The result equals ``empirical_covariance(result.spectral)``
+    C_y is the spectral covariance ``estimate_channel`` kept on the
+    observations for this basis, so no M x N product is formed. Without it,
+    C_y is the covariance of the spectral observations the result keeps, so
+    ``reconstructed`` and this transform the observations once, read in
+    either order. The result equals ``empirical_covariance(result.spectral)``
     up to rounding, is exactly symmetric, and is exactly +0.0 off the support.
     """
+    memo = _spectral_memo(result.basis, result.observations)
+    cov_y = memo.covariance if memo is not None else None
+    if cov_y is None:
+        cov_y = _covariance(result._observed)
     d = result.inverse
     cov = np.outer(d, d)
-    cov *= _covariance(result.observations)
+    cov *= cov_y
     cov += 0.0  # turns the -0.0 of a zero times a negative entry into +0.0
     return cov
 
@@ -203,7 +229,7 @@ def align_component_signs(
     """
     if reference.domain != SPECTRAL:
         raise ValueError("reference ensemble must be spectral")
-    y = result.observations.signals
+    y = result._observed.signals
     if reference.signals.shape != y.shape:
         raise ValueError(
             f"reference shape {reference.signals.shape} != reconstruction shape {y.shape}"

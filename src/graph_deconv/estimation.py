@@ -2,10 +2,12 @@
 
 The observer knows the source spectral covariance and sees only noisy filtered
 samples, in either domain; ``estimate_channel`` is the one pipeline the
-simulation, the CLI and the demos call. It transforms and squares the
-observations once and keeps their spectral form on the estimate, so
-``deconv.blind_deconvolve`` on the same observations reuses both the
-transform and the covariance. Diagonal and off-diagonal entries of
+simulation, the CLI and the demos call. It reads the observations only
+through their spectral covariance: it transforms and squares them once,
+keeps the covariance on the observations the caller passed and lets the
+transform go, so ``deconv.reconstructed_covariance`` after
+``deconv.blind_deconvolve`` on the same observations reuses the covariance
+and transforms nothing. Diagonal and off-diagonal entries of
 the two covariances are tied together by a per-edge quadratic system whose
 closed-form solution yields the response magnitude at every frequency;
 magnitudes are averaged over all source edges incident to the frequency, read
@@ -21,14 +23,14 @@ any observer of second-order statistics can do.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import _support_labels
-from .covariance import _covariance, build_observation_graph, ensure_positive_diagonal
+from .covariance import _spectral_covariance, build_observation_graph, ensure_positive_diagonal
 from .errors import IsolatedVertex, NonpositiveVariance
-from .spectral import Graph, SignalEnsemble, SpectralBasis, _as_spectral, _Value, _owned
+from .spectral import Graph, SignalEnsemble, SpectralBasis, _owned, _Value
 
 
 @dataclass(frozen=True)
@@ -49,17 +51,14 @@ class Component:
 class ChannelEstimate(_Value):
     """Estimated frequency responses with support and component structure.
 
-    ``gamma_m`` is stored as a read-only copy. ``observations`` is the
-    spectral ensemble ``estimate_channel`` estimated from, ``None`` for an
-    estimate read from a file or built by ``from_response``. It keeps the
-    transform of vertex-domain observations, and its covariance, alive for
-    ``blind_deconvolve``, and takes no part in comparisons.
+    Plain data, whichever way it was made (``estimate_channel``, a file or
+    ``from_response``): ``gamma_m`` is stored as a read-only copy, and no
+    observation is kept.
     """
 
     gamma_m: np.ndarray
     support: frozenset[int]
     components: tuple[Component, ...]
-    observations: SignalEnsemble | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gamma_m", _owned(self.gamma_m, float))
@@ -253,14 +252,14 @@ def estimate_channel(
     Transforms vertex-domain observations, forms their empirical spectral
     covariance, recovers magnitudes from the per-edge quadratic solution,
     thresholds the observation graph at ``delta``, and assigns signs
-    component by component with every anchor set to +1. The estimate keeps
-    the spectral observations, whose covariance stays memoised on them.
+    component by component with every anchor set to +1. The spectral
+    covariance is kept on ``observations`` for this basis object, and the
+    transform of vertex-domain observations is let go.
     """
-    yhat = _as_spectral(basis, observations)
-    cov_ym = _covariance(yhat)
+    cov_ym = _spectral_covariance(basis, observations)
     magnitudes = estimate_magnitudes(cov_x, cov_ym, source)
     obs = build_observation_graph(cov_ym, source, delta)
-    return replace(assign_signs(magnitudes, obs, cov_x, cov_ym), observations=yhat)
+    return assign_signs(magnitudes, obs, cov_x, cov_ym)
 
 
 def sign_consistency_report(

@@ -31,7 +31,7 @@ import numpy as np
 from .covariance import BoundCheck
 from .errors import FileFormatError
 from .estimation import ChannelEstimate, Component, sign_of
-from .spectral import VERTEX, SignalEnsemble, _Value, _owned
+from .spectral import VERTEX, SignalEnsemble, _owned, _Taken, _Value
 
 _ESTIMATE_HEADER = ["n", "gamma_m", "in_support", "component", "is_anchor"]
 
@@ -293,7 +293,7 @@ def _signals_header(n: int) -> list[str]:
 
 def read_signals(path) -> SignalEnsemble:
     table = _read_table(path, _signals_header)
-    return SignalEnsemble(signals=table.numbers(), domain=VERTEX)
+    return SignalEnsemble(signals=_Taken(table.numbers()), domain=VERTEX)  # the table is ours alone
 
 
 def write_signals(path, e: SignalEnsemble) -> None:
@@ -331,10 +331,13 @@ def write_eigenvalues(path, eigenvalues) -> None:
 def write_channel_estimate(csv_path, estimate: ChannelEstimate) -> None:
     """Write the estimate's CSV, the whole record of its support, components and anchors.
 
-    An estimate the CSV cannot hold raises ``ValueError`` naming the vertex,
-    before the file is opened: a component vertex outside 1..N or listed
-    twice, an anchor outside its component, or a support other than the
-    components' union. Anchor signs and parent maps are not written.
+    An estimate the CSV would read back changed raises ``ValueError`` naming
+    the vertex, before the file is opened: a component vertex outside 1..N
+    or listed twice, component vertices not strictly ascending, an anchor
+    outside its component, an anchor sign other than ``sign_of`` its response
+    (so a zero or -0.0 anchor response carries +1), or a support other than
+    the components' union. Parent maps are not written, and anchor signs are
+    read back from the responses.
     """
     n = estimate.n_vertices
 
@@ -349,8 +352,18 @@ def write_channel_estimate(csv_path, estimate: ChannelEstimate) -> None:
             if flags[1, v - 1]:
                 fail(v, f"is listed in component {flags[1, v - 1]} and again in component {k}")
             flags[1, v - 1] = k
+        for before, v in zip(comp.vertices, comp.vertices[1:]):
+            if v <= before:
+                fail(v, f"follows vertex {before} in component {k}, whose vertices must ascend")
         if comp.anchor not in comp.vertices:
             fail(comp.anchor, f"is the anchor of component {k} but not one of its vertices")
+        response = float(estimate.gamma_m[comp.anchor - 1])
+        if comp.anchor_sign != sign_of(response):
+            fail(
+                comp.anchor,
+                f"anchors component {k} with sign {comp.anchor_sign}, "
+                f"but its response {response!r} has sign {sign_of(response):+d}",
+            )
         flags[2, comp.anchor - 1] = 1
     listed = set(_vertices(flags[1]))
     for v in sorted(listed ^ estimate.support)[:1]:
@@ -515,4 +528,6 @@ def center_dataset(raw: RawDataset) -> SignalEnsemble:
     values = raw.values
     centered = values - values.mean(axis=2, keepdims=True)
     n, t, d = centered.shape
-    return SignalEnsemble(signals=centered.transpose(2, 1, 0).reshape(d * t, n), domain=VERTEX)
+    # ``centered`` is ours alone, and so is any view of it the reshape returns.
+    samples = centered.transpose(2, 1, 0).reshape(d * t, n)
+    return SignalEnsemble(signals=_Taken(samples), domain=VERTEX)

@@ -49,6 +49,7 @@ from .spectral import (
     SignalEnsemble,
     SpectralBasis,
     _as_spectral,
+    _Taken,
     build_radius_graph,
     eigendecompose,
     gft,
@@ -190,7 +191,8 @@ def synthetic_source(n: int, m: int, seed: int) -> tuple[np.ndarray, SignalEnsem
     """
     mixing = mixing_matrix(n, derive_seed(seed, _MIXING))
     rng = np.random.default_rng(derive_seed(seed, _SOURCE))
-    return mixing, SignalEnsemble(signals=rng.standard_normal((m, n)) @ mixing.T, domain=SPECTRAL)
+    samples = rng.standard_normal((m, n)) @ mixing.T
+    return mixing, SignalEnsemble(signals=_Taken(samples), domain=SPECTRAL)
 
 
 def transmit(
@@ -200,8 +202,9 @@ def transmit(
 
     Returns vertex-domain samples. By orthogonality of the basis, the noise is
     white on the vertex samples too. ``sigma`` must be a finite number >= 0.
-    The filtered samples are added into the scaled noise's own buffer, and
-    no M x N array but the spectral ensemble is held while ``igft`` runs.
+    The filtered samples are added into the scaled noise's own buffer, which
+    the noisy ensemble then takes without a copy, and no M x N array but the
+    spectral ensemble is held while ``igft`` runs.
     """
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be a finite number >= 0, got {sigma}")
@@ -210,8 +213,7 @@ def transmit(
         noisy = np.random.default_rng(seed).standard_normal(spectral.signals.shape)
         noisy *= sigma
         noisy += spectral.signals
-        spectral = SignalEnsemble(signals=noisy, domain=SPECTRAL)
-        del noisy
+        spectral = SignalEnsemble(signals=_Taken(noisy), domain=SPECTRAL)
     return igft(basis, spectral)
 
 

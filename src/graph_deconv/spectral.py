@@ -15,13 +15,16 @@ breadth-first tree comes from one block of ``adjacency``, so its cost in
 Python calls grows with the tree's depth, not its size. ``bfs_forest`` runs
 it once per connected component.
 
-Every value that holds an array copies it in its constructor, also when
-unpickled, and stores the copy read-only (``_owned``), so no alias can change
-it after the fact. That lets a vertex-domain ensemble keep its GFT:
-``_as_spectral`` transforms it once per basis object and keeps a weak
-reference to the result, so whoever still holds the spectral twin (a
-``ChannelEstimate`` does) lets the next call skip the transform, and a twin
-nobody holds is freed as usual.
+Every value that holds an array copies a caller's array in its constructor,
+also when unpickled, and stores the copy read-only (``_owned``), so no alias
+can change it after the fact. An ensemble the library has just computed, a
+product no one else holds, is taken as is (``_Taken``) instead of copied.
+That lets a vertex-domain ensemble keep what it derives per basis object:
+``_as_spectral`` keeps a weak reference to its GFT, so whoever still holds
+the spectral twin (a ``DeconvolutionResult`` does) lets the next call skip
+the transform, and a twin nobody holds is freed as usual; the covariance of
+the twin, which ``covariance._spectral_covariance`` forms, is kept outright,
+so it outlives the M x N twin.
 """
 
 from __future__ import annotations
@@ -257,6 +260,20 @@ def _owned(a, dtype) -> np.ndarray:
     return _read_only(np.array(a, dtype=dtype))
 
 
+class _Taken:
+    """An array the library has just computed and holds nowhere else.
+
+    ``SignalEnsemble`` takes the wrapped array as its own, with no copy;
+    every check of the constructor runs all the same. A caller's array is
+    never wrapped, so it is always copied.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 def normalize_edge(pair) -> tuple[int, int]:
     i, j = int(pair[0]), int(pair[1])
     if i == j:
@@ -292,18 +309,22 @@ class SignalEnsemble(_Value):
     ``domain`` is "vertex" or "spectral" and records which side of the graph
     Fourier transform the rows live on. ``signals`` is a read-only copy of
     the input. The two private fields are memos, never compared or pickled:
-    ``_as_spectral`` keeps the GFT of a vertex ensemble in ``_spectral``, and
-    ``covariance._covariance`` keeps the empirical covariance in
-    ``_covariance``.
+    a vertex ensemble keeps a ``_SpectralMemo`` for one basis object in
+    ``_spectral``, and ``covariance._covariance`` keeps the ensemble's own
+    empirical covariance in ``_covariance``.
     """
 
     signals: np.ndarray
     domain: str = VERTEX
-    _spectral: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _spectral: _SpectralMemo | None = field(default=None, init=False, repr=False, compare=False)
     _covariance: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = _owned(np.atleast_2d(self.signals), float)
+        signals = self.signals
+        if isinstance(signals, _Taken):
+            arr = _read_only(np.atleast_2d(np.asarray(signals.array, dtype=float)))
+        else:
+            arr = _owned(np.atleast_2d(signals), float)
         if arr.ndim != 2:
             raise ValueError(f"signals must be a 2-D array, got ndim={arr.ndim}")
         if arr.shape[0] < 1:
@@ -414,7 +435,7 @@ def gft(basis: SpectralBasis, e: SignalEnsemble) -> SignalEnsemble:
     if e.domain != VERTEX:
         raise ValueError(f"gft expects a vertex-domain ensemble, got {e.domain!r}")
     _check_width(basis, e)
-    return SignalEnsemble(signals=e.signals @ basis.modes, domain=SPECTRAL)
+    return SignalEnsemble(signals=_Taken(e.signals @ basis.modes), domain=SPECTRAL)
 
 
 def igft(basis: SpectralBasis, e: SignalEnsemble) -> SignalEnsemble:
@@ -422,7 +443,37 @@ def igft(basis: SpectralBasis, e: SignalEnsemble) -> SignalEnsemble:
     if e.domain != SPECTRAL:
         raise ValueError(f"igft expects a spectral-domain ensemble, got {e.domain!r}")
     _check_width(basis, e)
-    return SignalEnsemble(signals=e.signals @ basis.modes.T, domain=VERTEX)
+    return SignalEnsemble(signals=_Taken(e.signals @ basis.modes.T), domain=VERTEX)
+
+
+@dataclass(eq=False)
+class _SpectralMemo:
+    """What a vertex ensemble keeps for one basis object, to which ``basis`` is a weak reference.
+
+    ``twin`` is a weak reference to the ensemble's GFT, set by
+    ``_as_spectral``; ``covariance`` is that GFT's covariance once
+    ``covariance._spectral_covariance`` has formed it, held outright.
+    """
+
+    basis: weakref.ref
+    twin: weakref.ref | None = None
+    covariance: np.ndarray | None = None
+
+
+def _spectral_memo(basis: SpectralBasis, e: SignalEnsemble, make: bool = False):
+    """The ``_SpectralMemo`` vertex ensemble ``e`` keeps for this basis object, or None.
+
+    With ``make``, a missing memo, or one kept for another basis object, is
+    replaced by an empty one for this basis. A spectral ensemble keeps none.
+    """
+    memo = e._spectral
+    if memo is not None and memo.basis() is basis:
+        return memo
+    if not make:
+        return None
+    memo = _SpectralMemo(weakref.ref(basis))
+    object.__setattr__(e, "_spectral", memo)
+    return memo
 
 
 def _as_spectral(basis: SpectralBasis, e: SignalEnsemble) -> SignalEnsemble:
@@ -435,10 +486,9 @@ def _as_spectral(basis: SpectralBasis, e: SignalEnsemble) -> SignalEnsemble:
     if e.domain != VERTEX:
         _check_width(basis, e)
         return e
-    if e._spectral is not None:
-        memo_basis, memo = e._spectral
-        if memo_basis() is basis and (spectral := memo()) is not None:
-            return spectral
+    memo = _spectral_memo(basis, e, make=True)
+    if memo.twin is not None and (spectral := memo.twin()) is not None:
+        return spectral
     spectral = gft(basis, e)
-    object.__setattr__(e, "_spectral", (weakref.ref(basis), weakref.ref(spectral)))
+    memo.twin = weakref.ref(spectral)
     return spectral

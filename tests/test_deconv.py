@@ -6,8 +6,13 @@ Ground truth:
 - the diagonal-excess law is checked by Monte Carlo against sigma^2/gamma^2
 """
 
+import itertools
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from graph_deconv import (
     ChannelEstimate,
@@ -15,11 +20,15 @@ from graph_deconv import (
     NonpositiveVariance,
     SignalEnsemble,
     align_component_signs,
+    DegenerateSpectrum,
     blind_deconvolve,
+    build_source_graph,
     covariance_diagnostics,
     db_scale,
     eigendecompose,
     empirical_covariance,
+    estimate_channel,
+    gft,
     igft,
     random_channel,
     reconstructed_covariance,
@@ -265,6 +274,43 @@ class TestLazyReconstruction:
         )
         assert flips == (-1,)
         self.check_lazy(aligned, basis, igft_calls)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.integers(1, 20), st.integers(0, 2**32 - 1))
+def test_outputs_do_not_depend_on_domain_read_order_or_a_prior_estimate(n, m, seed):
+    """Vertex observations or their GFT, either output read first, with or
+    without ``estimate_channel`` having kept their covariance: the
+    reconstruction and its covariance are the same bits."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    try:
+        basis = eigendecompose((a + a.T) / 2.0)
+    except DegenerateSpectrum:
+        assume(False)
+    samples = rng.standard_normal((m, n))
+    est = ChannelEstimate.from_response(random_channel(n, 0.2, seed))
+    cov_x = 0.5 + np.eye(n)  # every pair correlated: a complete source graph
+    source = build_source_graph(cov_x, 0.01)
+    outputs = []
+    for spectral, recon_first, estimated in itertools.product([False, True], repeat=3):
+        y = SignalEnsemble(signals=samples)
+        if spectral:
+            y = gft(basis, y)
+        if estimated:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                estimate_channel(cov_x, y, basis, source, 0.001)
+        result = blind_deconvolve(est, y, basis)
+        if recon_first:
+            recon = result.reconstructed
+            cov = reconstructed_covariance(result)
+        else:
+            cov = reconstructed_covariance(result)
+            recon = result.reconstructed
+        outputs.append((recon.signals, cov))
+    for recon, cov in outputs[1:]:
+        assert np.array_equal(recon, outputs[0][0]) and np.array_equal(cov, outputs[0][1])
 
 
 class TestDiagnostics:

@@ -11,6 +11,7 @@ import itertools
 import re
 import sys
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from graph_deconv import (
     transmit,
 )
 from graph_deconv import covariance, spectral
+from graph_deconv.io import read_channel_estimate, write_channel_estimate
 from graph_deconv.simulate import simulation_graph, synthetic_source
 
 
@@ -264,34 +266,63 @@ class TestEstimateChannel:
         np.testing.assert_array_equal(a.gamma_m, b.gamma_m)
         assert a.support == b.support
 
-    def test_estimation_and_deconvolution_share_one_gft_and_one_covariance(self, monkeypatch):
+    def test_estimation_and_deconvolution_share_one_gft_and_one_covariance(self, calls):
         """Vertex observations passed to both calls are transformed and squared once."""
-        calls = Counter()
-        originals = {"gft": spectral.gft, "empirical_covariance": covariance.empirical_covariance}
-
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-
-            return wrapper
-
-        modules = [m for name, m in sys.modules.items() if name.startswith("graph_deconv.")]
-        for module, (name, fn) in itertools.product(modules, originals.items()):
-            if getattr(module, name, None) is fn:
-                monkeypatch.setattr(module, name, counted(name, fn))
-        coords, radius, graph, basis = simulation_graph(8, 40)
-        _, xhat = synthetic_source(8, 500, 40)
-        cov_x = empirical_covariance(xhat)
-        source = build_source_graph(cov_x, 0.01)
-        y = transmit(igft(basis, xhat), random_channel(8, 0.2, 41), basis, 0.5, 42)
+        cov_x, y, basis, source = noisy_inputs()
         calls.clear()
         est = estimate_channel(cov_x, y, basis, source, 0.001)
         result = blind_deconvolve(est, y, basis)
         reconstructed_covariance(result)
         assert dict(calls) == {"gft": 1, "empirical_covariance": 1}
-        assert result.observations is est.observations
-        assert est.observations.domain == "spectral"
+        assert [f.name for f in fields(ChannelEstimate)] == ["gamma_m", "support", "components"]
+
+    @pytest.mark.parametrize("recon_first", [True, False], ids=["recon-first", "cov-first"])
+    def test_file_estimate_outputs_cost_one_gft_in_either_read_order(self, calls, tmp_path, recon_first):
+        """An estimate from a CSV knows nothing of the observations, so the
+        result transforms them once and both outputs read that transform."""
+        cov_x, y, basis, source = noisy_inputs()
+        path = tmp_path / "channel_estimate.csv"
+        write_channel_estimate(path, estimate_channel(cov_x, y, basis, source, 0.001))
+        y = SignalEnsemble(signals=y.signals)  # a copy that keeps nothing of the estimation
+        calls.clear()
+        result = blind_deconvolve(read_channel_estimate(path), y, basis)
+        if recon_first:
+            result.reconstructed
+            reconstructed_covariance(result)
+        else:
+            reconstructed_covariance(result)
+            result.reconstructed
+        assert dict(calls) == {"gft": 1, "empirical_covariance": 1}
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of ``gft`` and ``empirical_covariance`` calls, wherever the package calls them."""
+    counts = Counter()
+    originals = {"gft": spectral.gft, "empirical_covariance": covariance.empirical_covariance}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    modules = [m for name, m in sys.modules.items() if name.startswith("graph_deconv.")]
+    for module, (name, fn) in itertools.product(modules, originals.items()):
+        if getattr(module, name, None) is fn:
+            monkeypatch.setattr(module, name, counted(name, fn))
+    return counts
+
+
+def noisy_inputs():
+    """Source covariance, noisy vertex observations, basis and source graph at N=8."""
+    coords, radius, graph, basis = simulation_graph(8, 40)
+    _, xhat = synthetic_source(8, 500, 40)
+    cov_x = empirical_covariance(xhat)
+    source = build_source_graph(cov_x, 0.01)
+    y = transmit(igft(basis, xhat), random_channel(8, 0.2, 41), basis, 0.5, 42)
+    return cov_x, y, basis, source
 
 
 class TestFromResponse:
@@ -304,8 +335,9 @@ class TestFromResponse:
         with pytest.raises(ValueError, match=re.escape(f"support index {bad!r} {problem}")):
             ChannelEstimate.from_response(np.ones(3), support=support)
 
-    def test_has_no_observations(self):
-        assert ChannelEstimate.from_response(np.ones(3)).observations is None
+    def test_holds_nothing_but_its_fields(self):
+        est = ChannelEstimate.from_response(np.ones(3))
+        assert vars(est).keys() == {"gamma_m", "support", "components"}
 
 
 class TestSignConsistencyReport:

@@ -159,8 +159,8 @@ def test_estimate_to_diagnostics_holds_one_square_of_slack(large_inputs):
 
 def test_transmit_holds_one_ensemble_of_slack(large_inputs):
     """transmit must hold its filtered spectral samples and the vertex-domain
-    samples it returns (M x N each); at most one more M x N, the product the
-    result copies, may be in flight, plus the length-N response."""
+    samples it returns (M x N each); at most one more M x N may be in
+    flight, plus the length-N response."""
     basis, _, _, sources, gamma = large_inputs
     y, peak = traced_peak(lambda: gd.transmit(sources, gamma, basis, 0.5, 14))
     assert y.signals.shape == (M_MEM, N_MEM)

@@ -7,6 +7,7 @@ hand in the test body.
 import csv
 import io
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,11 @@ from graph_deconv import (
     FileFormatError,
     RawDataset,
     SignalEnsemble,
+    assign_signs,
+    build_observation_graph,
+    build_source_graph,
     center_dataset,
+    estimate_magnitudes,
     load_raw_dataset,
 )
 from graph_deconv import io as gio
@@ -173,6 +178,46 @@ class TestChannelEstimate:
         with pytest.raises(FileFormatError, match=re.escape(f"{path}: {names}")):
             gio.read_channel_estimate(path)
 
+    def test_unsorted_component_is_refused(self, tmp_path):
+        est = ChannelEstimate(
+            gamma_m=[1.0, 2.0, 3.0],
+            support=frozenset({1, 2, 3}),
+            components=(Component((3, 1, 2), 3, -1, {}),),
+        )
+        path = tmp_path / "out" / "estimate.csv"
+        names = "vertex 1 follows vertex 3 in component 1, whose vertices must ascend"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {names}")):
+            gio.write_channel_estimate(path, est)
+        assert not (tmp_path / "out").exists()
+
+    def negative_anchor_estimate(self, anchor_magnitude):
+        cov_x = np.array([[1.0, 0.5, 0.4], [0.5, 1.0, 0.6], [0.4, 0.6, 1.0]])
+        cov_y = np.outer([1.5, -0.9, 1.1], [1.5, -0.9, 1.1]) * cov_x
+        source = build_source_graph(cov_x, 0.01)
+        obs = build_observation_graph(cov_y, source, 0.001)
+        mags = estimate_magnitudes(cov_x, cov_y, source)
+        mags[0] = anchor_magnitude
+        return assign_signs(mags, obs, cov_x, cov_y, anchor_signs=[-1])
+
+    def test_negative_anchor_reads_back_equal(self, tmp_path):
+        est = self.negative_anchor_estimate(1.5)
+        path = tmp_path / "estimate.csv"
+        gio.write_channel_estimate(path, est)
+        back = gio.read_channel_estimate(path)
+        np.testing.assert_array_equal(back.gamma_m, est.gamma_m)
+        assert back.support == est.support
+        assert back.components == tuple(replace(c, parents={}) for c in est.components)
+        assert back.components[0].anchor_sign == -1
+
+    def test_negative_sign_on_a_zero_anchor_is_refused(self, tmp_path):
+        """-1 times a zero magnitude is -0.0, which ``sign_of`` reads as +1."""
+        est = self.negative_anchor_estimate(0.0)
+        path = tmp_path / "out" / "estimate.csv"
+        names = "vertex 1 anchors component 1 with sign -1, but its response -0.0 has sign +1"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {names}")):
+            gio.write_channel_estimate(path, est)
+        assert not (tmp_path / "out").exists()
+
     def test_csv_only_keeps_membership_and_anchors(self, tmp_path):
         est = self.make_estimate()
         csv_path = tmp_path / "estimate.csv"
@@ -320,7 +365,7 @@ class TestWriterBytes:
             support=frozenset({1, 2, 4}),
             components=(
                 Component(vertices=(1, 2), anchor=1, anchor_sign=1, parents={2: 1}),
-                Component(vertices=(4,), anchor=4, anchor_sign=-1, parents={}),
+                Component(vertices=(4,), anchor=4, anchor_sign=1, parents={}),
             ),
         )
         report = [BoundCheck(n=1, nprime=2, eps=v[1], empirical=v[0], bound=v[2], flag=True)]

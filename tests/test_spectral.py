@@ -267,7 +267,7 @@ class TestSignalEnsemble:
         basis = eigendecompose(laplacian(path_graph(4)))
         e = SignalEnsemble(signals=np.arange(8.0).reshape(2, 4), domain="vertex")
         spec = _as_spectral(basis, e)
-        assert e._spectral[1]() is spec
+        assert e._spectral.twin() is spec
         back = pickle.loads(pickle.dumps(e))
         np.testing.assert_array_equal(back.signals, e.signals)
         assert not back.signals.flags.writeable
