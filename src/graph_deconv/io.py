@@ -4,7 +4,11 @@ Vertex indices in files are 1-based. CSV tables go through ``_read_table`` and
 ``_write_table``: blank lines are skipped, a numeric cell is a finite number in
 Python's ``float`` grammar (``int`` grammar within int64 for index columns),
 and floats are written as ``repr(float(x))`` with ``\\n`` line endings; a
-NaN or an infinity raises ``ValueError`` before its file is opened.
+NaN or an infinity raises ``ValueError`` before its file is opened. The float
+matrices (signals and covariances) are rendered a block of rows at a time by
+``_float_csv``, numpy arithmetic that follows Giulietti's Schubfach ("The
+Schubfach way to render doubles", 2020) to the digits ``repr`` prints, byte
+for byte, as ``tests/test_float_csv.py`` checks against ``repr`` itself.
 Numeric tables are parsed by numpy's C reader; a table it rejects is read
 again cell by cell with ``csv.reader``, ``float`` and ``int``, so the grammar,
 the messages and the values are those of Python's reader either way. JSON
@@ -28,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _float_csv
 from .covariance import BoundCheck
 from .errors import FileFormatError
 from .estimation import ChannelEstimate, Component, sign_of
@@ -214,17 +219,23 @@ _PLAIN = frozenset({int, float})
 
 
 def _write_table(path, header, rows) -> None:
-    """Write CSV rows; Python floats come out as their ``repr``, strings quoted as CSV needs.
+    """Write a CSV table: ``header`` unless None, then ``rows``; a float is its ``repr``.
 
-    A row of Python ints and floats only is joined directly: ``csv.writer``
-    writes a float as its ``repr`` and an int as its ``str``, which is its
-    ``repr`` too, and neither ever needs quoting.
+    ``rows`` is either a finite float64 matrix, rendered by ``_float_csv`` a
+    block of whole rows at a time, or an iterable of rows. A row of Python
+    ints and floats only is joined directly: ``csv.writer`` writes a float as
+    its ``repr`` and an int as its ``str``, which is its ``repr`` too, and
+    neither ever needs quoting. Other rows go through ``csv.writer``, which
+    quotes strings as CSV needs.
     """
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         if header is not None:
             w.writerow(header)
+        if isinstance(rows, np.ndarray):
+            fh.writelines(_float_csv.blocks(rows))
+            return
         for row in rows:
             if _PLAIN.issuperset(map(type, row)):
                 fh.write(",".join(map(repr, row)) + "\n")
@@ -232,12 +243,11 @@ def _write_table(path, header, rows) -> None:
                 w.writerow(row)
 
 
-def _floats(path, values, row: int, col: int = 1):
-    """Python floats, a row of a matrix at a time, so a table cell is ``repr(float(x))``.
+def _finite(path, values, row: int, col: int = 1) -> np.ndarray:
+    """``values``, a column or a matrix, as float64, checked before ``path`` is opened.
 
-    ``values``, a column or a matrix, is written to ``path`` from file row
-    ``row`` and column ``col`` on. A NaN or an infinity raises ``ValueError``
-    naming its row and column, here, so before the file is opened.
+    ``values`` is written to ``path`` from file row ``row`` and column ``col``
+    on. A NaN or an infinity raises ``ValueError`` naming its row and column.
     """
     values = np.asarray(values, dtype=float)
     finite = np.isfinite(values)
@@ -248,7 +258,7 @@ def _floats(path, values, row: int, col: int = 1):
             f"{path}: row {row + r}, column {col + c}: "
             f"non-finite value {float(values.flat[k])!r} cannot be written"
         )
-    return map(np.ndarray.tolist, values) if values.ndim == 2 else values.tolist()
+    return values
 
 
 def read_json(path):
@@ -275,7 +285,8 @@ def read_coordinates(path) -> list[tuple[str, float, float]]:
 
 def write_coordinates(path, coords) -> None:
     ids, x, y = zip(*coords) if coords else ((), (), ())
-    _write_table(path, ["id", "x", "y"], zip(ids, _floats(path, x, 2, 2), _floats(path, y, 2, 3)))
+    x, y = _finite(path, x, 2, 2).tolist(), _finite(path, y, 2, 3).tolist()
+    _write_table(path, ["id", "x", "y"], zip(ids, x, y))
 
 
 def read_edge_list(path) -> list[tuple[int, int]]:
@@ -297,7 +308,7 @@ def read_signals(path) -> SignalEnsemble:
 
 
 def write_signals(path, e: SignalEnsemble) -> None:
-    _write_table(path, _signals_header(e.n_vertices), _floats(path, e.signals, 2))
+    _write_table(path, _signals_header(e.n_vertices), _finite(path, e.signals, 2))
 
 
 def read_covariance(path) -> np.ndarray:
@@ -305,14 +316,14 @@ def read_covariance(path) -> np.ndarray:
 
 
 def write_covariance(path, cov: np.ndarray) -> None:
-    _write_table(path, None, _floats(path, cov, 1))
+    _write_table(path, None, _finite(path, cov, 1))
 
 
 def write_reconstruction(signals_path, e: SignalEnsemble, cov_path, cov: np.ndarray) -> None:
     """``write_signals`` and ``write_covariance``, or neither when either table is not finite."""
-    signals, cov_rows = _floats(signals_path, e.signals, 2), _floats(cov_path, cov, 1)
+    signals, cov = _finite(signals_path, e.signals, 2), _finite(cov_path, cov, 1)
     _write_table(signals_path, _signals_header(e.n_vertices), signals)
-    _write_table(cov_path, None, cov_rows)
+    _write_table(cov_path, None, cov)
 
 
 def read_response(path) -> np.ndarray:
@@ -321,11 +332,11 @@ def read_response(path) -> np.ndarray:
 
 
 def write_response(path, gamma) -> None:
-    _write_table(path, ["n", "gamma"], enumerate(_floats(path, np.ravel(gamma), 2, 2), start=1))
+    _write_table(path, ["n", "gamma"], enumerate(_finite(path, np.ravel(gamma), 2, 2).tolist(), start=1))
 
 
 def write_eigenvalues(path, eigenvalues) -> None:
-    _write_table(path, ["n", "lambda"], enumerate(_floats(path, eigenvalues, 2, 2), start=1))
+    _write_table(path, ["n", "lambda"], enumerate(_finite(path, eigenvalues, 2, 2).tolist(), start=1))
 
 
 def write_channel_estimate(csv_path, estimate: ChannelEstimate) -> None:
@@ -369,7 +380,7 @@ def write_channel_estimate(csv_path, estimate: ChannelEstimate) -> None:
     for v in sorted(listed ^ estimate.support)[:1]:
         fail(v, "is in a component but not in the support" if v in listed else "is in the support but no component")
     flags[0] = flags[1] != 0
-    rows = zip(range(1, n + 1), _floats(csv_path, estimate.gamma_m, 2, 2), *flags.tolist())
+    rows = zip(range(1, n + 1), _finite(csv_path, estimate.gamma_m, 2, 2).tolist(), *flags.tolist())
     _write_table(csv_path, _ESTIMATE_HEADER, rows)
 
 
@@ -428,7 +439,7 @@ def _check_estimate_columns(table: _Table, order, in_support, comp_id, is_anchor
 
 
 def write_bound_report(path, report: list[BoundCheck]) -> None:
-    stats = _floats(path, [[c.eps, c.empirical, c.bound] for c in report], 2, 3)
+    stats = _finite(path, [[c.eps, c.empirical, c.bound] for c in report], 2, 3).tolist()
     rows = ((c.n, c.nprime, *s, int(c.flag)) for c, s in zip(report, stats))
     _write_table(path, ["n", "nprime", "eps", "empirical", "bound", "flag"], rows)
 
