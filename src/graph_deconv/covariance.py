@@ -8,6 +8,11 @@ the upper triangle of a correlation matrix, so their degrees, connectivity,
 support, components and breadth-first spanning trees all come from that mask.
 Each tree is rooted at its component's lowest vertex with neighbours visited
 in ascending order, and sign recovery propagates along them.
+
+Once the covariance product is formed, every elementwise pass over an N x N
+matrix here, in ``estimation`` and in ``deconv`` runs a row slab at a time
+(``_row_slabs``), each step as the whole-matrix expression would run it, so
+the results are bit-for-bit the same and the temporaries stay in cache.
 """
 
 from __future__ import annotations
@@ -30,22 +35,43 @@ from .spectral import (
 )
 
 
+_SLAB_BYTES = 1 << 18
+
+
+def _row_slabs(n: int) -> list[slice]:
+    """The rows of an N x N float64 matrix, in order, as slices of about 256 KiB each.
+
+    The elementwise passes over N x N matrices run one slab at a time, so
+    their temporaries stay in cache instead of streaming whole matrices from
+    memory. Up to N = 181 one slab holds every row.
+    """
+    step = max(1, _SLAB_BYTES // (8 * max(n, 1)))
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
+
+
 def empirical_covariance(e: SignalEnsemble) -> np.ndarray:
     """Empirical second-moment matrix (1/M) sum_m s_m s_m^T of an ensemble.
 
-    Symmetric by construction and positive semidefinite with rank at most M.
-    Overflow raises no warning: it leaves a non-finite variance, and an
-    off-diagonal entry cannot exceed the larger variance of its pair, so the
-    checks on the diagonal downstream see every overflow.
+    Symmetric by construction and positive semidefinite with rank at most M;
+    the product is symmetrised a row slab at a time. Overflow raises no
+    warning: it leaves a non-finite variance, and an off-diagonal entry
+    cannot exceed the larger variance of its pair, so the checks on the
+    diagonal downstream see every overflow.
     """
     y = e.signals
+    m, n = y.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        # In place, bit-equal to ((y.T @ y) / M + its transpose) / 2: numpy
-        # buffers the overlapping transpose, and * 0.5 rounds like / 2.
         cov = y.T @ y
-        cov /= y.shape[0]
-        cov += cov.T
-        cov *= 0.5
+        # Bit-equal to ((y.T @ y) / M + its transpose) / 2, a row slab and the
+        # column slab it mirrors at a time: * 0.5 rounds like / 2, and each
+        # pair of mirrored entries gets the same sum in either order.
+        for r in _row_slabs(n):
+            top, side = cov[r, r.start :], cov[r.start :, r].T
+            half = top / m
+            half += side / m
+            half *= 0.5
+            top[...] = half
+            side[...] = half
     return cov
 
 
@@ -108,6 +134,29 @@ def pearson_matrix(cov: np.ndarray, what: str = "covariance") -> np.ndarray:
     return np.abs(cov) / np.outer(scale, scale)
 
 
+def _pearson_mask(cov: np.ndarray, threshold: float, within=None) -> np.ndarray:
+    """Strict upper triangle of ``pearson_matrix(cov) >= threshold``, and of ``within`` if given.
+
+    ``cov`` has passed ``ensure_positive_diagonal``, and ``within`` is a
+    strictly upper-triangular mask. The magnitudes are formed a row slab of
+    the upper triangle at a time, each as ``pearson_matrix`` forms it, so the
+    mask is bit-for-bit the same and no N x N of magnitudes exists.
+    """
+    n = cov.shape[0]
+    scale = np.sqrt(np.diag(cov))
+    upper = np.zeros((n, n), dtype=bool)
+    for r in _row_slabs(n):
+        rho = np.abs(cov[r, r.start :])
+        rho /= np.outer(scale[r], scale[r.start :])
+        block = np.greater_equal(rho, threshold, out=upper[r, r.start :])
+        if within is None:
+            square = block[:, : r.stop - r.start]
+            square &= ~np.tri(*square.shape, dtype=bool)
+        else:
+            block &= within[r, r.start :]
+    return upper
+
+
 def _check_threshold(name: str, value: float) -> None:
     """Reject a correlation threshold outside [0, 1]; no Pearson magnitude exceeds 1."""
     if not math.isfinite(value):
@@ -124,8 +173,8 @@ def build_source_graph(cov_x: np.ndarray, pearson_threshold: float) -> Graph:
     per component.
     """
     _check_threshold("pearson_threshold", pearson_threshold)
-    rho = pearson_matrix(cov_x, "source covariance")
-    return Graph(n_vertices=rho.shape[0], edges=EdgeSet(np.triu(rho >= pearson_threshold, 1)))
+    cov_x = ensure_positive_diagonal(cov_x, "source covariance")
+    return Graph(n_vertices=cov_x.shape[0], edges=EdgeSet(_pearson_mask(cov_x, pearson_threshold)))
 
 
 def build_observation_graph(cov_ym: np.ndarray, source: Graph, delta: float) -> Graph:
@@ -136,12 +185,12 @@ def build_observation_graph(cov_ym: np.ndarray, source: Graph, delta: float) -> 
     nothing else). The result is always a subgraph of the source graph.
     """
     _check_threshold("delta", delta)
-    rho = pearson_matrix(cov_ym, "observation covariance")
-    if rho.shape[0] != source.n_vertices:
+    cov_ym = ensure_positive_diagonal(cov_ym, "observation covariance")
+    if cov_ym.shape[0] != source.n_vertices:
         raise ValueError(
-            f"covariance size {rho.shape[0]} != source graph size {source.n_vertices}"
+            f"covariance size {cov_ym.shape[0]} != source graph size {source.n_vertices}"
         )
-    upper = np.triu(source.adjacency & (rho >= delta), 1)
+    upper = _pearson_mask(cov_ym, delta, source.edges.upper)
     return Graph(n_vertices=source.n_vertices, edges=EdgeSet(upper))
 
 

@@ -10,10 +10,11 @@ result. The spectral reconstruction y * d and its vertex-domain form, one
 inverse GFT, are computed the first time ``spectral`` and ``reconstructed``
 are read. The reconstructed covariance is D C_y D with D = diag(d), read from
 the covariance of y that ``estimate_channel`` kept on the observations, so
-callers that only need covariances never touch an M x N array. Because the
-channel is only identified up to one sign per observation-graph component,
-reconstruction errors against a known ground truth are only meaningful after
-choosing the best sign per component, which ``align_component_signs`` does.
+callers that only need covariances never touch an M x N array; it and the
+dB diagnostics are filled a row slab at a time. Because the channel is only
+identified up to one sign per observation-graph component, reconstruction
+errors against a known ground truth are only meaningful after choosing the
+best sign per component, which ``align_component_signs`` does.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import pseudo_inverse
-from .covariance import _covariance, ensure_positive_diagonal
+from .covariance import _covariance, _row_slabs, ensure_positive_diagonal
 from .estimation import ChannelEstimate, Component
 from .spectral import (
     SPECTRAL,
@@ -138,9 +139,11 @@ def reconstructed_covariance(result: DeconvolutionResult) -> np.ndarray:
     if cov_y is None:
         cov_y = _covariance(result._observed)
     d = result.inverse
-    cov = np.outer(d, d)
-    cov *= cov_y
-    cov += 0.0  # turns the -0.0 of a zero times a negative entry into +0.0
+    cov = np.empty((d.size, d.size))
+    for r in _row_slabs(d.size):
+        slab = np.outer(d[r], d, out=cov[r])
+        slab *= cov_y[r]
+        slab += 0.0  # turns the -0.0 of a zero times a negative entry into +0.0
     return cov
 
 
@@ -169,9 +172,9 @@ def covariance_diagnostics(
 
     The relative matrix divides each discrepancy by the geometric mean of the
     two source variances, so it needs a strictly positive source diagonal.
-    The raw diagonal excess is read from the discrepancy first; the dB scale
-    then overwrites the discrepancy and the relative matrix in place, so the
-    two outputs are the only N x N arrays formed.
+    A row slab at a time, the discrepancy and the relative matrix are formed
+    in the two outputs and scaled to dB there, so they are the only N x N
+    arrays formed. The raw diagonal excess is the difference of the diagonals.
     """
     if not math.isfinite(floor_db):
         raise ValueError(f"floor_db must be a finite number, got {floor_db}")
@@ -179,15 +182,19 @@ def covariance_diagnostics(
     c_source = ensure_positive_diagonal(c_source, "source covariance")
     if c_recon.shape != c_source.shape:
         raise ValueError(f"shape mismatch: {c_recon.shape} vs {c_source.shape}")
-    delta = c_recon - c_source
-    inflation = np.diag(delta).copy()
+    n = c_source.shape[0]
+    abs_db, rel_db = np.empty((n, n)), np.empty((n, n))
     scale = np.sqrt(np.diag(c_source))
-    relative = np.outer(scale, scale)
-    np.divide(delta, relative, out=relative)
+    for r in _row_slabs(n):
+        delta = np.subtract(c_recon[r], c_source[r], out=abs_db[r])
+        relative = np.outer(scale[r], scale, out=rel_db[r])
+        np.divide(delta, relative, out=relative)
+        _db_in_place(delta, floor_db)
+        _db_in_place(relative, floor_db)
     return DiagnosticMatrices(
-        abs_diff_db=_db_in_place(delta, floor_db),
-        rel_diff_db=_db_in_place(relative, floor_db),
-        diagonal_inflation=inflation,
+        abs_diff_db=abs_db,
+        rel_diff_db=rel_db,
+        diagonal_inflation=np.diag(c_recon) - np.diag(c_source),
     )
 
 

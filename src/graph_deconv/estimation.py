@@ -11,11 +11,12 @@ and transforms nothing. Diagonal and off-diagonal entries of
 the two covariances are tied together by a per-edge quadratic system whose
 closed-form solution yields the response magnitude at every frequency;
 magnitudes are averaged over all source edges incident to the frequency, read
-from the source graph's ``adjacency`` and ``degrees``. Signs are then fixed per
-connected component of the observation graph: pick the lowest-index vertex as
-anchor, give it the requested sign, and propagate along the component's tree
-in the graph's ``trees``, one tree level at a time, using the sign of the
-ratio between observed and source covariance on each tree edge.
+from the source graph's ``adjacency`` and ``degrees``, and the system is
+solved a row slab at a time. Signs are then fixed per connected component of
+the observation graph: pick the lowest-index vertex as anchor, give it the
+requested sign, and propagate along the component's tree in the graph's
+``trees``, one tree level at a time, using the sign of the ratio between
+observed and source covariance on each tree edge.
 The result is the true channel up to one sign per component, which is the best
 any observer of second-order statistics can do.
 """
@@ -28,7 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import _support_labels
-from .covariance import _spectral_covariance, build_observation_graph, ensure_positive_diagonal
+from .covariance import (
+    _row_slabs,
+    _spectral_covariance,
+    build_observation_graph,
+    ensure_positive_diagonal,
+)
 from .errors import IsolatedVertex, NonpositiveVariance
 from .spectral import Graph, SignalEnsemble, SpectralBasis, _owned, _Value
 
@@ -111,8 +117,9 @@ def estimate_magnitudes(cov_x: np.ndarray, cov_ym: np.ndarray, source: Graph) ->
 
     and the estimate averages this over the theta(n) edges incident to n.
     Sampling noise can push the inner radicand sqrt(mu) + alpha slightly below
-    zero (mathematically it cannot be); such values are clamped to zero and a
-    RuntimeWarning reports how many edges were affected. A NaN or infinite
+    zero (mathematically it cannot be); such values are clamped to zero and
+    one RuntimeWarning reports how many edges were affected, over every row
+    slab the system is solved in, and the smallest radicand. A NaN or infinite
     variance in either covariance raises NonpositiveVariance naming its vertex
     (a zero observation variance is allowed); a magnitude that still comes out
     infinite or NaN, from finite entries whose squares overflow, raises
@@ -139,40 +146,51 @@ def estimate_magnitudes(cov_x: np.ndarray, cov_ym: np.ndarray, source: Graph) ->
         )
 
     adjacent = source.adjacency
-    if np.any(adjacent & (cov_x == 0)):
-        i, j = np.argwhere(adjacent & (cov_x == 0))[0]
-        raise ValueError(f"source covariance is zero on edge ({i + 1}, {j + 1})")
-
     diag_x = np.diag(cov_x)
-    alpha = diag_y[:, None] - diag_y[None, :]
-    # mu = 4 C_src(n,n) C_src(n',n') beta^2 + alpha^2 is evaluated in place,
-    # operation for operation as written, so it is bit-equal to the plain
-    # expression; beta's buffer is reused for the squares and the per-edge
-    # values, which are zero off the source edges.
-    beta = np.divide(cov_ym, cov_x, out=np.zeros((n, n)), where=adjacent)
-    mu = np.outer(diag_x, diag_x)
-    mu *= 4.0
-    mu *= np.square(beta, out=beta)
-    mu += np.square(alpha, out=beta)
-    inner = np.sqrt(mu, out=mu)
-    inner += alpha
+    sums = np.empty(n)
+    clamped, minima = 0, []
+    for r in _row_slabs(n):
+        adj = adjacent[r]
+        zero = adj & (cov_x[r] == 0)
+        if zero.any():
+            i, j = np.argwhere(zero)[0]
+            raise ValueError(f"source covariance is zero on edge ({r.start + i + 1}, {j + 1})")
+        alpha = diag_y[r, None] - diag_y[None, :]
+        # mu = 4 C_src(n,n) C_src(n',n') beta^2 + alpha^2 is evaluated in
+        # place, operation for operation as written, so it is bit-equal to
+        # the plain expression; beta's buffer is reused for the squares and
+        # the per-edge values, which are zero off the source edges.
+        beta = np.divide(cov_ym[r], cov_x[r], out=np.zeros(adj.shape), where=adj)
+        mu = np.outer(diag_x[r], diag_x)
+        mu *= 4.0
+        mu *= np.square(beta, out=beta)
+        mu += np.square(alpha, out=beta)
+        inner = np.sqrt(mu, out=mu)
+        inner += alpha
 
-    negative = inner < 0
-    negative &= adjacent
-    clamped = int(np.count_nonzero(negative))
+        negative = inner < 0
+        negative &= adj
+        count = int(np.count_nonzero(negative))
+        # Only slabs with a negative radicand are clamped. Elsewhere that
+        # leaves a -0.0 radicand at most, whose root changes no row sum, as
+        # every row also sums the +0.0 of its diagonal. Those radicands are
+        # >= 0 or NaN, so the clamped slabs hold the smallest one unless a
+        # NaN, which makes its row sum NaN, is anywhere.
+        if count:
+            clamped += count
+            minima.append(np.min(inner[adj]))
+            np.maximum(inner, 0.0, out=inner)
+        beta.fill(0.0)
+        np.sqrt(inner, out=beta, where=adj).sum(axis=1, out=sums[r])
+
     if clamped:
-        worst = float(np.min(inner[adjacent]))
+        worst = np.nan if np.isnan(sums).any() else float(min(minima))
         warnings.warn(
             f"clamped negative radicand on {clamped} edge(s) (min {worst:.3e}); "
             "the two covariances are inconsistent, likely from sampling noise",
             RuntimeWarning,
             stacklevel=2,
         )
-        np.maximum(inner, 0.0, out=inner)
-
-    beta.fill(0.0)
-    per_edge = np.sqrt(inner, out=beta, where=adjacent)
-    sums = per_edge.sum(axis=1)
     magnitudes = sums / (source.degrees * np.sqrt(2.0 * diag_x))
     bad = np.flatnonzero(~np.isfinite(magnitudes))
     if bad.size:

@@ -261,6 +261,19 @@ def _finite(path, values, row: int, col: int = 1) -> np.ndarray:
     return values
 
 
+def _matrix(path, values, row: int, square: bool = False) -> np.ndarray:
+    """``_finite`` for a table of rows: a 2-D array, square if ``square``.
+
+    Any other shape raises ``ValueError`` naming ``path`` and the shape,
+    before ``path`` is opened.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or (square and values.shape[0] != values.shape[1]):
+        kind = "a square matrix" if square else "a 2-D table"
+        raise ValueError(f"{path}: expected {kind}, got shape {values.shape}")
+    return _finite(path, values, row)
+
+
 def read_json(path):
     try:
         with open(path) as fh:
@@ -308,7 +321,7 @@ def read_signals(path) -> SignalEnsemble:
 
 
 def write_signals(path, e: SignalEnsemble) -> None:
-    _write_table(path, _signals_header(e.n_vertices), _finite(path, e.signals, 2))
+    _write_table(path, _signals_header(e.n_vertices), _matrix(path, e.signals, 2))
 
 
 def read_covariance(path) -> np.ndarray:
@@ -316,12 +329,12 @@ def read_covariance(path) -> np.ndarray:
 
 
 def write_covariance(path, cov: np.ndarray) -> None:
-    _write_table(path, None, _finite(path, cov, 1))
+    _write_table(path, None, _matrix(path, cov, 1, square=True))
 
 
 def write_reconstruction(signals_path, e: SignalEnsemble, cov_path, cov: np.ndarray) -> None:
-    """``write_signals`` and ``write_covariance``, or neither when either table is not finite."""
-    signals, cov = _finite(signals_path, e.signals, 2), _finite(cov_path, cov, 1)
+    """``write_signals`` and ``write_covariance``, or neither when either table is refused."""
+    signals, cov = _matrix(signals_path, e.signals, 2), _matrix(cov_path, cov, 1, square=True)
     _write_table(signals_path, _signals_header(e.n_vertices), signals)
     _write_table(cov_path, None, cov)
 

@@ -8,6 +8,7 @@ import csv
 import io
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -383,7 +384,7 @@ class TestWriterBytes:
                 [f"v{k}" for k in range(1, 7)],
                 matrix.tolist(),
             ),
-            (gio.write_covariance, matrix, None, matrix.tolist()),
+            (gio.write_covariance, np.vstack([matrix] * 3), None, [v, v[::-1]] * 3),
             (gio.write_response, v, ["n", "gamma"], [[k + 1, x] for k, x in enumerate(v)]),
             (gio.write_eigenvalues, np.array(v), ["n", "lambda"], [[k + 1, x] for k, x in enumerate(v)]),
             (
@@ -452,6 +453,37 @@ class TestWriterBytes:
         gio.write_reconstruction(paths[0], signals, paths[1], np.eye(2))
         assert gio.read_signals(paths[0]).signals.tolist() == [[1.0, 1.0], [1.0, 1.0]]
         assert gio.read_covariance(paths[1]).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,)])
+    def test_covariance_that_is_not_square_is_not_written(self, tmp_path, shape):
+        """A 2 x 3 table used to be written and then refused by its reader; a
+        1-D one left an empty file behind."""
+        path = tmp_path / "cov.csv"
+        with pytest.raises(ValueError) as info:
+            gio.write_covariance(path, np.ones(shape))
+        assert str(info.value) == f"{path}: expected a square matrix, got shape {shape}"
+        assert not path.exists()
+
+    def test_signals_that_are_not_2d_are_not_written(self, tmp_path):
+        path = tmp_path / "signals.csv"
+        flat = SimpleNamespace(signals=np.ones(3), n_vertices=3)
+        with pytest.raises(ValueError) as info:
+            gio.write_signals(path, flat)
+        assert str(info.value) == f"{path}: expected a 2-D table, got shape (3,)"
+        assert not path.exists()
+
+    @pytest.mark.parametrize("signals, cov, refused", [
+        (np.ones(2), np.eye(2), 0),
+        (np.ones((2, 2)), np.ones((2, 3)), 1),
+        (np.ones((2, 2)), np.ones(2), 1),
+    ])
+    def test_misshapen_reconstruction_writes_neither_table(self, tmp_path, signals, cov, refused):
+        paths = tmp_path / "reconstructed.csv", tmp_path / "recon_cov.csv"
+        bad = (signals, cov)[refused]
+        with pytest.raises(ValueError, match=re.escape(f"{paths[refused]}: expected a ")) as info:
+            gio.write_reconstruction(paths[0], SimpleNamespace(signals=signals, n_vertices=2), paths[1], cov)
+        assert str(info.value).endswith(f"got shape {bad.shape}")
+        assert not any(p.exists() for p in paths)
 
     def test_invalid_json_names_the_file(self, tmp_path):
         path = tmp_path / "doc.json"
