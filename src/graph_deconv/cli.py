@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation or usage error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -223,9 +224,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing leaves a parser as it found it."""
+    return build_parser()
+
+
 def cli_dispatch(argv) -> int:
     """Parse and run; returns the process exit code."""
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(list(argv))
         if getattr(args, "command", None) is None:

@@ -11,8 +11,8 @@ in ascending order, and sign recovery propagates along them.
 
 Once the covariance product is formed, every elementwise pass over an N x N
 matrix here, in ``estimation`` and in ``deconv`` runs a row slab at a time
-(``_row_slabs``), each step as the whole-matrix expression would run it, so
-the results are bit-for-bit the same and the temporaries stay in cache.
+(``spectral._row_slabs``), each step as the whole-matrix expression would run
+it, so the results are bit-for-bit the same and the temporaries stay in cache.
 """
 
 from __future__ import annotations
@@ -31,22 +31,9 @@ from .spectral import (
     SignalEnsemble,
     SpectralBasis,
     _as_spectral,
+    _row_slabs,
     _spectral_memo,
 )
-
-
-_SLAB_BYTES = 1 << 18
-
-
-def _row_slabs(n: int) -> list[slice]:
-    """The rows of an N x N float64 matrix, in order, as slices of about 256 KiB each.
-
-    The elementwise passes over N x N matrices run one slab at a time, so
-    their temporaries stay in cache instead of streaming whole matrices from
-    memory. Up to N = 181 one slab holds every row.
-    """
-    step = max(1, _SLAB_BYTES // (8 * max(n, 1)))
-    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
 def empirical_covariance(e: SignalEnsemble) -> np.ndarray:

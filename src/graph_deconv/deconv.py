@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import pseudo_inverse
-from .covariance import _covariance, _row_slabs, ensure_positive_diagonal
+from .covariance import _covariance, ensure_positive_diagonal
 from .estimation import ChannelEstimate, Component
 from .spectral import (
     SPECTRAL,
@@ -35,6 +35,7 @@ from .spectral import (
     _as_spectral,
     _check_width,
     _owned,
+    _row_slabs,
     _spectral_memo,
     _Taken,
     _Value,

@@ -29,14 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import _support_labels
-from .covariance import (
-    _row_slabs,
-    _spectral_covariance,
-    build_observation_graph,
-    ensure_positive_diagonal,
-)
+from .covariance import _spectral_covariance, build_observation_graph, ensure_positive_diagonal
 from .errors import IsolatedVertex, NonpositiveVariance
-from .spectral import Graph, SignalEnsemble, SpectralBasis, _owned, _Value
+from .spectral import Graph, SignalEnsemble, SpectralBasis, _owned, _row_slabs, _Value
 
 
 @dataclass(frozen=True)

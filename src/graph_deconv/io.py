@@ -9,9 +9,12 @@ matrices (signals and covariances) are rendered a block of rows at a time by
 ``_float_csv``, numpy arithmetic that follows Giulietti's Schubfach ("The
 Schubfach way to render doubles", 2020) to the digits ``repr`` prints, byte
 for byte, as ``tests/test_float_csv.py`` checks against ``repr`` itself.
-Numeric tables are parsed by numpy's C reader; a table it rejects is read
-again cell by cell with ``csv.reader``, ``float`` and ``int``, so the grammar,
-the messages and the values are those of Python's reader either way. JSON
+Numeric tables are parsed by numpy's C reader: after the header, one
+streaming pass checks the rest of the file for text numpy could read
+differently, and numpy parses the same open file once. A table that fails
+that check, or that numpy rejects, is read again cell by cell with
+``csv.reader``, ``float`` and ``int``, so the grammar, the messages and the
+values are those of Python's reader either way. JSON
 files go through ``read_json`` and ``write_json``: indent 2, trailing newline.
 Writers make a missing parent directory only once their checks pass. A file
 that breaks its format raises ``FileFormatError`` naming the file and, in a
@@ -26,6 +29,7 @@ import json
 import operator
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
@@ -159,13 +163,17 @@ def _per_column(types, width: int) -> tuple:
 def _parse_numeric(path, header, types) -> _Table | None:
     """The table as numpy's C reader parses it, or None where Python's reader must decide.
 
-    numpy converts a float cell with ``PyOS_string_to_double``, the
-    conversion ``float`` uses, reads int64 cells in ``int``'s grammar over
+    The header line is read first: blank lines before it are skipped, as
+    ``csv.reader`` skips them, and a header holding a quote, which may span
+    lines, is left to Python's reader. ``_plain_text`` then streams the rest
+    of the file once, and numpy parses the same open file from where the
+    header ended. numpy converts a float cell with ``PyOS_string_to_double``,
+    the conversion ``float`` uses, reads int64 cells in ``int``'s grammar over
     ASCII digits, and ends rows at the line ends ``csv.reader`` does. None is
     returned wherever the two readers could differ: a header other than
     ``header``, a cell numpy rejects (quotes, underscores, non-ASCII digits,
     whitespace-only or ragged rows, a float in an int column), a warning, a
-    non-finite value, a line ``_checked_lines`` refuses, or a text column.
+    non-finite value, text ``_plain_text`` refuses, or a text column.
     """
     if isinstance(types, tuple):  # One structured field per column.
         if not _NUMPY_TYPES.keys() >= set(types):
@@ -177,13 +185,20 @@ def _parse_numeric(path, header, types) -> _Table | None:
         with open(path, newline="") as fh, warnings.catch_warnings():
             warnings.simplefilter("error")
             if header is not None:
-                got = [c.strip() for c in next(filter(None, csv.reader(fh)), ())]
+                # readline, unlike iteration, leaves tell() working.
+                line = fh.readline()
+                while line in ("\n", "\r", "\r\n"):
+                    line = fh.readline()
+                if '"' in line:
+                    return None
+                got = [c.strip() for c in next(csv.reader([line]), ())]
                 if not got or got != (header(len(got)) if callable(header) else header):
                     return None
-            parsed = np.loadtxt(
-                _checked_lines(fh, csv.field_size_limit()),
-                dtype=dtype, delimiter=",", comments=None, ndmin=ndmin,
-            )
+            start = fh.tell()
+            if not _plain_text(fh, csv.field_size_limit()):
+                return None
+            fh.seek(start)
+            parsed = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=ndmin)
     except (csv.Error, ValueError, Warning):
         return None
     names = parsed.dtype.names
@@ -196,23 +211,42 @@ def _parse_numeric(path, header, types) -> _Table | None:
     return _Table(path, _per_column(types, width), 1 if header is None else 2, parsed=parsed)
 
 
-def _checked_lines(fh, limit: int):
-    """The remaining lines of ``fh``, checked a batch at a time before numpy reads them.
+def _plain_text(fh, limit: int) -> bool:
+    """Whether the rest of ``fh`` is text numpy reads as ``csv.reader`` does.
 
     A line longer than ``limit`` may hold a cell longer than ``csv.reader``
     accepts, and numpy strips the ASCII separators ``\\x1c``-``\\x1f`` from a
-    cell as whitespace where ``float`` and ``int`` reject them; either raises
-    ``ValueError``.
+    cell as whitespace where ``float`` and ``int`` reject them; text with
+    either is refused. Lines end at ``\\n``, ``\\r`` or ``\\r\\n``, and a
+    line's length counts its line end, as ``readlines`` splits and counts
+    them. The text is read once, in chunks of at most ``limit`` characters,
+    so a line inside one chunk is never too long: only the first line end of
+    each chunk is measured, against the line in progress since earlier chunks.
     """
-
-    def batches():
-        for batch in iter(lambda: fh.readlines(1 << 16), []):
-            text = "".join(batch)
-            if max(map(len, batch)) > limit or any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
-                raise ValueError("a line numpy could read differently from csv.reader")
-            yield batch
-
-    return chain.from_iterable(batches())
+    run = 0  # The length of the line in progress, as far as the chunks so far hold it.
+    cr = False  # The last chunk ended that line in "\r", which a leading "\n" extends.
+    for chunk in iter(partial(fh.read, max(1, min(1 << 16, limit))), ""):
+        if any(sep in chunk for sep in "\x1c\x1d\x1e\x1f"):
+            return False
+        start = int(cr and chunk[0] == "\n")
+        if run + start > limit:  # The line in progress, at its end if start is 1.
+            return False
+        if cr:
+            run = 0
+        last = max(chunk.rfind("\n", start), chunk.rfind("\r", start))
+        if last < 0:
+            run += len(chunk) - start
+            cr = False
+            continue
+        first = min(k for k in (chunk.find("\n", start), chunk.find("\r", start)) if k >= 0)
+        if run + first - start + 1 + chunk.startswith("\r\n", first) > limit:
+            return False
+        cr = last == len(chunk) - 1 and chunk[last] == "\r"
+        if cr and first == last:  # The line in progress ends here, or in the next chunk's "\n".
+            run += last - start + 1
+        else:  # A line that starts in this chunk is no longer than it, even with a "\n" after it.
+            run = len(chunk) - last - 1
+    return run <= limit
 
 
 _PLAIN = frozenset({int, float})
@@ -501,8 +535,7 @@ def _first_repeat(cells) -> int | None:
 
     A stable sort by cell puts every row right after the earlier rows that
     hold its cell, so a row equal to its sorted predecessor repeats one.
-    Sorted neighbours are compared a column at a time into one mask, and the
-    sort order and mask are freed on return, before the grid is filled.
+    Sorted neighbours are compared a column at a time into one mask.
     """
     order = np.lexsort(cells[::-1])
     repeated = np.ones(order.size - 1, dtype=bool)
@@ -510,6 +543,32 @@ def _first_repeat(cells) -> int | None:
         sorted_c = c[order]
         repeated &= sorted_c[1:] == sorted_c[:-1]
     return int(order[1:][repeated].min()) if repeated.any() else None
+
+
+def _filled_grid(cells, value, n: int, d: int, t: int) -> np.ndarray | None:
+    """The n x t x d grid of ``value``, or None unless the rows fill every cell exactly once.
+
+    A table of n * d * t rows does that exactly when its rows mark every
+    cell. Each row's flat index into the grid is built in place in one int64
+    column; every station, day and hour is in range, so the index lies in
+    the grid and cannot overflow.
+    """
+    if n * d * t != value.size:
+        return None
+    station, day, hour = cells
+    cell = station - 1
+    cell *= t
+    cell += hour
+    cell *= d
+    cell += day
+    cell -= 1
+    marked = np.zeros(value.size, dtype=bool)
+    marked[cell] = True
+    if not marked.all():
+        return None
+    values = np.empty((n, t, d))
+    values.reshape(-1)[cell] = value
+    return values
 
 
 def load_raw_dataset(path, coords_path=None) -> RawDataset:
@@ -520,6 +579,13 @@ def load_raw_dataset(path, coords_path=None) -> RawDataset:
     repeated cell is reported for the first row, in file order, whose cell an
     earlier row already holds. A coordinates CSV can be attached via
     ``coords_path``.
+
+    With N stations, D days and T hours as the largest indices give them, a
+    table of N * D * T rows is a valid grid exactly when its rows mark every
+    cell, so it is checked with one flag per cell and no sort
+    (``_filled_grid``). Only a table that fails that check is searched for
+    its first repeat (``_first_repeat``) and its missing count, which name
+    what is wrong.
     """
     table = _read_table(path, ["station", "day", "hour", "value"], (int, int, int, float))
     cells = station, day, hour = [table.numbers(k) for k in range(3)]
@@ -528,16 +594,14 @@ def load_raw_dataset(path, coords_path=None) -> RawDataset:
     if out_of_range.size:
         where = tuple(int(c[out_of_range[0]]) for c in cells)
         raise FileFormatError(f"{path}: indices out of range in row {where}")
-    row = _first_repeat(cells)
-    if row is not None:
-        where = tuple(int(c[row]) for c in cells)
-        raise FileFormatError(f"{path}: duplicate entry for {where}")
     n, d, t = int(station.max()), int(day.max()), int(hour.max()) + 1
-    missing = n * d * t - value.size
-    if missing:
-        raise FileFormatError(f"{path}: incomplete grid, {missing} missing entries")
-    values = np.empty((n, t, d))
-    values[station - 1, hour, day - 1] = value
+    values = _filled_grid(cells, value, n, d, t)
+    if values is None:
+        row = _first_repeat(cells)
+        if row is not None:
+            where = tuple(int(c[row]) for c in cells)
+            raise FileFormatError(f"{path}: duplicate entry for {where}")
+        raise FileFormatError(f"{path}: incomplete grid, {n * d * t - value.size} missing entries")
     coords = tuple(read_coordinates(coords_path)) if coords_path is not None else None
     return RawDataset(values=values, coords=coords)
 

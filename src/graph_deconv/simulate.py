@@ -162,6 +162,11 @@ def mixing_matrix(n: int, seed: int) -> np.ndarray:
     orthogonal to it. The resulting population covariance has diagonal v and
     all pairwise correlations near the common weight, hence a connected source
     graph.
+
+    The common direction is drawn first, then every row's direction in one
+    n x n block. A row whose projection off the common direction has norm
+    below 1e-12 (probability about 1e-12 per row) is drawn again, in row
+    order, from the stream after the block.
     """
     rng = np.random.default_rng(seed)
     v = variance_profile(n)
@@ -170,17 +175,22 @@ def mixing_matrix(n: int, seed: int) -> np.ndarray:
     q = rng.standard_normal(n)
     q /= np.linalg.norm(q)
     c = COMMON_DIRECTION_WEIGHT
-    rows = np.empty((n, n))
-    for k in range(n):
-        g = rng.standard_normal(n)
+
+    def project(g: np.ndarray) -> float:
+        """Remove from row ``g``, in place, its component along q; return the norm left."""
         g -= (g @ q) * q
-        norm = np.linalg.norm(g)
-        while norm < 1e-12:
-            g = rng.standard_normal(n)
-            g -= (g @ q) * q
-            norm = np.linalg.norm(g)
-        direction = math.sqrt(c) * q + math.sqrt(1.0 - c) * (g / norm)
-        rows[k] = math.sqrt(v[k]) * direction
+        return np.linalg.norm(g)
+
+    rows = rng.standard_normal((n, n))
+    norms = np.array([project(g) for g in rows])
+    for k in np.flatnonzero(norms < 1e-12):
+        while norms[k] < 1e-12:
+            rows[k] = rng.standard_normal(n)
+            norms[k] = project(rows[k])
+    rows /= norms[:, None]
+    rows *= math.sqrt(1.0 - c)
+    rows += math.sqrt(c) * q
+    rows *= np.sqrt(v)[:, None]
     return rows
 
 

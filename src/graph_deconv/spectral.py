@@ -369,6 +369,20 @@ def laplacian(g: Graph) -> np.ndarray:
     return np.diag(adj.sum(axis=1)) - adj
 
 
+_SLAB_BYTES = 1 << 18
+
+
+def _row_slabs(n: int) -> list[slice]:
+    """The rows of an N x N float64 matrix, in order, as slices of about 256 KiB each.
+
+    The elementwise passes over N x N matrices run one slab at a time, so
+    their temporaries stay in cache instead of streaming whole matrices from
+    memory. Up to N = 181 one slab holds every row.
+    """
+    step = max(1, _SLAB_BYTES // (8 * max(n, 1)))
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
+
+
 def eigendecompose(shift: np.ndarray) -> SpectralBasis:
     """Eigendecompose a symmetric graph shift with distinct eigenvalues.
 
@@ -377,13 +391,21 @@ def eigendecompose(shift: np.ndarray) -> SpectralBasis:
     so that its first entry of magnitude above 1e-12 is positive, which makes
     spectra reproducible across solver versions.
 
-    Raises DegenerateSpectrum when any two eigenvalues coincide within
+    Raises ``ValueError`` for a shift that is not square, is empty, holds a
+    NaN or an infinity (naming its row and column) or is not symmetric, and
+    DegenerateSpectrum when any two eigenvalues coincide within
     ``1e-9 * max(1, max|lambda|)``.
     """
     shift = np.asarray(shift, dtype=float)
     if shift.ndim != 2 or shift.shape[0] != shift.shape[1]:
         raise ValueError(f"shift must be square, got shape {shift.shape}")
-    asym = np.max(np.abs(shift - shift.T)) if shift.size else 0.0
+    if not shift.size:
+        raise ValueError(f"shift must have at least one vertex, got shape {shift.shape}")
+    asym = _asymmetry(shift)
+    if not math.isfinite(asym):  # A non-finite entry, or finite ones whose difference overflows.
+        for k in np.flatnonzero(~np.isfinite(shift))[:1]:
+            i, j = divmod(int(k), shift.shape[1])
+            raise ValueError(f"shift entry ({i + 1}, {j + 1}) is {float(shift[i, j])!r}, not a finite number")
     if asym > SYMMETRY_TOL:
         raise ValueError(f"shift is not symmetric (max |S - S^T| = {asym:.3e})")
 
@@ -403,12 +425,7 @@ def eigendecompose(shift: np.ndarray) -> SpectralBasis:
     order = np.lexsort((vals, np.abs(vals)))
     vals = vals[order]
     vecs = vecs[:, order]
-
-    for k in range(vecs.shape[1]):
-        col = vecs[:, k]
-        nonzero = np.nonzero(np.abs(col) > SIGN_PIVOT_TOL)[0]
-        if nonzero.size and col[nonzero[0]] < 0:
-            vecs[:, k] = -col
+    vecs *= _pivot_signs(vecs)  # In the reordered copy; a product with -1.0 is an exact negation.
 
     # Both residuals are formed in place in their one product: U diag(vals) U^T
     # as (U * vals) U^T, and U^T U - I by subtracting 1 on the diagonal.
@@ -423,6 +440,39 @@ def eigendecompose(shift: np.ndarray) -> SpectralBasis:
     if gram > SYMMETRY_TOL:
         raise ValueError(f"eigenvectors lost orthogonality ({gram:.3e})")
     return SpectralBasis(modes=vecs, eigenvalues=vals)
+
+
+def _asymmetry(shift: np.ndarray) -> float:
+    """max |S - S^T| of a square matrix, a row slab at a time: not finite when an entry is not."""
+    asym = 0.0
+    for r in _row_slabs(shift.shape[0]):
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN.
+            diff = shift[r] - shift[:, r].T
+        peak = float(np.abs(diff, out=diff).max())
+        if math.isnan(peak):
+            return peak
+        asym = max(asym, peak)
+    return asym
+
+
+def _pivot_signs(vecs: np.ndarray) -> np.ndarray:
+    """Per column, -1.0 where its first entry above ``SIGN_PIVOT_TOL`` in magnitude is negative, else 1.0.
+
+    The rows are searched a slab at a time, and only the columns whose pivot
+    the earlier slabs did not hold, so no N x N temporary is formed.
+    """
+    signs = np.ones(vecs.shape[1])
+    open_ = np.arange(vecs.shape[1])  # The columns whose pivot is still to be found.
+    for r in _row_slabs(vecs.shape[0]):
+        slab = vecs[r, open_]
+        above = np.abs(slab) > SIGN_PIVOT_TOL
+        first = above.argmax(axis=0)
+        found = np.flatnonzero(above[first, np.arange(open_.size)])
+        signs[open_[found]] = np.where(slab[first[found], found] < 0, -1.0, 1.0)
+        open_ = np.delete(open_, found)
+        if not open_.size:
+            break
+    return signs
 
 
 def _check_width(basis: SpectralBasis, e: SignalEnsemble) -> None:

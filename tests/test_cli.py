@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 import graph_deconv
 from graph_deconv import ChannelEstimate, SignalEnsemble, SimulationConfig
-from graph_deconv import simulate
+from graph_deconv import cli, simulate
 from graph_deconv.cli import cli_dispatch
 from graph_deconv import io as gio
 
@@ -458,3 +459,65 @@ class TestSeedFlag:
         capsys.readouterr()
         assert cli_dispatch([*argv, "--seed", "1"]) == 1
         assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """``cli_dispatch`` builds its parser once per process and reuses it."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The calls of ``build_parser``, counted from an empty parser cache."""
+        calls, build = [], cli.build_parser
+
+        def counted():
+            calls.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        yield calls
+        cli._parser.cache_clear()
+
+    @staticmethod
+    def run(argv, out, capsys):
+        """Exit code, stdout, stderr and the bytes of every file under ``out``."""
+        code = cli_dispatch(argv)
+        files = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        return (code, *capsys.readouterr(), files)
+
+    def test_reused_parser_answers_as_a_fresh_one(self, builds, sim_bundle, tmp_path, capsys):
+        cfg, cfg_path, bundle = sim_bundle
+        radius = str(json.loads((bundle / "summary.json").read_text())["radius"])
+        graph = ["--coords", str(bundle / "coords.csv"), "--radius", radius]
+        out = tmp_path / "out"
+        estimate = [
+            "estimate", "--signals", str(bundle / "observations.csv"),
+            "--cov-x", str(bundle / "cov_x.csv"), *graph, "--out", str(out / "est"),
+        ]
+        diagnose = [
+            "diagnose", "--cov-recon", str(bundle / "recon_cov.csv"),
+            "--cov-x", str(bundle / "cov_x.csv"), "--out", str(out / "diag"),
+        ]
+        commands = [
+            ["graph", "--bogus"],
+            ["graph", *graph, "--out", str(out / "graph")],
+            [],
+            ["graph", "--coords", str(bundle / "coords.csv")],
+            [*estimate, "--pearson-threshold", "0.5"],
+            estimate,
+            [*diagnose, "--floor-db", "-5"],
+            diagnose,
+            ["estimate", "--signals"],
+            ["diagnose", "--cov-recon", str(tmp_path / "missing.csv"), "--cov-x", str(bundle / "cov_x.csv")],
+        ]
+        reused = [self.run(argv, out, capsys) for argv in commands]
+        assert len(builds) == 1
+        shutil.rmtree(out)
+        fresh = []
+        for argv in commands:
+            cli._parser.cache_clear()
+            fresh.append(self.run(argv, out, capsys))
+        assert len(builds) == 1 + len(commands)
+        assert [r[0] for r in reused] == [1, 0, 1, 1, 0, 0, 0, 0, 1, 2]
+        assert reused == fresh
+        assert reused[4][3] != reused[5][3] and reused[6][3] != reused[7][3]

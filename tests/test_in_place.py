@@ -23,11 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graph_deconv as gd
-from graph_deconv.covariance import _row_slabs, ensure_positive_diagonal, pearson_matrix
+from graph_deconv.covariance import ensure_positive_diagonal, pearson_matrix
 from graph_deconv.deconv import DB_OFFSET, DiagnosticMatrices
 from graph_deconv.errors import IsolatedVertex, NonpositiveVariance
 from graph_deconv.estimation import estimate_magnitudes
-from graph_deconv.spectral import SPECTRAL, VERTEX, SignalEnsemble, SpectralBasis, _as_spectral
+from graph_deconv.spectral import SPECTRAL, VERTEX, SignalEnsemble, SpectralBasis, _as_spectral, _row_slabs
 
 SETTINGS = settings(max_examples=40, deadline=None)
 SIZES = st.sampled_from([1, 2, 5, 33, 70, 200, 300])

@@ -6,10 +6,13 @@ the ``oracle_*`` readers call it column by column in the order the readers
 did. On every input, valid or mutated, each reader must return bit-identical
 values or raise ``FileFormatError`` with the oracle's exact message. The
 memory test bounds what ``load_raw_dataset`` allocates on a station grid the
-size of a month of hourly data.
+size of a month of hourly data. The last tests put separators, long lines,
+line ends and blank lines where the streaming check before numpy's parse
+cuts the file into chunks, and check which grids reach the repeat search.
 """
 
 import csv
+import io
 import operator
 import tracemalloc
 from itertools import chain
@@ -362,3 +365,118 @@ def test_load_raw_dataset_traces_under_five_megabytes(tmp_path):
         tracemalloc.stop()
     assert raw.values.tobytes() == values.tobytes()
     assert peak <= 5e6, f"peak {peak / 1e6:.1f} MB"
+
+
+# The characters the guard pass reads at a time under the default field size limit.
+CHUNK = 1 << 16
+
+
+def _read_both(kind, path, header, types=float):
+    """The outcome, checked against the oracle, and whether numpy's parse was kept."""
+    return assert_same(kind, path), gio._parse_numeric(path, header, types) is not None
+
+
+def _padded_row(length: int, end: str) -> str:
+    """A signals row of exactly ``length`` characters, its line end included."""
+    return " " * (length - len(end) - 8) + "1.5,-2.5" + end
+
+
+@given(st.text(alphabet="ab\r\n\x1d", max_size=60), st.integers(0, 12))
+@settings(max_examples=500, deadline=None)
+def test_guard_pass_refuses_what_the_line_batches_refused(text, limit):
+    """Under a small field size limit the chunks are as small, so these texts
+    cross many chunk boundaries; the answer is that of checking every line."""
+    lines = io.StringIO(text, newline="").readlines()
+    plain = max(map(len, lines), default=0) <= limit and "\x1d" not in text
+    assert gio._plain_text(io.StringIO(text, newline=""), limit) == plain
+
+
+@pytest.mark.parametrize("offset", [1, 2])
+def test_separator_opening_a_later_chunk_goes_to_python(tmp_path, offset):
+    """``\\x1c`` as the first character of the second or third chunk after the header."""
+    before = _padded_row(CHUNK * offset - 9, "\n") + "0.5,0.25\n"
+    path = tmp_path / "signals.csv"
+    path.write_text("v1,v2\n" + before + "\x1c1.5,-2.5\n" + "0.5,0.25\n" * 3, newline="")
+    assert len(before) == CHUNK * offset
+    assert _read_both("signals", path, gio._signals_header) == ("rejected", False)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("extra", [0, 1])
+@pytest.mark.parametrize("shift", [0, 1, 4321])
+def test_line_of_the_field_size_limit_across_chunks(tmp_path, end, extra, shift):
+    """A line of ``field_size_limit()`` characters, its line end counted, goes
+    to numpy and one a character longer to Python, whether it ends on the last
+    character of a chunk (``shift`` 0), just after it (1: a ``\\r\\n`` split
+    between chunks) or anywhere else; every table reads as the oracle reads it."""
+    length = csv.field_size_limit() + extra
+    before = (shift - length) % CHUNK + CHUNK
+    text = _padded_row(before, end) + _padded_row(length, end) + ("0.5,0.25" + end) * 3
+    path = tmp_path / "signals.csv"
+    path.write_text("v1,v2" + end + text, newline="")
+    assert _read_both("signals", path, gio._signals_header) == ("read", not extra)
+
+
+@pytest.mark.parametrize("end", ["\r", "\r\n"])
+def test_line_ends_of_a_table_of_many_chunks(tables, tmp_path, end):
+    cells = [(s, k, h) for s in range(1, 21) for k in range(1, 31) for h in range(24)]
+    path = tmp_path / "raw.csv"
+    path.write_text(_raw_text([(*c, i / 7) for i, c in enumerate(cells)]).replace("\n", end), newline="")
+    assert path.stat().st_size > 3 * CHUNK
+    header, types = ["station", "day", "hour", "value"], (int, int, int, float)
+    assert _read_both("raw", path, header, types) == ("read", True)
+    path.write_text(tables["covariance"].decode().replace("\n", end), newline="")
+    assert _read_both("covariance", path, None) == ("read", True)
+
+
+@pytest.mark.parametrize("blank", ["\n", "\r\n", "\r", "\n\r\n\r\n\n"])
+def test_blank_lines_before_the_header_are_skipped(tables, tmp_path, blank):
+    path = tmp_path / "signals.csv"
+    path.write_bytes(blank.encode() + tables["signals"])
+    assert _read_both("signals", path, gio._signals_header) == ("read", True)
+
+
+@pytest.mark.parametrize(
+    "header, outcome",
+    [('"v1",v2\n', "read"), ('"\nv1",v2\n', "read"), ('"v1\nv2",v3\n', "rejected"), ('v1,"v2\n', "rejected")],
+)
+def test_quoted_header_goes_to_python(tmp_path, header, outcome):
+    """A quoted header cell may span lines, which only ``csv.reader`` follows."""
+    path = tmp_path / "signals.csv"
+    path.write_text(header + "1.5,-2.5\n0.5,0.25\n", newline="")
+    assert _read_both("signals", path, gio._signals_header) == (outcome, False)
+
+
+def _raw_text(rows) -> str:
+    return "station,day,hour,value\n" + "".join(f"{s},{k},{h},{v!r}\n" for s, k, h, v in rows)
+
+
+def test_repeat_in_a_grid_with_a_gap(tmp_path):
+    """As many rows as cells, but one cell twice and one never: the repeat is named."""
+    cells = [(s, k, h) for s in (1, 2) for k in (1, 2) for h in (0, 1)]
+    rows = [(*c, float(i)) for i, c in enumerate(cells) if c != (2, 1, 1)] + [(1, 2, 0, 9.5)]
+    path = tmp_path / "raw.csv"
+    path.write_text(_raw_text(rows))
+    assert assert_same("raw", path) == "rejected"
+    with pytest.raises(FileFormatError, match=r"duplicate entry for \(1, 2, 0\)"):
+        load_raw_dataset(path)
+
+
+def test_sparse_repeat_near_the_int64_limit(tmp_path):
+    top = 2**63 - 1
+    rows = [(top, 1, 0, 1.0), (1, top - 1, 5, 2.0), (2, 3, top, 3.0), (top, 1, 0, 4.0), (1, top - 1, 5, 5.0)]
+    path = tmp_path / "raw.csv"
+    path.write_text(_raw_text(rows))
+    assert assert_same("raw", path) == "rejected"
+    with pytest.raises(FileFormatError, match=rf"duplicate entry for \({top}, 1, 0\)"):
+        load_raw_dataset(path)
+
+
+def test_valid_grid_is_checked_without_the_repeat_search(tmp_path, monkeypatch):
+    rng = np.random.default_rng(43)
+    cells = [(s, k, h) for s in (1, 2, 3) for k in (1, 2) for h in (0, 1, 2, 3)]
+    rows = [(*cells[i], float(rng.normal())) for i in rng.permutation(len(cells))]
+    path = tmp_path / "raw.csv"
+    path.write_text(_raw_text(rows))
+    monkeypatch.setattr(gio, "_first_repeat", lambda cells: pytest.fail("a valid grid was searched"))
+    assert assert_same("raw", path) == "read"

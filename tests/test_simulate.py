@@ -3,6 +3,7 @@
 import gc
 import itertools
 import json
+import math
 import sys
 import weakref
 from collections import Counter
@@ -37,6 +38,29 @@ from graph_deconv.simulate import (
     simulation_graph,
 )
 from graph_deconv.estimation import ChannelEstimate, Component, sign_of
+
+
+def oracle_mixing_matrix(n: int, seed: int) -> np.ndarray:
+    """``mixing_matrix`` as its per-row loop drew it, verbatim from before one block drew the rows."""
+    rng = np.random.default_rng(seed)
+    v = variance_profile(n)
+    if n == 1:
+        return np.array([[math.sqrt(v[0])]])
+    q = rng.standard_normal(n)
+    q /= np.linalg.norm(q)
+    c = simulate.COMMON_DIRECTION_WEIGHT
+    rows = np.empty((n, n))
+    for k in range(n):
+        g = rng.standard_normal(n)
+        g -= (g @ q) * q
+        norm = np.linalg.norm(g)
+        while norm < 1e-12:
+            g = rng.standard_normal(n)
+            g -= (g @ q) * q
+            norm = np.linalg.norm(g)
+        direction = math.sqrt(c) * q + math.sqrt(1.0 - c) * (g / norm)
+        rows[k] = math.sqrt(v[k]) * direction
+    return rows
 
 
 class TestConfig:
@@ -124,6 +148,41 @@ class TestSyntheticSource:
         mixing = mixing_matrix(16, 123)
         cov = mixing @ mixing.T
         np.testing.assert_allclose(np.diag(cov), variance_profile(16), rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 96, 200])
+    def test_mixing_equals_the_row_loop_bit_for_bit(self, n):
+        for seed in (0, 123, 2**40 + 7):
+            assert mixing_matrix(n, seed).tobytes() == oracle_mixing_matrix(n, seed).tobytes()
+
+    def test_row_along_the_common_direction_is_drawn_again_after_the_block(self, monkeypatch):
+        """Row 2 of the block is drawn parallel to the common direction, so its
+        projection vanishes and it is replaced by the next draw of the stream."""
+        n, seed, real = 8, 5, np.random.default_rng
+
+        class Parallel:
+            def __init__(self, seed):
+                self.rng, self.q = real(seed), None
+
+            def standard_normal(self, size):
+                out = self.rng.standard_normal(size)
+                if self.q is None:
+                    self.q = out.copy()
+                elif np.ndim(out) == 2:
+                    out[1] = 3.0 * self.q
+                return out
+
+        monkeypatch.setattr(np.random, "default_rng", Parallel)
+        mixing = mixing_matrix(n, seed)
+        stream = real(seed)
+        q = stream.standard_normal(n)
+        q /= np.linalg.norm(q)
+        stream.standard_normal((n, n))
+        g = stream.standard_normal(n)
+        g -= (g @ q) * q
+        c, v = simulate.COMMON_DIRECTION_WEIGHT, variance_profile(n)
+        expected = np.sqrt(v[1]) * (np.sqrt(c) * q + np.sqrt(1.0 - c) * g / np.linalg.norm(g))
+        np.testing.assert_allclose(mixing[1], expected, rtol=1e-13)
+        np.testing.assert_allclose(np.sum(mixing**2, axis=1), v, rtol=1e-12)
 
     def test_pairwise_correlations_have_a_floor(self):
         """The shared direction keeps every spectral pair well correlated, so

@@ -168,6 +168,100 @@ class TestEigendecompose:
             assert np.max(np.abs(rebuilt - shift)) <= 1e-8
 
 
+def oracle_eigenpairs(shift):
+    """eigendecompose's ordering and sign loop, verbatim from before the pivot search was vectorised."""
+    vals, vecs = np.linalg.eigh(shift)
+    order = np.lexsort((vals, np.abs(vals)))
+    vals = vals[order]
+    vecs = vecs[:, order]
+
+    for k in range(vecs.shape[1]):
+        col = vecs[:, k]
+        nonzero = np.nonzero(np.abs(col) > spectral.SIGN_PIVOT_TOL)[0]
+        if nonzero.size and col[nonzero[0]] < 0:
+            vecs[:, k] = -col
+    return vals, vecs
+
+
+def _random_symmetric(n, seed):
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    return a + a.T
+
+
+def _decoupled_head(n, seed):
+    """Only the last tenth of the vertices are coupled, so their eigenvectors
+    are ~0 down to that block: from N = 182 on, in the second row slab."""
+    tail = max(1, n // 10)
+    shift = np.diag(100.0 + np.arange(n))
+    shift[-tail:, -tail:] = _random_symmetric(tail, seed)
+    return shift
+
+
+def _permuted_ties(n, seed):
+    """Eigenvalues 1, -1, 2, -2, ... on a permuted diagonal: exact +-lambda ties."""
+    perm = np.random.default_rng(seed).permutation(n)
+    return np.diag([(-1.0) ** k * (k // 2 + 1) for k in range(n)])[perm][:, perm]
+
+
+class TestVectorisedSigns:
+    @pytest.mark.parametrize("n", [1, 2, 3, 96, 200])
+    @pytest.mark.parametrize("make", [_random_symmetric, _decoupled_head, _permuted_ties])
+    def test_bases_equal_the_sign_loop_bit_for_bit(self, n, make):
+        for seed in range(3):
+            shift = make(n, seed)
+            basis = eigendecompose(shift)
+            vals, vecs = oracle_eigenpairs(shift)
+            assert basis.eigenvalues.tobytes() == vals.tobytes()
+            assert basis.modes.tobytes() == vecs.tobytes()
+
+    @pytest.mark.parametrize("n", [96, 200])
+    def test_fixtures_reach_late_negative_pivots_and_ties(self, n):
+        """The cases above flip columns whose pivot lies in the last rows, and order exact ties."""
+        shift = _decoupled_head(n, 0)
+        raw = np.linalg.eigh(shift)[1]
+        head = n - n // 10
+        late = np.flatnonzero((np.abs(raw[:head]) <= spectral.SIGN_PIVOT_TOL).all(axis=0))
+        assert late.size == n // 10
+        above = np.abs(raw[head:, late]) > spectral.SIGN_PIVOT_TOL
+        pivots = raw[head:, late][above.argmax(axis=0), np.arange(late.size)]
+        assert (pivots < 0).any() and (pivots > 0).any()
+        if n == 200:
+            assert head >= spectral._row_slabs(n)[0].stop
+        vals = eigendecompose(_permuted_ties(n, 0)).eigenvalues
+        assert vals[:2].tolist() == [-1.0, 1.0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_named(self, bad):
+        shift = np.eye(3)
+        shift[1, 2] = shift[2, 1] = bad
+        with pytest.raises(ValueError, match=rf"shift entry \(2, 3\) is {bad!r}, not a finite number"):
+            eigendecompose(shift)
+
+    def test_first_non_finite_entry_in_row_order_is_named_in_any_slab(self):
+        shift = _random_symmetric(300, 1)
+        shift[250, 3] = np.nan
+        shift[3, 250] = -np.inf
+        shift[299, 299] = np.inf
+        with pytest.raises(ValueError, match=r"shift entry \(4, 251\) is -inf"):
+            eigendecompose(shift)
+        shift[3, 250] = shift[250, 3] = 0.0
+        with pytest.raises(ValueError, match=r"shift entry \(300, 300\) is inf"):
+            eigendecompose(shift)
+
+    def test_diagonal_nan_is_refused_not_returned(self):
+        with pytest.raises(ValueError, match=r"shift entry \(1, 1\) is nan"):
+            eigendecompose([[np.nan, 0.0], [0.0, 1.0]])
+
+    def test_overflowing_asymmetry_is_still_asymmetry(self):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match=r"not symmetric \(max \|S - S\^T\| = inf\)"):
+                eigendecompose([[0.0, 1e308], [-1e308, 0.0]])
+
+    def test_empty_shift_names_its_shape(self):
+        with pytest.raises(ValueError, match=r"at least one vertex, got shape \(0, 0\)"):
+            eigendecompose(np.zeros((0, 0)))
+
+
 class TestFourierTransforms:
     def setup_method(self):
         rng = np.random.default_rng(17)
