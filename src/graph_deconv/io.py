@@ -11,15 +11,17 @@ Schubfach way to render doubles", 2020) to the digits ``repr`` prints, byte
 for byte, as ``tests/test_float_csv.py`` checks against ``repr`` itself.
 Numeric tables are parsed by numpy's C reader: after the header, one
 streaming pass checks the rest of the file for text numpy could read
-differently, and numpy parses the same open file once. A table that fails
-that check, or that numpy rejects, is read again cell by cell with
+differently, then numpy opens the path itself, skips the lines already read
+and parses the rest in chunks, at most about a millisecond per megabyte
+slower than a bare ``np.loadtxt`` of the file. A table that fails that
+check, or that numpy rejects, is read again cell by cell with
 ``csv.reader``, ``float`` and ``int``, so the grammar, the messages and the
-values are those of Python's reader either way. JSON
-files go through ``read_json`` and ``write_json``: indent 2, trailing newline.
-Writers make a missing parent directory only once their checks pass. A file
-that breaks its format raises ``FileFormatError`` naming the file and, in a
-table, the row. A channel estimate is one CSV; its spanning-tree parent maps
-exist only in memory (``Component.parents``).
+values are those of Python's reader either way. JSON files go through
+``read_json`` and ``write_json``: indent 2, trailing newline. Writers make a
+missing parent directory only once their checks pass. A file that breaks its
+format raises ``FileFormatError`` naming the file and, in a table, the row. A
+channel estimate is one CSV; its spanning-tree parent maps exist only in
+memory (``Component.parents``).
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from __future__ import annotations
 import csv
 import json
 import operator
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -166,14 +170,21 @@ def _parse_numeric(path, header, types) -> _Table | None:
     The header line is read first: blank lines before it are skipped, as
     ``csv.reader`` skips them, and a header holding a quote, which may span
     lines, is left to Python's reader. ``_plain_text`` then streams the rest
-    of the file once, and numpy parses the same open file from where the
-    header ended. numpy converts a float cell with ``PyOS_string_to_double``,
-    the conversion ``float`` uses, reads int64 cells in ``int``'s grammar over
-    ASCII digits, and ends rows at the line ends ``csv.reader`` does. None is
-    returned wherever the two readers could differ: a header other than
-    ``header``, a cell numpy rejects (quotes, underscores, non-ASCII digits,
-    whitespace-only or ragged rows, a float in an int column), a warning, a
-    non-finite value, text ``_plain_text`` refuses, or a text column.
+    of the file once. numpy is handed the path, not the open file: it reads
+    a path in chunks with its C file reader but an open file a Python line at
+    a time. It skips the blank lines and the header, which its universal
+    newlines count as ``readline`` does (``\n``, ``\r``, ``\r\n``), in the
+    handle's encoding. numpy converts a float cell with
+    ``PyOS_string_to_double``, the conversion ``float`` uses, reads int64
+    cells in ``int``'s grammar over ASCII digits, and ends rows at the line
+    ends ``csv.reader`` does. None is returned wherever the two readers could
+    differ: a header other than ``header``, a cell numpy rejects (quotes,
+    underscores, non-ASCII digits, whitespace-only or ragged rows, a float in
+    an int column), a warning, a non-finite value, text ``_plain_text``
+    refuses, a text column, or a name numpy would decompress
+    (``_numpy_path``). In a table with an int column ``_plain_text`` also
+    refuses a line longer than ``sys.get_int_max_str_digits()``, since numpy
+    reads an int cell of any length and ``int`` refuses one that long.
     """
     if isinstance(types, tuple):  # One structured field per column.
         if not _NUMPY_TYPES.keys() >= set(types):
@@ -181,24 +192,31 @@ def _parse_numeric(path, header, types) -> _Table | None:
         dtype, ndmin = [(f"c{k}", _NUMPY_TYPES[t]) for k, t in enumerate(types)], 1
     else:
         dtype, ndmin = _NUMPY_TYPES[types], 2
+    name = _numpy_path(path)
+    if name is None:
+        return None
+    limit = csv.field_size_limit()
+    if int in _per_column(types, 1):
+        limit = min(limit, _INT_DIGITS() or limit)
     try:
         with open(path, newline="") as fh, warnings.catch_warnings():
             warnings.simplefilter("error")
+            skip = 0  # The lines read before the data.
             if header is not None:
-                # readline, unlike iteration, leaves tell() working.
                 line = fh.readline()
                 while line in ("\n", "\r", "\r\n"):
-                    line = fh.readline()
+                    line, skip = fh.readline(), skip + 1
                 if '"' in line:
                     return None
                 got = [c.strip() for c in next(csv.reader([line]), ())]
                 if not got or got != (header(len(got)) if callable(header) else header):
                     return None
-            start = fh.tell()
-            if not _plain_text(fh, csv.field_size_limit()):
+                skip += 1
+            if not _plain_text(fh, limit):
                 return None
-            fh.seek(start)
-            parsed = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=ndmin)
+            parsed = np.loadtxt(
+                name, dtype=dtype, delimiter=",", comments=None, skiprows=skip, ndmin=ndmin, encoding=fh.encoding
+            )
     except (csv.Error, ValueError, Warning):
         return None
     names = parsed.dtype.names
@@ -209,6 +227,26 @@ def _parse_numeric(path, header, types) -> _Table | None:
     if not all(np.isfinite(c).all() for c in columns):
         return None
     return _Table(path, _per_column(types, width), 1 if header is None else 2, parsed=parsed)
+
+
+# The most digits ``int`` parses, or 0 where it has no limit (before Python 3.10.7).
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+# The suffixes numpy's loader opens as compressed files.
+_COMPRESSED = (".bz2", ".gz", ".lzma", ".xz")
+
+
+def _numpy_path(path) -> str | None:
+    """``path`` as a ``str`` numpy opens as the same plain file, or None if it cannot.
+
+    numpy opens a name with a compression suffix through its decompressor
+    and fetches a name that parses as a URL; a relative name is prefixed with
+    ``./``, which names the same file and is never a URL.
+    """
+    name = os.fsdecode(path)
+    if name.endswith(_COMPRESSED):
+        return None
+    return os.path.join(os.curdir, name)
 
 
 def _plain_text(fh, limit: int) -> bool:

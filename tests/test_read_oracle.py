@@ -9,11 +9,17 @@ memory test bounds what ``load_raw_dataset`` allocates on a station grid the
 size of a month of hourly data. The last tests put separators, long lines,
 line ends and blank lines where the streaming check before numpy's parse
 cuts the file into chunks, and check which grids reach the repeat search.
+The rest check what numpy is handed: the path as a ``str``, never an open
+file, with the lines before the data to skip, for ``str``, ``pathlib`` and
+bytes paths alike; a name numpy would decompress or fetch; and int cells
+around ``int``'s digit limit, which only Python's reader may decide.
 """
 
 import csv
 import io
 import operator
+import os
+import sys
 import tracemalloc
 from itertools import chain
 from typing import NamedTuple
@@ -480,3 +486,119 @@ def test_valid_grid_is_checked_without_the_repeat_search(tmp_path, monkeypatch):
     path.write_text(_raw_text(rows))
     monkeypatch.setattr(gio, "_first_repeat", lambda cells: pytest.fail("a valid grid was searched"))
     assert assert_same("raw", path) == "read"
+
+
+def _loadtxt_calls(monkeypatch) -> list:
+    """The name and keyword arguments of every ``np.loadtxt`` call the readers make."""
+    calls, loadtxt = [], np.loadtxt
+
+    def spy(fname, **kwargs):
+        calls.append((fname, kwargs))
+        return loadtxt(fname, **kwargs)
+
+    monkeypatch.setattr(gio.np, "loadtxt", spy)
+    return calls
+
+
+def _assert_numpy_read(calls, path, skiprows: int) -> None:
+    """One ``loadtxt`` call, given ``path`` as a ``str``, ``skiprows`` and the handle's encoding."""
+    [(fname, kwargs)] = calls
+    assert type(fname) is str and os.path.samefile(fname, path)
+    assert kwargs["skiprows"] == skiprows
+    with open(path, newline="") as fh:
+        assert kwargs["encoding"] == fh.encoding
+
+
+@pytest.mark.parametrize("end", ["\n", "\r", "\r\n"])
+@pytest.mark.parametrize("blanks", [0, 1, 3])
+def test_numpy_opens_the_path_and_skips_the_lines_before_the_data(tables, tmp_path, monkeypatch, end, blanks):
+    """numpy reads a path with its chunked C reader, an open file line by line
+    in Python; its skip counts the blank lines and the header."""
+    path = tmp_path / "signals.csv"
+    path.write_text(end * blanks + tables["signals"].decode().replace("\n", end), newline="")
+    calls = _loadtxt_calls(monkeypatch)
+    assert assert_same("signals", path) == "read"
+    _assert_numpy_read(calls, path, blanks + 1)
+
+
+@pytest.mark.parametrize("blank", ["", "\n", "\r\n\r"])
+def test_headerless_table_is_read_from_its_first_line(tables, tmp_path, monkeypatch, blank):
+    path = tmp_path / "covariance.csv"
+    path.write_text(blank + tables["covariance"].decode(), newline="")
+    calls = _loadtxt_calls(monkeypatch)
+    assert assert_same("covariance", path) == "read"
+    _assert_numpy_read(calls, path, 0)
+
+
+@pytest.mark.parametrize("kind", ["signals", "covariance", "raw", "estimate", "response", "edges"])
+def test_str_pathlib_and_bytes_paths_read_alike(tables, tmp_path, monkeypatch, kind):
+    path = tmp_path / f"{kind}.csv"
+    path.write_bytes(tables[kind])
+    read = READERS[kind][0]
+    calls = _loadtxt_calls(monkeypatch)
+    got = [_plain(read(p)) for p in (path, str(path), os.fsencode(path))]
+    assert got[0] == got[1] == got[2] == _plain(READERS[kind][1](path))
+    assert [type(fname) for fname, _ in calls] == [str] * 3
+
+
+@pytest.mark.parametrize("suffix", gio._COMPRESSED)
+def test_plain_table_named_like_a_compressed_file_goes_to_python(tables, tmp_path, monkeypatch, suffix):
+    """numpy would open it through a decompressor."""
+    path = tmp_path / f"covariance.csv{suffix}"
+    path.write_bytes(tables["covariance"])
+    calls = _loadtxt_calls(monkeypatch)
+    assert assert_same("covariance", path) == "read"
+    assert calls == []
+
+
+def test_every_suffix_numpy_decompresses_goes_to_python():
+    from numpy.lib import _datasource
+
+    assert set(_datasource._file_openers.keys()) - {None} <= set(gio._COMPRESSED)
+
+
+@pytest.mark.skipif(os.name == "nt", reason="':' cannot be part of a Windows file name")
+def test_relative_name_that_parses_as_a_url_is_read_as_a_file(tables, tmp_path, monkeypatch):
+    """numpy fetches a name with a scheme and a host, even when it names a local file."""
+    import urllib.request
+
+    monkeypatch.setattr(urllib.request, "urlopen", lambda *args, **kwargs: pytest.fail("a table was fetched"))
+    (tmp_path / "http:" / "host").mkdir(parents=True)
+    (tmp_path / "http:" / "host" / "covariance.csv").write_bytes(tables["covariance"])
+    monkeypatch.chdir(tmp_path)
+    calls = _loadtxt_calls(monkeypatch)
+    path = "http://host/covariance.csv"
+    assert _plain(gio.read_covariance(path)) == _plain(oracle_read_covariance(path))
+    _assert_numpy_read(calls, path, 0)
+
+
+# The most digits ``int`` parses, 0 where it has no limit; CI also runs this
+# module under ``-X int_max_str_digits=640``.
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def test_int_cell_longer_than_int_parses_goes_to_python(tmp_path):
+    """numpy reads 5,000 zeros and a 1 as 1 where ``int`` refuses the cell."""
+    path = tmp_path / "edges.csv"
+    path.write_text("i,j\n" + "0" * 5000 + "1,2\n")
+    assert assert_same("edges", path) == ("rejected" if 0 < INT_DIGITS < 5001 else "read")
+
+
+@pytest.mark.parametrize("digits", sorted({4300, 4301, INT_DIGITS or 4300, (INT_DIGITS or 4300) + 1}))
+@pytest.mark.parametrize("kind", ["edges", "response", "estimate", "raw"])
+def test_int_cells_at_the_digit_limit_read_as_the_oracle_reads_them(tables, tmp_path, kind, digits):
+    """The first int cell of the first data row, zero-padded to ``digits`` digits."""
+    lines = tables[kind].decode().split("\n")
+    cells = lines[1].split(",")
+    cells[0] = cells[0].zfill(digits)
+    lines[1] = ",".join(cells)
+    path = tmp_path / f"{kind}.csv"
+    path.write_text("\n".join(lines))
+    assert assert_same(kind, path) == ("rejected" if 0 < INT_DIGITS < digits else "read")
+
+
+def test_long_float_cell_stays_with_numpy(tmp_path):
+    """Only a table with an int column is held to ``int``'s digit limit."""
+    path = tmp_path / "signals.csv"
+    path.write_text("v1,v2\n" + "0" * 5000 + "1.5,-2.5\n0.5,0.25\n")
+    assert _read_both("signals", path, gio._signals_header) == ("read", True)
