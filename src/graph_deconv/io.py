@@ -192,8 +192,8 @@ def _parse_numeric(path, header, types) -> _Table | None:
         dtype, ndmin = [(f"c{k}", _NUMPY_TYPES[t]) for k, t in enumerate(types)], 1
     else:
         dtype, ndmin = _NUMPY_TYPES[types], 2
-    name = _numpy_path(path)
-    if name is None:
+    fname = _numpy_path(path)
+    if fname is None:
         return None
     limit = csv.field_size_limit()
     if int in _per_column(types, 1):
@@ -215,7 +215,7 @@ def _parse_numeric(path, header, types) -> _Table | None:
             if not _plain_text(fh, limit):
                 return None
             parsed = np.loadtxt(
-                name, dtype=dtype, delimiter=",", comments=None, skiprows=skip, ndmin=ndmin, encoding=fh.encoding
+                fname, dtype=dtype, delimiter=",", comments=None, skiprows=skip, ndmin=ndmin, encoding=fh.encoding
             )
     except (csv.Error, ValueError, Warning):
         return None
@@ -229,7 +229,7 @@ def _parse_numeric(path, header, types) -> _Table | None:
     return _Table(path, _per_column(types, width), 1 if header is None else 2, parsed=parsed)
 
 
-# The most digits ``int`` parses, or 0 where it has no limit (before Python 3.10.7).
+# The most digits ``int`` parses, or 0 where it has no limit (set to 0, or before Python 3.10.7).
 _INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 # The suffixes numpy's loader opens as compressed files.
