@@ -21,7 +21,6 @@ from .covariance import (
     concentration_bound,
     delta_cap,
     empirical_covariance,
-    empirical_kurtosis,
     pearson_matrix,
     validate_bound_monte_carlo,
 )

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,8 @@ from .spectral import (
     SignalEnsemble,
     SpectralBasis,
     _as_spectral,
+    _check_width,
     _row_slabs,
-    _spectral_memo,
 )
 
 
@@ -62,38 +63,23 @@ def empirical_covariance(e: SignalEnsemble) -> np.ndarray:
     return cov
 
 
-def _covariance(e: SignalEnsemble) -> np.ndarray:
-    """``empirical_covariance(e)``, computed once per ensemble and kept on it read-only.
+def _spectral_covariance(basis: SpectralBasis, e: SignalEnsemble, spectral=None) -> np.ndarray:
+    """``empirical_covariance`` of ``e``'s GFT under ``basis``, or of ``e`` itself when spectral.
 
-    Estimation and deconvolution of one set of spectral observations both
-    read their covariance through this, so it is formed once.
+    The covariance is formed once and kept on ``e`` read-only, for this basis
+    object when ``e`` is vertex-domain, and the M x N transform is let go:
+    observations estimated from are transformed and squared once, whoever
+    holds them next. ``spectral``, when given, returns the transform a
+    caller already holds, so a miss does not transform ``e`` again.
     """
-    if e._covariance is None:
-        cov = empirical_covariance(e)
+    _check_width(basis, e)
+    kept = e._covariance
+    if kept is None or (kept[1] is not None and kept[1]() is not basis):
+        cov = empirical_covariance(spectral() if spectral else _as_spectral(basis, e))
         cov.flags.writeable = False
-        object.__setattr__(e, "_covariance", cov)
-    return e._covariance
-
-
-def _spectral_covariance(basis: SpectralBasis, e: SignalEnsemble) -> np.ndarray:
-    """``_covariance`` of ``e``'s GFT under ``basis``, or of ``e`` itself when spectral.
-
-    A vertex ensemble keeps the covariance in its memo for the basis object,
-    next to the weak reference to its GFT, so the M x N transform can be let
-    go while the N x N covariance stays: observations estimated from are
-    transformed and squared once, whoever holds them next.
-    """
-    if e.domain != VERTEX:
-        return _covariance(_as_spectral(basis, e))
-    memo = _spectral_memo(basis, e, make=True)
-    if memo.covariance is None:
-        memo.covariance = _covariance(_as_spectral(basis, e))
-    return memo.covariance
-
-
-def empirical_kurtosis(e: SignalEnsemble) -> float:
-    """Largest empirical fourth moment across components, max_n (1/M) sum_m s_m(n)^4."""
-    return float(np.max(np.mean(e.signals**4, axis=0)))
+        kept = cov, (weakref.ref(basis) if e.domain == VERTEX else None)
+        object.__setattr__(e, "_covariance", kept)
+    return kept[0]
 
 
 def ensure_positive_diagonal(cov: np.ndarray, what: str) -> np.ndarray:
@@ -189,14 +175,16 @@ def concentration_bound(
     Bounds the probability that the M-sample estimate deviates from the true
     entry by at least ``eps``. The diagonal bound carries the larger fourth
     moment of squared coefficients; off-diagonal entries get the tighter
-    product-moment bound.
+    product-moment bound. ``m`` must be an integer >= 1, ``eps`` a finite
+    number > 0 and the moments finite and nonnegative; anything else raises
+    ValueError.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    if c4 < 0 or h_norm < 0 or sigma < 0:
-        raise ValueError("c4, h_norm and sigma must be nonnegative")
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+        raise ValueError(f"m must be an integer >= 1, got {m!r}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be a finite number > 0, got {eps}")
+    if not all(math.isfinite(v) and v >= 0 for v in (c4, h_norm, sigma)):
+        raise ValueError(f"c4, h_norm and sigma must be finite and >= 0, got {(c4, h_norm, sigma)}")
     if diagonal:
         numerator = c4 * h_norm**4 + 6.0 * math.sqrt(c4) * h_norm**2 * sigma**2 + 3.0 * sigma**4
     else:
@@ -268,11 +256,18 @@ def validate_bound_monte_carlo(
     ``seed + t``. For each probed entry, epsilons are chosen so the theoretical
     bound lands on ``bound_targets``; a check is flagged when the empirical
     frequency exceeds the bound by more than three binomial standard errors.
+    ``trials`` must be an integer >= 100 and every target a finite number
+    > 0; anything else raises ValueError.
     """
     from .simulate import population_model
 
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
+    for target in bound_targets:
+        if not (math.isfinite(target) and target > 0):
+            raise ValueError(f"bound target must be a finite number > 0, got {target}")
     pop = population_model(config)
     n = config.n_vertices
     m = config.sample_count

@@ -5,16 +5,17 @@ outside it, so frequency content at unsupported indices is unrecoverable by
 construction. The result holds the observations as given, in either domain,
 and the inverted response d. Their spectral form y, the GFT of vertex-domain
 observations, is computed at most once, the first time ``spectral``,
-``reconstructed`` or ``align_component_signs`` needs it, and kept on the
-result. The spectral reconstruction y * d and its vertex-domain form, one
-inverse GFT, are computed the first time ``spectral`` and ``reconstructed``
-are read. The reconstructed covariance is D C_y D with D = diag(d), read from
-the covariance of y that ``estimate_channel`` kept on the observations, so
-callers that only need covariances never touch an M x N array; it and the
-dB diagnostics are filled a row slab at a time. Because the channel is only
-identified up to one sign per observation-graph component, reconstruction
-errors against a known ground truth are only meaningful after choosing the
-best sign per component, which ``align_component_signs`` does.
+``reconstructed`` or ``align_component_signs`` needs it, kept on the result
+and handed to the aligned result. The spectral reconstruction y * d and its
+vertex-domain form, one inverse GFT, are computed the first time
+``spectral`` and ``reconstructed`` are read. The reconstructed covariance is
+D C_y D with D = diag(d), where C_y is the spectral covariance kept on the
+observations (``estimate_channel`` keeps it), so callers that only need
+covariances never touch an M x N array; it and the dB diagnostics are filled
+a row slab at a time. Because the channel is only identified up to one sign
+per observation-graph component, reconstruction errors against a known
+ground truth are only meaningful after choosing the best sign per component,
+which ``align_component_signs`` does.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import pseudo_inverse
-from .covariance import _covariance, ensure_positive_diagonal
+from .covariance import _spectral_covariance, ensure_positive_diagonal
 from .estimation import ChannelEstimate, Component
 from .spectral import (
     SPECTRAL,
@@ -36,7 +37,6 @@ from .spectral import (
     _check_width,
     _owned,
     _row_slabs,
-    _spectral_memo,
     _Taken,
     _Value,
     igft,
@@ -128,17 +128,14 @@ def blind_deconvolve(
 def reconstructed_covariance(result: DeconvolutionResult) -> np.ndarray:
     """Empirical spectral covariance of the reconstruction, D C_y D with D = diag(inverse).
 
-    C_y is the spectral covariance ``estimate_channel`` kept on the
-    observations for this basis, so no M x N product is formed. Without it,
-    C_y is the covariance of the spectral observations the result keeps, so
+    C_y is the spectral covariance kept on the observations for this basis,
+    as ``estimate_channel`` keeps it, so no M x N product is formed. Without
+    it, C_y is formed from the spectral observations the result keeps, so
     ``reconstructed`` and this transform the observations once, read in
     either order. The result equals ``empirical_covariance(result.spectral)``
     up to rounding, is exactly symmetric, and is exactly +0.0 off the support.
     """
-    memo = _spectral_memo(result.basis, result.observations)
-    cov_y = memo.covariance if memo is not None else None
-    if cov_y is None:
-        cov_y = _covariance(result._observed)
+    cov_y = _spectral_covariance(result.basis, result.observations, lambda: result._observed)
     d = result.inverse
     cov = np.empty((d.size, d.size))
     for r in _row_slabs(d.size):
@@ -232,8 +229,9 @@ def align_component_signs(
     +1 on a tie). A flip negates the component's entries of the inverted
     response, so off-support coefficients are untouched and no M x N array is
     copied. A component vertex outside 1..N raises ValueError naming it.
-    Returns the aligned result and the per-component flips, ordered like
-    ``components``.
+    The aligned result shares the input's spectral observations, so reading
+    its outputs transforms nothing. Returns the aligned result and the
+    per-component flips, ordered like ``components``.
     """
     if reference.domain != SPECTRAL:
         raise ValueError("reference ensemble must be spectral")
@@ -256,4 +254,5 @@ def align_component_signs(
             inverse[cols] = -inverse[cols]
         flips.append(flip)
     aligned = DeconvolutionResult(result.observations, inverse, result.support, result.basis)
+    vars(aligned)["_observed"] = result._observed  # fills the cached property
     return aligned, tuple(flips)

@@ -3,20 +3,19 @@
 The observer knows the source spectral covariance and sees only noisy filtered
 samples, in either domain; ``estimate_channel`` is the one pipeline the
 simulation, the CLI and the demos call. It reads the observations only
-through their spectral covariance: it transforms and squares them once,
-keeps the covariance on the observations the caller passed and lets the
-transform go, so ``deconv.reconstructed_covariance`` after
-``deconv.blind_deconvolve`` on the same observations reuses the covariance
-and transforms nothing. Diagonal and off-diagonal entries of
-the two covariances are tied together by a per-edge quadratic system whose
-closed-form solution yields the response magnitude at every frequency;
-magnitudes are averaged over all source edges incident to the frequency, read
-from the source graph's ``adjacency`` and ``degrees``, and the system is
-solved a row slab at a time. Signs are then fixed per connected component of
-the observation graph: pick the lowest-index vertex as anchor, give it the
-requested sign, and propagate along the component's tree in the graph's
-``trees``, one tree level at a time, using the sign of the ratio between
-observed and source covariance on each tree edge.
+through ``covariance._spectral_covariance``, which transforms and squares
+them once, keeps the covariance on the observations the caller passed and
+lets the transform go, so ``deconv.reconstructed_covariance`` of the same
+observations reads it back and transforms nothing. Diagonal and
+off-diagonal entries of the two covariances are tied together by a per-edge
+quadratic system whose closed-form solution yields the response magnitude at
+every frequency; magnitudes are averaged over all source edges incident to
+the frequency, read from the source graph's ``adjacency`` and ``degrees``,
+and the system is solved a row slab at a time. Signs are then fixed per
+connected component of the observation graph: pick the lowest-index vertex
+as anchor, give it the requested sign, and propagate along the component's
+tree in the graph's ``trees``, one tree level at a time, using the sign of
+the ratio between observed and source covariance on each tree edge.
 The result is the true channel up to one sign per component, which is the best
 any observer of second-order statistics can do.
 """

@@ -5,9 +5,10 @@ a decaying spectral variance profile, pushes the samples through a random
 channel with additive Gaussian noise, estimates the channel with
 ``estimate_channel``, deconvolves, and scores everything against the ground
 truth. Each trial transforms its observations once and hands the spectral
-ensemble to both estimation and deconvolution, which also share its one
-covariance. Every random draw is keyed on (seed, purpose, trial), so
-re-running a configuration gives byte-identical artifacts.
+ensemble to estimation, deconvolution and trial 0's sign report, which all
+read the one covariance kept on it. Every random draw is keyed on (seed,
+purpose, trial), so re-running a configuration gives byte-identical
+artifacts.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .channel import apply_channel, operator_norm, random_channel
 from .covariance import (
     BoundCheck,
     _check_threshold,
-    _covariance,
+    _spectral_covariance,
     build_observation_graph,
     build_source_graph,
     empirical_covariance,
@@ -253,8 +254,8 @@ def simulation_graph(n: int, seed: int) -> tuple[list[tuple[str, float, float]],
 
     Points are uniform in the unit square and the radius is 1.05 times the
     connectivity threshold. Layouts whose Laplacian has a repeated eigenvalue
-    (twin vertices produce them) are redrawn, up to a bounded number of
-    attempts; every redraw is itself seed-deterministic.
+    (vertices with the same neighbours produce them) are redrawn, up to a
+    bounded number of attempts; every redraw is itself seed-deterministic.
     """
     last_error: str | None = None
     for attempt in range(_GRAPH_ATTEMPTS):
@@ -397,7 +398,7 @@ def run_simulation(config: SimulationConfig, out_dir=None) -> SimulationResult:
 
         if t == 0:
             aligned, flips = align_component_signs(result, xhat, est.components)
-            cov_ym = _covariance(yhat_t)
+            cov_ym = _spectral_covariance(basis, yhat_t)
             obs = build_observation_graph(cov_ym, source_graph, config.delta)
             error = np.max(np.abs(aligned.reconstructed.signals - sources.signals))
             first = dict(

@@ -19,18 +19,13 @@ Every value that holds an array copies a caller's array in its constructor,
 also when unpickled, and stores the copy read-only (``_owned``), so no alias
 can change it after the fact. An ensemble the library has just computed, a
 product no one else holds, is taken as is (``_Taken``) instead of copied.
-That lets a vertex-domain ensemble keep what it derives per basis object:
-``_as_spectral`` keeps a weak reference to its GFT, so whoever still holds
-the spectral twin (a ``DeconvolutionResult`` does) lets the next call skip
-the transform, and a twin nobody holds is freed as usual; the covariance of
-the twin, which ``covariance._spectral_covariance`` forms, is kept outright,
-so it outlives the M x N twin.
+An ensemble keeps one memo, its spectral covariance, which only
+``covariance._spectral_covariance`` reads or writes; no transform is kept.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from collections.abc import Set
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -308,16 +303,15 @@ class SignalEnsemble(_Value):
 
     ``domain`` is "vertex" or "spectral" and records which side of the graph
     Fourier transform the rows live on. ``signals`` is a read-only copy of
-    the input. The two private fields are memos, never compared or pickled:
-    a vertex ensemble keeps a ``_SpectralMemo`` for one basis object in
-    ``_spectral``, and ``covariance._covariance`` keeps the ensemble's own
-    empirical covariance in ``_covariance``.
+    the input. ``_covariance`` is a memo, never compared or pickled, that
+    only ``covariance._spectral_covariance`` reads or writes: the read-only
+    spectral covariance with a weak reference to the basis object it was
+    formed under, or with None when the ensemble is spectral.
     """
 
     signals: np.ndarray
     domain: str = VERTEX
-    _spectral: _SpectralMemo | None = field(default=None, init=False, repr=False, compare=False)
-    _covariance: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _covariance: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         signals = self.signals
@@ -496,49 +490,9 @@ def igft(basis: SpectralBasis, e: SignalEnsemble) -> SignalEnsemble:
     return SignalEnsemble(signals=_Taken(e.signals @ basis.modes.T), domain=VERTEX)
 
 
-@dataclass(eq=False)
-class _SpectralMemo:
-    """What a vertex ensemble keeps for one basis object, to which ``basis`` is a weak reference.
-
-    ``twin`` is a weak reference to the ensemble's GFT, set by
-    ``_as_spectral``; ``covariance`` is that GFT's covariance once
-    ``covariance._spectral_covariance`` has formed it, held outright.
-    """
-
-    basis: weakref.ref
-    twin: weakref.ref | None = None
-    covariance: np.ndarray | None = None
-
-
-def _spectral_memo(basis: SpectralBasis, e: SignalEnsemble, make: bool = False):
-    """The ``_SpectralMemo`` vertex ensemble ``e`` keeps for this basis object, or None.
-
-    With ``make``, a missing memo, or one kept for another basis object, is
-    replaced by an empty one for this basis. A spectral ensemble keeps none.
-    """
-    memo = e._spectral
-    if memo is not None and memo.basis() is basis:
-        return memo
-    if not make:
-        return None
-    memo = _SpectralMemo(weakref.ref(basis))
-    object.__setattr__(e, "_spectral", memo)
-    return memo
-
-
 def _as_spectral(basis: SpectralBasis, e: SignalEnsemble) -> SignalEnsemble:
-    """The GFT of a vertex-domain ensemble; a spectral one as is, once its width fits the basis.
-
-    A vertex ensemble keeps weak references to the basis and to its GFT, so
-    the transform runs again only for another basis object or once the last
-    holder of the previous result has let it go.
-    """
-    if e.domain != VERTEX:
-        _check_width(basis, e)
-        return e
-    memo = _spectral_memo(basis, e, make=True)
-    if memo.twin is not None and (spectral := memo.twin()) is not None:
-        return spectral
-    spectral = gft(basis, e)
-    memo.twin = weakref.ref(spectral)
-    return spectral
+    """The GFT of a vertex-domain ensemble; a spectral one as is, once its width fits the basis."""
+    if e.domain == VERTEX:
+        return gft(basis, e)
+    _check_width(basis, e)
+    return e

@@ -137,6 +137,39 @@ def test_bad_probe_is_value_error_naming_it(probe):
         validate_bound_monte_carlo(config, 100, probes=[(1, 1), probe])
 
 
+def bound_mc(trials=100, targets=(0.1,)):
+    config = SimulationConfig(n_vertices=8, sample_count=20, noise_sigma=0.1, seed=1)
+    return validate_bound_monte_carlo(config, trials, bound_targets=targets)
+
+
+def bound(m=100, eps=0.1, sigma=0.5):
+    return concentration_bound(3.0, 1.0, sigma, m, eps, diagonal=False)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: bound_mc(150.0), "trials must be an integer, got 150.0"),
+        (lambda: bound_mc(True), "trials must be an integer, got True"),
+        (lambda: bound_mc(targets=(0.0,)), "bound target must be a finite number > 0, got 0.0"),
+        (lambda: bound_mc(targets=(0.3, -0.1)), "got -0.1"),
+        (lambda: bound_mc(targets=(math.nan,)), "got nan"),
+        (lambda: bound_mc(targets=(math.inf,)), "got inf"),
+        (lambda: bound(eps=math.nan), "eps must be a finite number > 0, got nan"),
+        (lambda: bound(eps=math.inf), "got inf"),
+        (lambda: bound(m=100.0), "m must be an integer >= 1, got 100.0"),
+        (lambda: bound(m=True), "m must be an integer >= 1, got True"),
+        (lambda: bound(sigma=math.nan), "must be finite and >= 0"),
+    ],
+    ids=["float-trials", "bool-trials", "zero-target", "negative-target", "nan-target",
+         "inf-target", "nan-eps", "inf-eps", "float-m", "bool-m", "nan-sigma"],
+)
+def test_bad_trials_target_m_eps_or_moment_is_value_error(call, message):
+    """Each of these once raised TypeError or ZeroDivisionError, or returned NaN."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 def test_numpy_integer_probes_accepted():
     config = SimulationConfig(n_vertices=8, sample_count=20, noise_sigma=0.1, seed=1)
     report = validate_bound_monte_carlo(config, 100, probes=[np.array([2, 5])])

@@ -1,7 +1,7 @@
 """Empirical covariances, source/observation graphs, and concentration bounds.
 
 Ground truth:
-- covariance and kurtosis vs naive double loops
+- covariance vs naive double loops
 - tail bound vs an exact-arithmetic (fractions) re-implementation
 - Monte Carlo exceedance rates vs the closed-form bounds
 """
@@ -21,7 +21,6 @@ from graph_deconv import (
     concentration_bound,
     delta_cap,
     empirical_covariance,
-    empirical_kurtosis,
     validate_bound_monte_carlo,
 )
 from graph_deconv.simulate import synthetic_source
@@ -55,23 +54,6 @@ class TestEmpiricalCovariance:
             cov = empirical_covariance(spectral(rng.standard_normal((m, 6))))
             assert np.array_equal(cov, cov.T)
             assert np.min(np.linalg.eigvalsh(cov)) >= -1e-10
-
-
-class TestEmpiricalKurtosis:
-    def test_constant_samples(self):
-        e = spectral(np.full((5, 3), 1.5))
-        assert empirical_kurtosis(e) == pytest.approx(1.5**4)
-
-    def test_zero_ensemble(self):
-        assert empirical_kurtosis(spectral(np.zeros((4, 2)))) == 0.0
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(14)
-        y = rng.standard_normal((9, 5))
-        expected = max(
-            sum(y[m, n] ** 4 for m in range(9)) / 9 for n in range(5)
-        )
-        assert abs(empirical_kurtosis(spectral(y)) - expected) <= 1e-12
 
 
 class TestSourceGraph:

@@ -35,7 +35,7 @@ from graph_deconv import (
     summarize_gap,
     transmit,
 )
-from graph_deconv import deconv
+from graph_deconv import deconv, spectral
 from graph_deconv.deconv import DiagnosticMatrices
 from graph_deconv.estimation import Component
 from graph_deconv.simulate import derive_seed, simulation_graph, synthetic_source
@@ -274,6 +274,22 @@ class TestLazyReconstruction:
         )
         assert flips == (-1,)
         self.check_lazy(aligned, basis, igft_calls)
+
+    def test_aligned_result_reads_the_one_gft_of_vertex_observations(self, monkeypatch):
+        basis, xhat, sources, gamma, observations = noiseless_setup(seed=64)
+        made = []
+
+        def counted(basis, e):
+            made.append(e)
+            return gft(basis, e)
+
+        monkeypatch.setattr(spectral, "gft", counted)
+        est = ChannelEstimate.from_response(-gamma)
+        result = blind_deconvolve(est, observations, basis)
+        result.reconstructed
+        aligned, _ = align_component_signs(result, xhat, est.components)
+        assert np.max(np.abs(aligned.reconstructed.signals - sources.signals)) <= 1e-10
+        assert made == [observations]
 
 
 @settings(max_examples=60, deadline=None)

@@ -29,11 +29,13 @@ from graph_deconv import (
     blind_deconvolve,
     eigendecompose,
     empirical_covariance,
+    gft,
     laplacian,
+    reconstructed_covariance,
 )
-from graph_deconv.covariance import _covariance
+from graph_deconv.covariance import _spectral_covariance
 from graph_deconv.estimation import sign_of
-from graph_deconv.spectral import EdgeSet, _as_spectral
+from graph_deconv.spectral import EdgeSet
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -74,14 +76,12 @@ def test_ensemble_and_its_memos_ignore_later_writes(a, write):
     view, through_view = VIEWS[write[0]](a), write[1]
     basis = path_basis(a.shape[1])
     e = SignalEnsemble(signals=a)
-    spec = _as_spectral(basis, e)
-    cov = _covariance(spec)
+    cov = _spectral_covariance(basis, e)
     before = e.signals.copy()
     overwrite(view if through_view else a)
     np.testing.assert_array_equal(e.signals, before)
-    assert _as_spectral(basis, e) is spec and _covariance(spec) is cov
-    np.testing.assert_array_equal(spec.signals, e.signals @ basis.modes)
-    np.testing.assert_array_equal(cov, empirical_covariance(spec))
+    assert _spectral_covariance(basis, e) is cov and not cov.flags.writeable
+    np.testing.assert_array_equal(cov, empirical_covariance(gft(basis, e)))
 
 
 @SETTINGS
@@ -185,8 +185,8 @@ class TestAliasingSnippets:
 def memos(value):
     """The memo fields that are set and the cached properties that have been read."""
     cached = {k for k, v in vars(type(value)).items() if isinstance(v, cached_property)}
-    held = {k: getattr(value, k) for k in ("_spectral", "_covariance") if hasattr(value, k)}
-    return {k for k in cached if k in vars(value)} | {k for k, v in held.items() if v is not None}
+    held = {"_covariance"} if getattr(value, "_covariance", None) is not None else set()
+    return {k for k in cached if k in vars(value)} | held
 
 
 def pickled_values():
@@ -195,7 +195,7 @@ def pickled_values():
     y = SignalEnsemble(signals=np.arange(8.0).reshape(2, 4))
     est = ChannelEstimate.from_response([1.0, -2.0, 3.0, 4.0])
     result = blind_deconvolve(est, y, basis)
-    _covariance(result.observations)
+    reconstructed_covariance(result)
     result.reconstructed
     graph = Graph(4, {(1, 2), (2, 3)})
     graph.trees, graph.degrees

@@ -29,7 +29,7 @@ from graph_deconv import (
     transmit,
     variance_profile,
 )
-from graph_deconv import simulate, spectral
+from graph_deconv import covariance, simulate, spectral
 from graph_deconv.simulate import (
     connectivity_radius,
     mixing_matrix,
@@ -238,7 +238,7 @@ class TestTransmit:
             transmit(xhat, np.ones(6), basis, sigma, 1)
 
     def test_no_transform_of_the_sources_outlives_the_call(self, monkeypatch):
-        """The GFT memo is weak, so a long-lived source ensemble does not keep its transform alive."""
+        """No ensemble keeps a transform, so a long-lived source ensemble does not keep its GFT alive."""
         coords, radius, graph, basis = simulation_graph(6, 4)
         _, xhat = synthetic_source(6, 200, 4)
         sources = igft(basis, xhat)
@@ -427,17 +427,23 @@ class TestRunSimulation:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
     def test_each_trial_runs_one_gft_and_one_igft(self, monkeypatch):
-        """A trial transforms its observations once and shares them; only trial 0 reads the vertex domain."""
+        """A trial transforms and squares its observations once and shares
+        both; only trial 0 reads the vertex domain, and its sign report reads
+        the kept covariance."""
         calls = Counter()
 
         def counted(name, fn):
-            def wrapper(basis, e):
+            def wrapper(*args):
                 calls[name] += 1
-                return fn(basis, e)
+                return fn(*args)
 
             return wrapper
 
-        transforms = {"gft": spectral.gft, "igft": spectral.igft}
+        transforms = {
+            "gft": spectral.gft,
+            "igft": spectral.igft,
+            "empirical_covariance": covariance.empirical_covariance,
+        }
         modules = [m for name, m in sys.modules.items() if name.startswith("graph_deconv.")]
         for module, (name, fn) in itertools.product(modules, transforms.items()):
             if getattr(module, name, None) is fn:
@@ -448,7 +454,9 @@ class TestRunSimulation:
             cfg = SimulationConfig(n_vertices=6, sample_count=60, noise_sigma=0.3, seed=8, trials=trials)
             run_simulation(cfg)
             per_run.append(dict(calls))
-        assert {k: (per_run[1][k] - per_run[0][k]) / 3 for k in ("gft", "igft")} == {"gft": 1, "igft": 1}
+        assert {k: (per_run[1][k] - per_run[0][k]) / 3 for k in transforms} == dict.fromkeys(transforms, 1)
+        # One per trial and one of the sources: trial 0 forms no second covariance.
+        assert [run["empirical_covariance"] for run in per_run] == [3, 6]
 
     def test_finished_run_is_freed_without_the_cyclic_gc(self, monkeypatch):
         """A redrawn layout's exception must not keep the run's frames, and its arrays, alive."""

@@ -24,8 +24,8 @@ from graph_deconv import (
     igft,
     laplacian,
 )
-from graph_deconv import spectral
-from graph_deconv.spectral import _as_spectral
+from graph_deconv import empirical_covariance, spectral
+from graph_deconv.covariance import _spectral_covariance
 
 
 def path_graph(n):
@@ -360,12 +360,12 @@ class TestSignalEnsemble:
     def test_pickle_round_trip_drops_the_memos(self):
         basis = eigendecompose(laplacian(path_graph(4)))
         e = SignalEnsemble(signals=np.arange(8.0).reshape(2, 4), domain="vertex")
-        spec = _as_spectral(basis, e)
-        assert e._spectral.twin() is spec
+        _spectral_covariance(basis, e)
+        assert e._covariance is not None
         back = pickle.loads(pickle.dumps(e))
         np.testing.assert_array_equal(back.signals, e.signals)
         assert not back.signals.flags.writeable
-        assert back._spectral is None
+        assert back._covariance is None
 
 
 class TestSpectralBasis:
@@ -377,19 +377,22 @@ class TestSpectralBasis:
             basis.eigenvalues[0] = 5.0
 
 
-class TestGftMemo:
-    """``_as_spectral`` transforms a vertex ensemble once per basis while the result is held."""
+class TestCovarianceMemo:
+    """``_spectral_covariance`` transforms and squares a vertex ensemble once
+    per basis object, keeps the covariance and lets the transform go."""
 
     @pytest.fixture
-    def gft_calls(self, monkeypatch):
-        calls = []
+    def made(self, monkeypatch):
+        """Weak references to the transforms ``gft`` returns, in call order."""
+        made = []
 
-        def counted(basis, e):
-            calls.append(e)
-            return gft(basis, e)
+        def recorded(basis, e):
+            out = gft(basis, e)
+            made.append(weakref.ref(out))
+            return out
 
-        monkeypatch.setattr(spectral, "gft", counted)
-        return calls
+        monkeypatch.setattr(spectral, "gft", recorded)
+        return made
 
     def setup_method(self):
         rng = np.random.default_rng(23)
@@ -397,28 +400,32 @@ class TestGftMemo:
         self.basis = eigendecompose((a + a.T) / 2.0)
         self.e = SignalEnsemble(signals=rng.standard_normal((40, 6)), domain="vertex")
 
-    def test_held_result_is_reused(self, gft_calls):
-        first = _as_spectral(self.basis, self.e)
-        assert _as_spectral(self.basis, self.e) is first
-        assert len(gft_calls) == 1
-        np.testing.assert_array_equal(first.signals, self.e.signals @ self.basis.modes)
-
-    def test_released_result_is_freed_and_recomputed(self, gft_calls):
-        ref = weakref.ref(_as_spectral(self.basis, self.e))
+    def test_kept_covariance_is_reused_and_its_transform_freed(self, made):
+        cov = _spectral_covariance(self.basis, self.e)
         gc.collect()
-        assert ref() is None
-        _as_spectral(self.basis, self.e)
-        assert len(gft_calls) == 2
+        assert len(made) == 1 and made[0]() is None
+        assert _spectral_covariance(self.basis, self.e) is cov
+        assert len(made) == 1 and not cov.flags.writeable
+        np.testing.assert_array_equal(cov, empirical_covariance(gft(self.basis, self.e)))
 
-    def test_other_basis_object_misses(self, gft_calls):
-        first = _as_spectral(self.basis, self.e)
+    def test_other_basis_object_misses(self, made):
+        first = _spectral_covariance(self.basis, self.e)
         rng = np.random.default_rng(24)
         a = rng.standard_normal((6, 6))
         for other in (
             spectral.SpectralBasis(self.basis.modes.copy(), self.basis.eigenvalues.copy()),
             eigendecompose((a + a.T) / 2.0),
         ):
-            spec = _as_spectral(other, self.e)
-            assert spec is not first
-            assert np.array_equal(spec.signals, self.e.signals @ other.modes)
-        assert len(gft_calls) == 3
+            cov = _spectral_covariance(other, self.e)
+            assert cov is not first
+            assert np.array_equal(cov, empirical_covariance(gft(other, self.e)))
+        assert len(made) == 3
+
+    def test_spectral_ensemble_keeps_its_own_covariance_for_any_basis_of_its_width(self, made):
+        spec = gft(self.basis, self.e)
+        cov = _spectral_covariance(self.basis, spec)
+        other = spectral.SpectralBasis(self.basis.modes.copy(), self.basis.eigenvalues.copy())
+        assert _spectral_covariance(other, spec) is cov and made == []
+        narrow = eigendecompose(laplacian(path_graph(5)))
+        with pytest.raises(ValueError, match="signal length 6 != basis dimension 5"):
+            _spectral_covariance(narrow, spec)
