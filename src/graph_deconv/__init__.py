@@ -21,7 +21,6 @@ from .covariance import (
     concentration_bound,
     delta_cap,
     empirical_covariance,
-    pearson_matrix,
     validate_bound_monte_carlo,
 )
 from .deconv import (

@@ -1,8 +1,10 @@
-"""CSV text of a finite float64 matrix, a block of whole rows at a time.
+"""CSV text of a finite float64 matrix, a block of whole rows at a time, and its reader.
 
 ``blocks(values)`` yields strings whose concatenation is, for every row,
 ``",".join(map(repr, row)) + "\\n"``, byte for byte. A block holds about
-``_BLOCK`` cells, so no whole-file string is built.
+``_BLOCK`` cells, so no whole-file string is built. ``parse(data, width)``
+reads such text back, ``_CHUNK`` bytes of whole rows at a time: every value
+is ``float`` of its cell, bit for bit, or the whole table is refused (None).
 
 ``repr`` prints the shortest decimal that reads back as the same double,
 the closest such when there are several, ties to even digits; it uses the
@@ -30,17 +32,31 @@ neighbour is closer (the 67 powers of two in range are each in the oracle
 test), and the open interval of an odd c (a bound is a whole multiple of
 10**k only at q = 1, where the bounds 2c +- 1 are odd and x = 2c itself is
 the closest candidate).
+
+Reading inverts the fixed layout. A cell ``-?[0-9]*\\.[0-9]*`` with a digit
+and at most 24 bytes is read as three little-endian words of the text that
+ends at its separator; a masked one-byte shift closes the gap of the ".",
+and SWAR multiplies join the digits eight at a time into an integer d with f
+digits after the point. Below 2**53, ``float(d) / 10**f`` is correctly
+rounded, as d and 10**f are exact and one division rounds once (Clinger,
+"How to read floating point numbers accurately", PLDI 1990). Above, that
+quotient is within 1.5 units of the last place, and one exact comparison in
+wrapping uint64 arithmetic moves it to the nearest double, ties to even.
+Every other cell (exponent notation, subnormals, a sign "+", more than 19
+digits) is ``float`` of its text.
 """
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 
 _BLOCK = 4096
 
 _U = np.uint64
-_POW5 = np.array([5**j for j in range(21)], dtype=np.int64)
-_POW10 = np.array([10.0**j for j in range(21)])  # exact: 10**22 is the last exact power
+_POW5 = np.array([5**j for j in range(23)], dtype=np.int64)
+_POW10 = np.array([10.0**j for j in range(23)])  # exact: 10**22 is the last exact power
 _COL = np.arange(24)  # the bytes of a cell's three little-endian 8-byte words
 
 
@@ -170,3 +186,227 @@ def _render(values: np.ndarray, seps: np.ndarray) -> str:
         done = at
     pieces.append(text[done:])
     return "".join(pieces)
+
+
+# Reading: ``parse`` is the inverse of ``blocks``.
+
+_CHUNK = 1 << 18  # bytes of text read at a time, parsed up to the last whole row
+_PAD = 24  # bytes kept before the rows, so every cell has a 24-byte window
+_EXACT = _U(1 << 53)  # below it a decimal's digits are exact as a float64
+_FEW = 8  # at most one cell in _FEW of a chunk is left to float (measured in parse)
+_BAD = tuple(b'"\r\x1c\x1d\x1e\x1f')  # bytes Python's reader must see
+# Per byte of a window that holds the ".": the bytes after it, as a mask.
+# Per count of digits: the low nibbles of that many bytes at the window's end.
+_AFTER_POINT = np.where(_COL > _COL[:, None], 0xFF, 0).astype(np.uint8).view(np.uint64)
+_NIBBLES = np.where(_COL >= 24 - np.arange(25)[:, None], 0x0F, 0).astype(np.uint8).view(np.uint64)
+
+
+def parse(data, width: int | None) -> np.ndarray | None:
+    """The float64 rows of the CSV text on the binary stream ``data``, or None.
+
+    ``data`` stands at the first row; ``width`` is the number of cells in a
+    row, or None for a square table. Every value is ``float`` of its cell,
+    bit for bit. None leaves the text to Python's reader: a cell ``float``
+    refuses or reads as non-finite, a quote, a ``\\r``, a byte in
+    ``\\x1c``-``\\x1f`` or above ``\\x7f``, a blank line, a ragged row, a
+    cell of ``csv.field_size_limit()`` bytes or more, no rows, or a
+    headerless table that is not square. None is also returned for a chunk
+    in which more than one cell in ``_FEW`` is not in ``repr``'s fixed
+    layout, since ``float`` of each such cell alone is slower than numpy:
+    ``read_signals`` on a 744 x 96 table and ``read_covariance`` on a 96 x 96
+    one take as long through parse as through ``np.loadtxt`` when about one
+    cell in 7.6 is in exponent notation. Rows parsed before such a chunk are
+    read again by numpy.
+
+    The text is read ``_CHUNK`` bytes at a time and parsed up to its last
+    line end, so only the rows of one chunk are ever held as text. The rows
+    go into one array sized from the density of the first chunk, with a
+    32nd more; rows past that are joined on at the end.
+    """
+    limit = csv.field_size_limit()
+    start = data.tell()
+    size = data.seek(0, 2) - start
+    data.seek(start)
+    square = width is None
+    buf = bytearray(_PAD + _CHUNK + 1)  # its last byte ends a last row that has no line end
+    out, rows, held, spill = None, 0, 0, []  # held: the bytes of a row not yet whole, at buf[_PAD:]
+    while True:
+        if _PAD + held == len(buf) - 1:  # a row longer than the buffer
+            buf = buf[: _PAD + held] + bytearray(len(buf))
+        got = data.readinto(memoryview(buf)[_PAD + held : -1])
+        stop = _PAD + held + got
+        if not got and held:
+            buf[stop] = 10
+            stop += 1
+        end = buf.rfind(b"\n", _PAD, stop) + 1
+        if end:
+            if width is None:
+                width = buf.count(b",", _PAD, buf.index(b"\n", _PAD)) + 1
+            values = _rows(buf, end, width, limit)
+            if values is None:
+                return None
+            if out is None:  # room for the rest at this chunk's density, and a 32nd more
+                out = np.empty(values.size + -(-(size - end + _PAD) * values.size * 33 // (32 * (end - _PAD))))
+            total = rows * width + values.size
+            if total <= out.size:
+                out[rows * width : total] = values
+            else:
+                spill.append(values)
+            rows += values.size // width
+            buf[_PAD : _PAD + stop - end] = buf[end:stop]
+        held = stop - max(end, _PAD)
+        if not got:
+            break
+    if not rows or (square and rows != width):
+        return None
+    done = out[: rows * width - sum(v.size for v in spill)]
+    return (np.concatenate([done, *spill]) if spill else done).reshape(rows, width)
+
+
+def _rows(buf: bytearray, stop: int, width: int, limit: int) -> np.ndarray | None:
+    """The cells of the whole rows at ``buf[_PAD:stop]``, row after row, or None as ``parse``.
+
+    A cell in ``repr``'s fixed layout (``_cells``) is read by ``_digits`` and
+    ``_nearest``; every other cell is ``float`` of its text.
+    """
+    cells = _cells(buf, stop, width, limit)
+    if cells is None:
+        return None
+    starts, ends, at, digits, minus, fixed = cells
+    values = _nearest(_digits(buf, stop, ends, at, digits, fixed), 23 - at, minus, fixed)
+    slow = np.flatnonzero(~fixed)
+    if slow.size * _FEW > ends.size:
+        return None
+    for k, a, b in zip(slow.tolist(), starts[slow].tolist(), ends[slow].tolist()):
+        cell = buf[_PAD + a : _PAD + b]
+        if any(c in cell for c in _BAD):
+            return None
+        try:
+            values[k] = float(cell.decode("ascii"))
+        except ValueError:  # a byte above 0x7f fails the decode
+            return None
+    if slow.size and not np.isfinite(values[slow]).all():
+        return None
+    return values
+
+
+def _cells(buf: bytearray, stop: int, width: int, limit: int):
+    """The cells of the rows at ``buf[_PAD:stop]``, or None for a ragged table or too long a cell.
+
+    A cell's text is ``buf[_PAD + start : _PAD + end]``. The cells are cut at
+    the "," and line-end bytes among the non-digits. A cell in ``repr``'s
+    fixed layout, ``-?[0-9]*\\.[0-9]*`` with a digit, has a "." as its last
+    non-digit and before it at most a "-" at its start; ``fixed`` marks such
+    cells of at most 24 bytes. ``at`` is the byte of the "." in the 24 bytes
+    that end at a cell's separator, ``digits`` the count of its digits and
+    ``minus`` its sign.
+    """
+    text = np.frombuffer(buf, np.uint8, stop - _PAD, _PAD)
+    other = np.flatnonzero((text - np.uint8(48)) > 9)  # every byte but a digit
+    kind = text[other]
+    sep = np.flatnonzero((kind == 44) | (kind == 10))
+    ends = other[sep]
+    rows = ends.size // width
+    if ends.size != rows * width or np.count_nonzero(kind == 10) != rows:
+        return None
+    if not (kind[sep[width - 1 :: width]] == 10).all():
+        return None
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    np.add(ends[:-1], 1, out=starts[1:])
+    length = ends - starts
+    if length.max() >= limit:
+        return None
+    count = np.diff(sep, prepend=-1)  # the non-digits of each cell, its separator included
+    minus = count == 3
+    sign = np.maximum(sep - 2, 0)  # the "-" of a cell where count == 3; kind may hold one byte
+    fixed = (kind[sep - 1] == 46) & ((count == 2) | (minus & (kind[sign] == 45) & (other[sign] == starts)))
+    digits = length - 1 - minus
+    fixed &= (digits > 0) & (length <= 24)
+    return starts, ends, other[sep - 1] - ends + 24, digits, minus, fixed
+
+
+def _digits(buf: bytearray, stop: int, ends, at, digits, fixed: np.ndarray) -> np.ndarray:
+    """The digits of each cell as one uint64 integer; ``fixed`` is cleared where it would pass 2**63.
+
+    A cell is read from the 24 bytes that end at its separator, as three
+    little-endian words: one byte shift, masked after the ".", closes the gap
+    the "." leaves, and the digits' nibbles are joined eight at a time.
+    """
+    window = np.ndarray((stop - 23,), "V24", buf, 0, (1,))  # window k ends just before buf[_PAD + k]
+    w = window[ends].view(np.uint64)
+    x = w << _U(8)
+    x[1:] |= w[:-1] >> _U(56)
+    w ^= x
+    w &= _AFTER_POINT.take(at, axis=0, mode="clip").ravel()
+    x ^= w  # the bytes after the "." as they were, those before it one byte later
+    x &= _NIBBLES.take(digits, axis=0, mode="clip").ravel()
+    _join8(x)
+    x = x.reshape(-1, 3)
+    fixed &= x[:, 0] < 922
+    d = x[:, 0] * _U(10**16)
+    d += x[:, 1] * _U(10**8)
+    d += x[:, 2]
+    return d
+
+
+def _join8(x: np.ndarray) -> None:
+    """uint64 words of eight digits, a byte each, the leading one lowest, to their values in place."""
+    x *= _U(10 * 256 + 1)
+    x >>= _U(8)
+    x &= _U(0x00FF00FF00FF00FF)
+    x *= _U(100 * 65536 + 1)
+    x >>= _U(16)
+    x &= _U(0x0000FFFF0000FFFF)
+    x *= _U(10000 * 2**32 + 1)
+    x >>= _U(32)
+
+
+def _nearest(d: np.ndarray, f: np.ndarray, negative: np.ndarray, fixed: np.ndarray) -> np.ndarray:
+    """The float64 nearest ``d / 10**f``, ties to even, negated where ``negative``.
+
+    ``d`` < 2**63 and 0 <= ``f`` <= 22 where ``fixed`` holds; elsewhere the
+    value is left to ``float``. ``fixed`` is also cleared where the one
+    division below cannot decide the rounding.
+
+    Below 2**53, ``d`` and ``10**f`` are exact, so one division rounds once
+    and correctly (Clinger, PLDI 1990). Above, x0 = c * 2**q from that
+    division is off by less than 1.5 units of its last place: converting d
+    errs by less than one, dividing by at most half. Every power of two in
+    range times ``10**f`` is exact, so x0 and d / 10**f lie on the same side
+    of each, and the nearest double is (c - 1, c or c + 1) * 2**q. The one
+    exception is x0 a power of two above d / 10**f, where the doubles below
+    are twice as dense: that cell is left to ``float``. With
+    a = max(0, 1-q-f) and b = max(0, q+f-1), 2**a * 10**f times d / 10**f - x0
+    and times half a unit of the last place are ``diff`` =
+    d * 2**a - 2c * 5**f * 2**b and ``half`` = 5**f * 2**b. |diff| is below
+    3 ``half`` < 2**54, so its wrapping uint64 value read as int64 is exact.
+    """
+    x = d.view(np.int64).astype(np.float64)
+    x /= _POW10.take(f, mode="clip")
+    bits = x.view(np.uint64)
+    big = d >= _EXACT
+    c = bits & _U((1 << 52) - 1)
+    c |= _U(1 << 52)
+    e = (bits >> _U(52)).view(np.int64)
+    e += f - 1076  # q + f - 1
+    half = _POW5.take(f, mode="clip").view(np.uint64)
+    half <<= np.maximum(e, 0).view(np.uint64)
+    np.negative(e, out=e)
+    diff = d << np.maximum(e, 0, out=e).view(np.uint64)
+    c <<= _U(1)
+    c *= half
+    diff -= c
+    diff, half = diff.view(np.int64), half.view(np.int64)
+    size = np.abs(diff)
+    step = (size > half) | ((size == half) & (bits & _U(1)).astype(bool))  # a tie goes to the even one
+    step = step.view(np.int8)
+    down = (diff < 0).view(np.int8)
+    step ^= -down  # a step toward d / 10**f
+    step += down
+    step *= big
+    power = np.flatnonzero((bits & _U((1 << 52) - 1)) == 0)
+    fixed[power[(diff[power] < 0) & big[power]]] = False
+    bits.view(np.int64)[...] += step
+    bits |= negative.astype(np.uint64) << _U(63)
+    return x

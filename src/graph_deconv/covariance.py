@@ -100,20 +100,14 @@ def ensure_positive_diagonal(cov: np.ndarray, what: str) -> np.ndarray:
     return cov
 
 
-def pearson_matrix(cov: np.ndarray, what: str = "covariance") -> np.ndarray:
-    """Pearson magnitudes |C_pq| / (s_p s_q), s the square roots of the variances."""
-    cov = ensure_positive_diagonal(cov, what)
-    scale = np.sqrt(np.diag(cov))
-    return np.abs(cov) / np.outer(scale, scale)
-
-
 def _pearson_mask(cov: np.ndarray, threshold: float, within=None) -> np.ndarray:
-    """Strict upper triangle of ``pearson_matrix(cov) >= threshold``, and of ``within`` if given.
+    """Strict upper triangle of the Pearson magnitudes ``>= threshold``, and of ``within`` if given.
 
-    ``cov`` has passed ``ensure_positive_diagonal``, and ``within`` is a
-    strictly upper-triangular mask. The magnitudes are formed a row slab of
-    the upper triangle at a time, each as ``pearson_matrix`` forms it, so the
-    mask is bit-for-bit the same and no N x N of magnitudes exists.
+    The Pearson magnitude of a pair is |C_pq| / (s_p s_q), s the square roots
+    of the variances. ``cov`` has passed ``ensure_positive_diagonal``, and
+    ``within`` is a strictly upper-triangular mask. The magnitudes are formed
+    a row slab of the upper triangle at a time, as ``np.abs(cov) /
+    np.outer(s, s)`` forms them, so no N x N of magnitudes exists.
     """
     n = cov.shape[0]
     scale = np.sqrt(np.diag(cov))

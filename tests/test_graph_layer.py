@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_in_place import pearson_matrix
 
 from graph_deconv import (
     ChannelEstimate,
@@ -27,7 +28,6 @@ from graph_deconv import (
     center_dataset,
     delta_cap,
     laplacian,
-    pearson_matrix,
     sign_consistency_report,
 )
 from graph_deconv.estimation import sign_of

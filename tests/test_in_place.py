@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graph_deconv as gd
-from graph_deconv.covariance import ensure_positive_diagonal, pearson_matrix
+from graph_deconv.covariance import ensure_positive_diagonal
 from graph_deconv.deconv import DB_OFFSET, DiagnosticMatrices
 from graph_deconv.errors import IsolatedVertex, NonpositiveVariance
 from graph_deconv.estimation import estimate_magnitudes
@@ -131,6 +131,15 @@ def reference_estimate_magnitudes(cov_x, cov_ym, source):
             "the covariances hold non-finite entries or overflow"
         )
     return magnitudes
+
+
+def pearson_matrix(cov, what="covariance"):
+    """Pearson magnitudes |C_pq| / (s_p s_q), s the square roots of the variances,
+    as one N x N: the oracle of ``covariance._pearson_mask``, which forms them a
+    row slab at a time."""
+    cov = ensure_positive_diagonal(cov, what)
+    scale = np.sqrt(np.diag(cov))
+    return np.abs(cov) / np.outer(scale, scale)
 
 
 def reference_source_mask(cov_x, pearson_threshold):

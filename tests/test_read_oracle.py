@@ -12,7 +12,9 @@ cuts the file into chunks, and check which grids reach the repeat search.
 The rest check what numpy is handed: the path as a ``str``, never an open
 file, with the lines before the data to skip, for ``str``, ``pathlib`` and
 bytes paths alike; a name numpy would decompress or fetch; and int cells
-around ``int``'s digit limit, which only Python's reader may decide.
+around ``int``'s digit limit, which only Python's reader may decide. Float
+tables are read by ``_float_csv.parse`` without numpy, under every name, and
+one it leaves in a later chunk is read again from its first row.
 """
 
 import csv
@@ -238,7 +240,9 @@ def tables(tmp_path_factory):
 
 CELLS = (*TOKENS, "1_000.5", " 2 ", '"1.5"', '"2"', "\u0661\u0662", "\uff11", "2.0", "1e5", "+1",
          "-0", "0x10", "inf", "1#2", "\u20031\u2003", "\xa01.5", "2\x0b", "\x1c2", "1\x00", " ", "\t",
-         "4 5", "9223372036854775808", ".", "1e", "--1", "-.5E-3")
+         "4 5", "9223372036854775808", ".", "1e", "--1", "-.5E-3", "-0.0", "00.5", "5.", "1.2.3", "1.5-",
+         "-1-.5", "0.10000000000000000555", "9007199254740993.0", "-1234567890.1234567",
+         "0.00000000000000000000001", "12345678901234567890.5", "4.35", "1-2.5", "2\r")
 
 
 def _cell_mutations(data: bytes, first: int, rng):
@@ -279,14 +283,21 @@ def _row_mutations(data: bytes, rng):
 
 @pytest.mark.parametrize("kind", list(READERS))
 def test_mutated_tables_read_as_the_oracle_reads_them(tables, tmp_path, monkeypatch, kind):
-    """Numeric tables must take numpy's parse on some cases and Python's on others."""
+    """Numeric tables must take a vectorised parse on some cases and Python's
+    on others, and float tables ``_float_csv.parse`` on some and not others."""
     parses, parse = [], gio._parse_numeric
+    floats, float_parse = [], gio._float_csv.parse
 
     def spy(*args):
         parses.append(parse(*args))
         return parses[-1]
 
+    def float_spy(*args):
+        floats.append(float_parse(*args))
+        return floats[-1]
+
     monkeypatch.setattr(gio, "_parse_numeric", spy)
+    monkeypatch.setattr(gio._float_csv, "parse", float_spy)
     original = tables[kind]
     rng = np.random.default_rng([sum(kind.encode()), 1])
     first_data_line = int(kind != "covariance")
@@ -300,6 +311,7 @@ def test_mutated_tables_read_as_the_oracle_reads_them(tables, tmp_path, monkeypa
         outcomes.add(assert_same(kind, path))
     assert outcomes == {"read", "rejected"}
     assert {table is None for table in parses} == ({True} if kind == "coords" else {True, False})
+    assert {values is None for values in floats} == ({True, False} if kind in ("signals", "covariance") else set())
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-310, 1e300])
@@ -489,7 +501,12 @@ def test_valid_grid_is_checked_without_the_repeat_search(tmp_path, monkeypatch):
 
 
 def _loadtxt_calls(monkeypatch) -> list:
-    """The name and keyword arguments of every ``np.loadtxt`` call the readers make."""
+    """The name and keyword arguments of every ``np.loadtxt`` call the readers make.
+
+    The vectorised parse of float tables is switched off, so that signal and
+    covariance tables reach numpy as a table it leaves does.
+    """
+    monkeypatch.setattr(gio._float_csv, "parse", lambda data, width: None)
     calls, loadtxt = [], np.loadtxt
 
     def spy(fname, **kwargs):
@@ -602,3 +619,109 @@ def test_long_float_cell_stays_with_numpy(tmp_path):
     path = tmp_path / "signals.csv"
     path.write_text("v1,v2\n" + "0" * 5000 + "1.5,-2.5\n0.5,0.25\n")
     assert _read_both("signals", path, gio._signals_header) == ("read", True)
+
+
+@given(st.text(alphabet="0a\r\n", max_size=60), st.integers(1, 12), st.integers(1, 6))
+@settings(max_examples=500, deadline=None)
+def test_guard_pass_refuses_a_run_of_zeros_across_chunks(text, limit, zeros):
+    """Chunks of ``limit`` characters, so a run of zeros often spans two or more."""
+    lines = io.StringIO(text, newline="").readlines()
+    plain = max(map(len, lines), default=0) <= limit and "0" * zeros not in text
+    assert gio._plain_text(io.StringIO(text, newline=""), limit, zeros) == plain
+
+
+@pytest.mark.parametrize("split", [1, 2500, 4999])
+def test_int_cell_of_zeros_across_a_chunk_end_goes_to_python(tmp_path, split):
+    """5,000 zeros and a 1, ``split`` of the zeros before the first chunk end after the header."""
+    offset = CHUNK - split
+    before = "1,2\n" * (offset // 4 - 1) + "1," + "2" * (1 + offset % 4) + "\n"
+    assert len(before) == offset
+    path = tmp_path / "edges.csv"
+    path.write_text("i,j\n" + before + "0" * 5000 + "1,2\n")
+    kept = not INT_DIGITS or INT_DIGITS - 18 > 5000  # no run of that many zeros to refuse
+    outcome = ("rejected", False) if 0 < INT_DIGITS < 5001 else ("read", kept)
+    assert _read_both("edges", path, ["i", "j"], int) == outcome
+
+
+def _float_tables(tables, tmp_path):
+    """A signals table after 0, 1 and 3 blank lines, and a covariance, each under an ordinary name."""
+    for blanks in (0, 1, 3):
+        (tmp_path / f"signals{blanks}.csv").write_bytes(b"\n" * blanks + tables["signals"])
+        yield "signals", tmp_path / f"signals{blanks}.csv"
+    (tmp_path / "covariance.csv").write_bytes(tables["covariance"])
+    yield "covariance", tmp_path / "covariance.csv"
+
+
+def test_float_tables_are_read_without_numpy(tables, tmp_path, monkeypatch):
+    """By ``str``, ``pathlib`` and bytes paths, and under names numpy would decompress or fetch."""
+    import urllib.request
+
+    monkeypatch.setattr(gio.np, "loadtxt", lambda *args, **kwargs: pytest.fail("numpy parsed a float table"))
+    monkeypatch.setattr(urllib.request, "urlopen", lambda *args, **kwargs: pytest.fail("a table was fetched"))
+    for kind, path in _float_tables(tables, tmp_path):
+        read, oracle = READERS[kind]
+        got = [_plain(read(p)) for p in (path, str(path), os.fsencode(path))]
+        assert got[0] == got[1] == got[2] == _plain(oracle(path))
+    for suffix in gio._COMPRESSED:
+        (tmp_path / f"covariance.csv{suffix}").write_bytes(tables["covariance"])
+        assert assert_same("covariance", tmp_path / f"covariance.csv{suffix}") == "read"
+    if os.name != "nt":  # ':' cannot be part of a Windows file name
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        (tmp_path / "http:" / "host" / "covariance.csv").write_bytes(tables["covariance"])
+        monkeypatch.chdir(tmp_path)
+        path = "http://host/covariance.csv"
+        assert _plain(gio.read_covariance(path)) == _plain(oracle_read_covariance(path))
+
+
+@pytest.mark.parametrize("late, outcome", [("1e-05", ("read", True)), ("abc", ("rejected", False))])
+def test_float_table_the_parse_leaves_in_a_later_chunk(tmp_path, monkeypatch, late, outcome):
+    """A table whose later chunk the parse refuses, for its exponent cells or
+    for a cell ``float`` refuses, is read by numpy or Python from its first row."""
+    calls, loadtxt = [], np.loadtxt
+
+    def spy(fname, **kwargs):
+        calls.append((fname, kwargs))
+        return loadtxt(fname, **kwargs)
+
+    monkeypatch.setattr(gio.np, "loadtxt", spy)
+    chunk = gio._float_csv._CHUNK
+    rows = np.random.default_rng(44).normal(0.0, 1.0, (chunk // 70, 4)).tolist()
+    text = "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    assert len(text) > chunk
+    text += f"{late},{late},{late},0.5\n" * (chunk // 20 if late == "1e-05" else 1)
+    path = tmp_path / "signals.csv"
+    path.write_text("\n\nv1,v2,v3,v4\n" + text)
+    assert _read_both("signals", path, gio._signals_header) == outcome
+    if late == "1e-05":
+        _assert_numpy_read(calls[:1], path, 3)
+
+
+@pytest.mark.parametrize(
+    "kind, text",
+    [("covariance", "4\n"), ("covariance", "4"), ("covariance", "-4\n"), ("covariance", "-4.5"),
+     ("covariance", "4\n5\n"), ("signals", "v1\n7"), ("signals", "v1\n7\n"), ("signals", "v1\n-7\n8\n"),
+     ("signals", "v1\n7\n8.5\n"), ("signals", "v1,v2\n7,8\n")],
+)
+def test_small_tables_of_whole_numbers_read_as_the_oracle_reads_them(tmp_path, kind, text):
+    """A chunk whose only non-digit bytes are its line ends, and tables close to it."""
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(text)
+    assert assert_same(kind, path) in {"read", "rejected"}
+
+
+@given(
+    st.lists(st.sampled_from(["0", "7", "-4", "12", "4.5", "-0.0", "1e5", "-", ".", "-7.", "x"]), min_size=1,
+             max_size=9),
+    st.integers(1, 3),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_small_float_tables_read_as_the_oracle_reads_them(tmp_path, cells, width, end):
+    """Tables of one to three columns and a few short cells, with and without a last line end."""
+    rows = [",".join(cells[i : i + width]) for i in range(0, len(cells), width)]
+    body = "\n".join(rows) + ("\n" if end else "")
+    (tmp_path / "covariance.csv").write_text(body)
+    assert_same("covariance", tmp_path / "covariance.csv")
+    header = ",".join(f"v{k}" for k in range(1, width + 1))
+    (tmp_path / "signals.csv").write_text(header + "\n" + body)
+    assert_same("signals", tmp_path / "signals.csv")

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_in_place import pearson_matrix
 
 from graph_deconv import (
     DegenerateSpectrum,
@@ -23,7 +24,6 @@ from graph_deconv import (
     gft,
     igft,
     laplacian,
-    pearson_matrix,
     run_simulation,
     synthetic_source,
     transmit,
