@@ -1,10 +1,11 @@
-"""CSV text of a finite float64 matrix, a block of whole rows at a time, and its reader.
+"""CSV text of a finite float64 matrix, a block of whole rows at a time, and the table reader.
 
 ``blocks(values)`` yields strings whose concatenation is, for every row,
 ``",".join(map(repr, row)) + "\\n"``, byte for byte. A block holds about
-``_BLOCK`` cells, so no whole-file string is built. ``parse(data, width)``
-reads such text back, ``_CHUNK`` bytes of whole rows at a time: every value
-is ``float`` of its cell, bit for bit, or the whole table is refused (None).
+``_BLOCK`` cells, so no whole-file string is built. ``parse(data, types)``
+reads such text back, and any table of float and int columns, a chunk of
+whole rows at a time: every value is ``float`` or ``int`` of its cell, bit
+for bit, or the whole table is refused (None) and left to Python's reader.
 
 ``repr`` prints the shortest decimal that reads back as the same double,
 the closest such when there are several, ties to even digits; it uses the
@@ -33,22 +34,30 @@ test), and the open interval of an odd c (a bound is a whole multiple of
 10**k only at q = 1, where the bounds 2c +- 1 are odd and x = 2c itself is
 the closest candidate).
 
-Reading inverts the fixed layout. A cell ``-?[0-9]*\\.[0-9]*`` with a digit
-and at most 24 bytes is read as three little-endian words of the text that
-ends at its separator; a masked one-byte shift closes the gap of the ".",
-and SWAR multiplies join the digits eight at a time into an integer d with f
-digits after the point. Below 2**53, ``float(d) / 10**f`` is correctly
-rounded, as d and 10**f are exact and one division rounds once (Clinger,
-"How to read floating point numbers accurately", PLDI 1990). Above, that
-quotient is within 1.5 units of the last place, and one exact comparison in
-wrapping uint64 arithmetic moves it to the nearest double, ties to even.
-Every other cell (exponent notation, subnormals, a sign "+", more than 19
-digits) is ``float`` of its text.
+Reading inverts the fixed layout. A cell ``-?[0-9]*\\.[0-9]*`` with a digit,
+or ``-?[0-9]+``, of at most 23 bytes is read as three little-endian words
+of the text that ends at its separator; a masked one-byte shift closes the
+gap of the ".", and SWAR multiplies join the digits eight at a time into an
+integer d with f digits after the point. In an int column d below
+922 * 10**16, signed, is the value, exact in int64. In a float column, below
+2**53 ``float(d) / 10**f`` is correctly rounded, as d and 10**f are exact
+and one division rounds once (Clinger, "How to read floating point numbers
+accurately", PLDI 1990). Above, that quotient is within 1.5 units of the
+last place, and one exact comparison in wrapping uint64 arithmetic moves it
+to the nearest double, ties to even. Every other cell (exponent notation,
+subnormals, a sign "+", spaces, more than 19 digits) is ``float`` or
+``int`` of its text, an int checked against int64's range, so ``int``'s
+digit limit holds as it does in Python's reader. A "\\r\\n" line end is
+read as "\\n"; a lone "\\r" leaves the table to Python's reader. On 2
+shared vCPUs (numpy 2.4.6) the 71,424-row station table reads in about
+22 ms, 30 ms with "\\r\\n" line ends, and a 744 x 96 signals table in
+about 9 ms; ``parse`` gives the cost of exponent-heavy tables.
 """
 
 from __future__ import annotations
 
 import csv
+from itertools import compress
 
 import numpy as np
 
@@ -188,124 +197,190 @@ def _render(values: np.ndarray, seps: np.ndarray) -> str:
     return "".join(pieces)
 
 
-# Reading: ``parse`` is the inverse of ``blocks``.
+# Reading: ``parse`` is the inverse of ``blocks``, and reads int columns too.
 
-_CHUNK = 1 << 18  # bytes of text read at a time, parsed up to the last whole row
+_CHUNK = 1 << 16  # bytes of text read first; each read is parsed up to its last whole row
+_CELLS = 1 << 14  # cells read at a time after the first read, at its density
 _PAD = 24  # bytes kept before the rows, so every cell has a 24-byte window
 _EXACT = _U(1 << 53)  # below it a decimal's digits are exact as a float64
-_FEW = 8  # at most one cell in _FEW of a chunk is left to float (measured in parse)
-_BAD = tuple(b'"\r\x1c\x1d\x1e\x1f')  # bytes Python's reader must see
-# Per byte of a window that holds the ".": the bytes after it, as a mask.
-# Per count of digits: the low nibbles of that many bytes at the window's end.
-_AFTER_POINT = np.where(_COL > _COL[:, None], 0xFF, 0).astype(np.uint8).view(np.uint64)
-_NIBBLES = np.where(_COL >= 24 - np.arange(25)[:, None], 0x0F, 0).astype(np.uint8).view(np.uint64)
+_FEW = 2  # at most one cell in _FEW of a chunk is left to float or int (measured in parse)
+# Per word of a cell's 24-byte window, one row each: per byte of the window
+# that holds the ".", the bytes after it as a mask; per count of digits, the
+# low nibbles of that many bytes at the window's end.
+_AFTER_POINT = np.where(_COL > _COL[:, None], 0xFF, 0).astype(np.uint8).view(np.uint64).T.copy()
+_NIBBLES = np.where(_COL >= 24 - np.arange(25)[:, None], 0x0F, 0).astype(np.uint8).view(np.uint64).T.copy()
 
 
-def parse(data, width: int | None) -> np.ndarray | None:
-    """The float64 rows of the CSV text on the binary stream ``data``, or None.
+def parse(data, types: tuple | None) -> np.ndarray | None:
+    """The rows of the CSV text on the binary stream ``data``, or None.
 
-    ``data`` stands at the first row; ``width`` is the number of cells in a
-    row, or None for a square table. Every value is ``float`` of its cell,
-    bit for bit. None leaves the text to Python's reader: a cell ``float``
-    refuses or reads as non-finite, a quote, a ``\\r``, a byte in
-    ``\\x1c``-``\\x1f`` or above ``\\x7f``, a blank line, a ragged row, a
-    cell of ``csv.field_size_limit()`` bytes or more, no rows, or a
-    headerless table that is not square. None is also returned for a chunk
-    in which more than one cell in ``_FEW`` is not in ``repr``'s fixed
-    layout, since ``float`` of each such cell alone is slower than numpy:
-    ``read_signals`` on a 744 x 96 table and ``read_covariance`` on a 96 x 96
-    one take as long through parse as through ``np.loadtxt`` when about one
-    cell in 7.6 is in exponent notation. Rows parsed before such a chunk are
-    read again by numpy.
+    ``data`` stands at the first row. ``types`` holds ``float`` or ``int`` per
+    column, or is None for a square table of floats. The rows come back as
+    one rows x width array, float64 or int64, when every column has one type,
+    else as one structured array with a field ``c<k>`` per column k. Every
+    value is ``float`` or ``int`` of its cell, bit for bit, an int within
+    int64; a "\\r" just before a "\\n" is dropped, as ``csv.reader`` ends a
+    row at either. None leaves the text to Python's reader: a cell ``float``
+    or ``int`` refuses, an int outside int64, a non-finite value, a quote, a
+    lone "\\r", a byte above "\\x7f", a blank line, a ragged row, a cell of
+    ``csv.field_size_limit()`` bytes or more, no rows, or a headerless table
+    that is not square. None is also returned for a chunk in which more
+    than one cell in ``_FEW`` is not read by integer arithmetic: with one
+    cell in 4, 2 and 1 in exponent notation, a 744 x 96 table took 16, 25
+    and 47-63 ms here against 27-31 ms through Python's reader, so the two
+    cross at about three cells in five (2 shared vCPUs, numpy 2.4.6).
 
-    The text is read ``_CHUNK`` bytes at a time and parsed up to its last
-    line end, so only the rows of one chunk are ever held as text. The rows
-    go into one array sized from the density of the first chunk, with a
-    32nd more; rows past that are joined on at the end.
+    The text is read ``_CHUNK`` bytes first, then about ``_CELLS`` cells at
+    a time at that first read's density, each read parsed up to its last
+    line end: only one chunk is held as text, and its work arrays are
+    bounded by its cells, however short. The rows go into one array sized
+    from that density with a 32nd more; rows past that are joined on at the
+    end. Values move as their uint64 bits, never an int64 as a float64.
     """
     limit = csv.field_size_limit()
     start = data.tell()
     size = data.seek(0, 2) - start
     data.seek(start)
-    square = width is None
+    ints = None if types is None else np.array([t is int for t in types])
     buf = bytearray(_PAD + _CHUNK + 1)  # its last byte ends a last row that has no line end
     out, rows, held, spill = None, 0, 0, []  # held: the bytes of a row not yet whole, at buf[_PAD:]
+    room = 0  # the buffer's size for _CELLS cells
     while True:
         if _PAD + held == len(buf) - 1:  # a row longer than the buffer
             buf = buf[: _PAD + held] + bytearray(len(buf))
+        elif len(buf) < room:
+            buf = buf[: _PAD + held] + bytearray(room - _PAD - held)
         got = data.readinto(memoryview(buf)[_PAD + held : -1])
         stop = _PAD + held + got
         if not got and held:
             buf[stop] = 10
             stop += 1
+        if buf.find(b"\r", _PAD, stop) >= 0:  # a "\r" that ends the chunk is held for the next
+            text = buf[_PAD:stop].replace(b"\r\n", b"\n")
+            stop = _PAD + len(text)
+            buf[_PAD:stop] = text
         end = buf.rfind(b"\n", _PAD, stop) + 1
         if end:
-            if width is None:
-                width = buf.count(b",", _PAD, buf.index(b"\n", _PAD)) + 1
-            values = _rows(buf, end, width, limit)
+            if ints is None:
+                ints = np.zeros(buf.count(b",", _PAD, buf.index(b"\n", _PAD)) + 1, dtype=bool)
+            values = _rows(buf, end, ints, limit)
             if values is None:
                 return None
             if out is None:  # room for the rest at this chunk's density, and a 32nd more
-                out = np.empty(values.size + -(-(size - end + _PAD) * values.size * 33 // (32 * (end - _PAD))))
-            total = rows * width + values.size
+                rest = -(-(size - end + _PAD) * values.size * 33 // (32 * (end - _PAD)))
+                out = np.empty(values.size + rest, dtype=np.uint64)
+                room = _PAD + 1 + _CELLS * (end - _PAD) // values.size
+            total = rows * ints.size + values.size
             if total <= out.size:
-                out[rows * width : total] = values
+                out[rows * ints.size : total] = values
             else:
                 spill.append(values)
-            rows += values.size // width
+            rows += values.size // ints.size
             buf[_PAD : _PAD + stop - end] = buf[end:stop]
         held = stop - max(end, _PAD)
         if not got:
             break
-    if not rows or (square and rows != width):
+    if not rows or (types is None and rows != ints.size):
         return None
-    done = out[: rows * width - sum(v.size for v in spill)]
-    return (np.concatenate([done, *spill]) if spill else done).reshape(rows, width)
+    done = out[: rows * ints.size - sum(v.size for v in spill)]
+    values = np.concatenate([done, *spill]) if spill else done
+    if not ints.any():
+        return values.view(np.float64).reshape(rows, -1)
+    if ints.all():
+        return values.view(np.int64).reshape(rows, -1)
+    return values.view([(f"c{k}", np.int64 if i else np.float64) for k, i in enumerate(ints.tolist())])
 
 
-def _rows(buf: bytearray, stop: int, width: int, limit: int) -> np.ndarray | None:
-    """The cells of the whole rows at ``buf[_PAD:stop]``, row after row, or None as ``parse``.
+def _rows(buf: bytearray, stop: int, ints: np.ndarray, limit: int) -> np.ndarray | None:
+    """The uint64 bits of the cells of the whole rows at ``buf[_PAD:stop]``, row after row, or None as ``parse``.
 
-    A cell in ``repr``'s fixed layout (``_cells``) is read by ``_digits`` and
-    ``_nearest``; every other cell is ``float`` of its text.
+    ``ints`` marks the int columns. A cell ``_cells`` marks ``fixed`` is
+    read by ``_digits``, then ``_nearest`` or, in an int column, its sign;
+    every other cell is ``float`` or ``int`` of its text (``_text_cells``).
     """
-    cells = _cells(buf, stop, width, limit)
+    cells = _cells(buf, stop, ints, limit)
     if cells is None:
         return None
-    starts, ends, at, digits, minus, fixed = cells
-    values = _nearest(_digits(buf, stop, ends, at, digits, fixed), 23 - at, minus, fixed)
+    ends, at, frac, digits, minus, fixed = cells
+    d = _digits(buf, ends, at, digits, fixed)
+    if not ints.any():
+        values = _nearest(d, frac, minus, fixed)
+    else:  # a float column at a time, then the int columns, each as a column of the rows
+        values = np.empty((ends.size // ints.size, ints.size))
+        grid = [a.reshape(values.shape) for a in (d, frac, minus, fixed)]
+        for c in np.flatnonzero(~ints).tolist():
+            values[:, c] = _nearest(*(a[:, c] for a in grid))
+        signed = grid[0].view(np.int64)
+        np.negative(signed, out=signed, where=grid[2])
+        np.copyto(values.view(np.int64), signed, where=ints)
+        values = values.ravel()
+    values = values.view(np.uint64)
     slow = np.flatnonzero(~fixed)
-    if slow.size * _FEW > ends.size:
-        return None
-    for k, a, b in zip(slow.tolist(), starts[slow].tolist(), ends[slow].tolist()):
-        cell = buf[_PAD + a : _PAD + b]
-        if any(c in cell for c in _BAD):
+    if slow.size:
+        if slow.size * _FEW > ends.size:
             return None
-        try:
-            values[k] = float(cell.decode("ascii"))
-        except ValueError:  # a byte above 0x7f fails the decode
+        whole = np.broadcast_to(ints, (ends.size // ints.size, ints.size)).ravel()[slow] if ints.any() else None
+        text = _text_cells(buf, stop, ends, slow, whole)
+        if text is None:
             return None
-    if slow.size and not np.isfinite(values[slow]).all():
-        return None
+        values[slow] = text
     return values
 
 
-def _cells(buf: bytearray, stop: int, width: int, limit: int):
+def _text_cells(buf: bytearray, stop: int, ends, slow, whole) -> np.ndarray | None:
+    """The uint64 bits of ``float`` of the text of cells ``slow``, ``int`` where ``whole``, or None as ``parse``.
+
+    The cells, each with its separator, are cut from ``buf[_PAD:stop]`` as
+    one ASCII string, so each is the text ``csv.reader`` hands on when it
+    holds no quote and no "\\r".
+    """
+    text = np.frombuffer(buf, np.uint8, stop - _PAD, _PAD)
+    starts = ends[slow - 1] + 1
+    if slow[0] == 0:
+        starts[0] = 0
+    sizes = ends[slow] - starts + 1
+    offsets = np.cumsum(sizes)
+    offsets -= sizes  # where each cell starts in the string
+    at = np.repeat(starts - offsets, sizes)
+    at += np.arange(at.size)  # the bytes of the cells, in order
+    try:
+        cells = text[at].tobytes().decode("ascii")
+    except UnicodeDecodeError:
+        return None
+    if '"' in cells or "\r" in cells:
+        return None
+    cells = cells.replace("\n", ",").split(",")[:-1]
+    whole = np.zeros(len(cells), dtype=bool) if whole is None else whole
+    values = np.empty(len(cells), dtype=np.uint64)
+    try:
+        for read, dtype, picked in ((float, np.float64, ~whole), (int, np.int64, whole)):
+            these = cells if picked.all() else list(compress(cells, picked.tolist()))
+            values.view(dtype)[picked] = np.fromiter(map(read, these), dtype, len(these))
+    except (ValueError, OverflowError):
+        return None
+    return values if np.isfinite(values.view(np.float64)[~whole]).all() else None
+
+
+def _cells(buf: bytearray, stop: int, ints: np.ndarray, limit: int):
     """The cells of the rows at ``buf[_PAD:stop]``, or None for a ragged table or too long a cell.
 
-    A cell's text is ``buf[_PAD + start : _PAD + end]``. The cells are cut at
-    the "," and line-end bytes among the non-digits. A cell in ``repr``'s
-    fixed layout, ``-?[0-9]*\\.[0-9]*`` with a digit, has a "." as its last
-    non-digit and before it at most a "-" at its start; ``fixed`` marks such
-    cells of at most 24 bytes. ``at`` is the byte of the "." in the 24 bytes
-    that end at a cell's separator, ``digits`` the count of its digits and
-    ``minus`` its sign.
+    The cells are cut at the "," and line-end bytes among the non-digits, and
+    ``ends`` holds the byte of each cell's separator. A cell is ``fixed``,
+    read by integer arithmetic, when it is ``-?[0-9]*\\.[0-9]*`` with a digit
+    in a float column (``repr``'s fixed layout), or ``-?[0-9]+`` in either,
+    and at most 23 bytes long, so at most 22 digits follow its ".": its last
+    non-digit before the separator is its "." if it has one, and before that
+    at most a "-" at its start. ``at`` is the byte of the "." in the 24 bytes
+    that end at a cell's separator, or of a byte before its digits when it
+    has none; ``frac`` is the count of digits after the ".", ``digits`` that
+    of all its digits and ``minus`` its sign.
     """
     text = np.frombuffer(buf, np.uint8, stop - _PAD, _PAD)
     other = np.flatnonzero((text - np.uint8(48)) > 9)  # every byte but a digit
     kind = text[other]
     sep = np.flatnonzero((kind == 44) | (kind == 10))
     ends = other[sep]
+    width = ints.size
     rows = ends.size // width
     if ends.size != rows * width or np.count_nonzero(kind == 10) != rows:
         return None
@@ -318,35 +393,54 @@ def _cells(buf: bytearray, stop: int, width: int, limit: int):
     if length.max() >= limit:
         return None
     count = np.diff(sep, prepend=-1)  # the non-digits of each cell, its separator included
-    minus = count == 3
-    sign = np.maximum(sep - 2, 0)  # the "-" of a cell where count == 3; kind may hold one byte
-    fixed = (kind[sep - 1] == 46) & ((count == 2) | (minus & (kind[sign] == 45) & (other[sign] == starts)))
-    digits = length - 1 - minus
-    fixed &= (digits > 0) & (length <= 24)
-    return starts, ends, other[sep - 1] - ends + 24, digits, minus, fixed
+    last = sep - 1  # the non-digit before the separator, in the cell where count > 1
+    dot = kind[last] == 46
+    if ints.any():
+        dot.reshape(rows, width)[:, ints] = False
+    plain = count - dot  # the cell's non-digits but its "."
+    minus = plain == 2
+    first = last - dot  # where minus holds, the cell's first non-digit
+    fixed = (plain == 1) | (minus & (kind[first] == 45) & (other[first] == starts))
+    digits = length - count
+    digits += 1
+    fixed &= (digits > 0) & (length < 24)
+    at = other[last] - ends
+    at += 24
+    if not sep[0]:  # the first cell has no non-digit before its separator
+        at[0] = 23 - ends[0]
+    frac = 23 - at
+    frac *= dot
+    return ends, at, frac, digits, minus, fixed
 
 
-def _digits(buf: bytearray, stop: int, ends, at, digits, fixed: np.ndarray) -> np.ndarray:
+def _digits(buf: bytearray, ends, at, digits, fixed: np.ndarray) -> np.ndarray:
     """The digits of each cell as one uint64 integer; ``fixed`` is cleared where it would pass 2**63.
 
     A cell is read from the 24 bytes that end at its separator, as three
-    little-endian words: one byte shift, masked after the ".", closes the gap
-    the "." leaves, and the digits' nibbles are joined eight at a time.
+    little-endian words, one word at a time: the word one byte later, masked
+    before the ".", closes the gap the "." leaves, and the digits' nibbles
+    are joined eight at a time. A cell with no "." has its ``at`` before its
+    digits, so none of them move.
     """
-    window = np.ndarray((stop - 23,), "V24", buf, 0, (1,))  # window k ends just before buf[_PAD + k]
-    w = window[ends].view(np.uint64)
-    x = w << _U(8)
-    x[1:] |= w[:-1] >> _U(56)
-    w ^= x
-    w &= _AFTER_POINT.take(at, axis=0, mode="clip").ravel()
-    x ^= w  # the bytes after the "." as they were, those before it one byte later
-    x &= _NIBBLES.take(digits, axis=0, mode="clip").ravel()
-    _join8(x)
-    x = x.reshape(-1, 3)
-    fixed &= x[:, 0] < 922
-    d = x[:, 0] * _U(10**16)
-    d += x[:, 1] * _U(10**8)
-    d += x[:, 2]
+    window = np.ndarray((len(buf) - 23,), "V24", buf, 0, (1,))  # window k ends just before buf[_PAD + k]
+    w = window[ends].view(np.uint64).reshape(-1, 3)
+    for j in range(3):
+        x = w[:, j] << _U(8)
+        if j:
+            x |= w[:, j - 1] >> _U(56)
+        moved = w[:, j] ^ x
+        moved &= _AFTER_POINT[j].take(at, mode="clip")
+        x ^= moved  # the bytes after the "." as they were, those before it one byte later
+        x &= _NIBBLES[j].take(digits, mode="clip")
+        _join8(x)
+        if j == 0:
+            fixed &= x < 922
+            d = x
+            d *= _U(10**16)
+        else:
+            if j == 1:
+                x *= _U(10**8)
+            d += x
     return d
 
 

@@ -22,6 +22,7 @@ any observer of second-order statistics can do.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -205,12 +206,14 @@ def assign_signs(
     """Fix signs per component by anchored breadth-first propagation.
 
     The anchor of each component is its lowest-index vertex and receives the
-    corresponding entry of ``anchor_signs`` (all +1 by default). Every other
-    supported vertex gets the sign that makes the product of endpoint signs
-    match the sign of the observed/source covariance ratio on its edge of the
-    component's spanning tree in ``obs.trees``, set one tree level at a time.
-    A zero ratio counts as positive and warns once per tree edge, in visit
-    order. Off-support vertices keep sign +1.
+    corresponding entry of ``anchor_signs`` (all +1 by default), an integral
+    -1 or +1 that is not a bool; any other entry raises ``ValueError``
+    naming it. Every other supported vertex gets the sign that makes the
+    product of endpoint signs match the sign of the observed/source
+    covariance ratio on its edge of the component's spanning tree in
+    ``obs.trees``, set one tree level at a time. A zero ratio counts as
+    positive and warns once per tree edge, in visit order. Off-support
+    vertices keep sign +1.
     """
     mags = np.asarray(magnitudes, dtype=float).reshape(-1)
     n = obs.n_vertices
@@ -221,11 +224,13 @@ def assign_signs(
     trees = obs.trees
     if anchor_signs is None:
         anchor_signs = [1] * len(trees)
-    anchor_signs = [int(s) for s in anchor_signs]
+    anchor_signs = list(anchor_signs)
     if len(anchor_signs) != len(trees):
         raise ValueError(f"got {len(anchor_signs)} anchor signs for {len(trees)} components")
-    if any(s not in (-1, 1) for s in anchor_signs):
-        raise ValueError("anchor signs must be -1 or +1")
+    for s in anchor_signs:  # a bool is not a sign, nor 1.7 nor "1"
+        if isinstance(s, bool) or not isinstance(s, numbers.Real) or s not in (-1, 1):
+            raise ValueError(f"anchor signs must be -1 or +1, got {s!r}")
+    anchor_signs = [int(s) for s in anchor_signs]
 
     signs = np.ones(n)
     components = []

@@ -9,23 +9,21 @@ matrices (signals and covariances) are rendered a block of rows at a time by
 ``_float_csv``, numpy arithmetic that follows Giulietti's Schubfach ("The
 Schubfach way to render doubles", 2020) to the digits ``repr`` prints, byte
 for byte, as ``tests/test_float_csv.py`` checks against ``repr`` itself.
-They are read back by its inverse, ``_float_csv.parse``: after the header,
-the bytes are read in chunks of whole rows, and a cell in ``repr``'s fixed
-layout is parsed by vectorised integer arithmetic, exact to the bit, every
-other cell by ``float``; it is about twice as fast as ``np.loadtxt``.
-Other numeric tables, and a float table the parse refuses, are parsed by
-numpy's C reader: one streaming pass checks the rest of the file for text
-numpy could read differently, then numpy opens the path itself, skips the
-lines already read and parses the rest in chunks, at most about a
-millisecond per megabyte slower than a bare ``np.loadtxt`` of the file. A
-table that fails that check, or that numpy rejects, is read again cell by
-cell with ``csv.reader``, ``float`` and ``int``, so the grammar, the
-messages and the values are those of Python's reader whichever reads it.
-JSON files go through ``read_json`` and ``write_json``: indent 2, trailing
-newline. Writers make a missing parent directory only once their checks
-pass. A file that breaks its format raises ``FileFormatError`` naming the
-file and, in a table, the row. A channel estimate is one CSV; its
-spanning-tree parent maps exist only in memory (``Component.parents``).
+Every numeric table is read by one of two readers. The first is
+``_float_csv.parse``: after the header, the bytes are read in chunks of
+whole rows, and a cell in ``repr``'s fixed layout or an int cell is parsed
+by vectorised integer arithmetic, exact to the bit, every other cell by
+``float`` or ``int`` of its text. A table it refuses, and a table with a
+text column, is read cell by cell with ``csv.reader``, ``float`` and
+``int``, so the grammar, the messages and the values are those of Python's
+reader whichever reads it; it is slower, about 100 ms against 22 ms for the
+71,424-row station table, but the faster for a float table with more than
+one cell in two in exponent notation (README, "File formats"). JSON files
+go through ``read_json`` and ``write_json``: indent 2, trailing newline.
+Writers make a missing parent directory only once their checks pass. A file
+that breaks its format raises ``FileFormatError`` naming the file and, in a
+table, the row. A channel estimate is one CSV; its spanning-tree parent maps
+exist only in memory (``Component.parents``).
 """
 
 from __future__ import annotations
@@ -33,11 +31,8 @@ from __future__ import annotations
 import csv
 import json
 import operator
-import os
-import sys
-import warnings
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
@@ -126,11 +121,10 @@ def _read_table(path, header, types=float, allow_empty: bool = False) -> _Table:
     cells compared stripped; every data row must be as wide as the header (a
     headerless table: as wide as it is long).
 
-    A numeric table is parsed by ``_float_csv.parse`` when every column is
-    float, else by numpy's C reader (``_parse_numeric``). Anything they
-    reject, and a table with a non-finite value or a text column, is read
-    again by ``csv.reader`` and Python's ``float`` and ``int``, which decide
-    what is accepted and name what is not.
+    A numeric table is parsed by ``_float_csv.parse`` (``_parse_numeric``).
+    Anything it refuses, and a table with a text column, is read again by
+    ``csv.reader`` and Python's ``float`` and ``int``, which decide what is
+    accepted and name what is not.
     """
     table = _parse_numeric(path, header, types)
     if table is not None:
@@ -162,90 +156,53 @@ def _read_table(path, header, types=float, allow_empty: bool = False) -> _Table:
     return _Table(path, _per_column(types, width), first_row, rows=rows)
 
 
-_NUMPY_TYPES = {float: np.float64, int: np.int64}
-
-
 def _per_column(types, width: int) -> tuple:
     return types if isinstance(types, tuple) else (types,) * width
 
 
 def _parse_numeric(path, header, types) -> _Table | None:
-    """The table as a vectorised parse reads it, or None where Python's reader must decide.
+    """The table as ``_float_csv.parse`` reads it, or None where Python's reader must decide.
 
-    The header line is read first: blank lines before it are skipped, as
-    ``csv.reader`` skips them, and a header holding a quote, which may span
-    lines, is left to Python's reader. A table of float columns alone (signals
-    and covariances) is then read by ``_float_csv.parse`` (``_float_rows``),
-    which returns ``float`` of every cell or None. Any other table, and one
-    that parse leaves, goes to numpy's C reader: ``_plain_text`` streams the
-    rest of the file once, then numpy is handed the path, not the open file:
-    it reads a path in chunks with its C file reader but an open file a
-    Python line at a time. It skips the blank lines and the header, which its
-    universal newlines count as ``readline`` does (``\n``, ``\r``, ``\r\n``),
-    in the handle's encoding. numpy converts a float cell with
-    ``PyOS_string_to_double``, the conversion ``float`` uses, reads int64
-    cells in ``int``'s grammar over ASCII digits, and ends rows at the line
-    ends ``csv.reader`` does. None is returned wherever the readers could
-    differ: a header other than ``header``, a cell numpy rejects (quotes,
-    underscores, non-ASCII digits, whitespace-only or ragged rows, a float in
-    an int column), a warning, a non-finite value, text ``_plain_text``
-    refuses, a text column, or a name numpy would decompress
-    (``_numpy_path``). In a table with an int column ``_plain_text`` also
-    refuses a run of ``sys.get_int_max_str_digits() - 18`` zeros, since
-    numpy reads an int cell of any length and ``int`` refuses one that long.
+    The blank lines before the first row are skipped, as ``csv.reader``
+    skips them, and then the header line is read; a header holding a quote,
+    which may span lines, is left to Python's reader. The rest of the file
+    is handed to ``_float_csv.parse`` as bytes (``_parsed_rows``), which
+    returns ``float`` or ``int`` of every cell or None. None is also
+    returned for a header other than ``header``, a text column, or text that
+    is not valid in the file's encoding.
     """
-    if isinstance(types, tuple):  # One structured field per column.
-        if not _NUMPY_TYPES.keys() >= set(types):
-            return None
-        dtype, ndmin = [(f"c{k}", _NUMPY_TYPES[t]) for k, t in enumerate(types)], 1
-    else:
-        dtype, ndmin = _NUMPY_TYPES[types], 2
-    zeros = _INT_DIGITS() - 18 if int in _per_column(types, 1) and _INT_DIGITS() else 0
+    if str in _per_column(types, 1):
+        return None
     try:
-        with open(path, newline="") as fh, warnings.catch_warnings():
-            warnings.simplefilter("error")
-            skip = 0  # The lines read before the data.
-            if header is not None:
-                line = fh.readline()
-                while line in ("\n", "\r", "\r\n"):
-                    line, skip = fh.readline(), skip + 1
+        with open(path, newline="") as fh:
+            width, at, line = None, fh.tell(), fh.readline()
+            while line in ("\n", "\r", "\r\n"):
+                at, line = fh.tell(), fh.readline()
+            if header is None:
+                fh.seek(at)
+            else:
                 if '"' in line:
                     return None
                 got = [c.strip() for c in next(csv.reader([line]), ())]
                 if not got or got != (header(len(got)) if callable(header) else header):
                     return None
-                skip += 1
-            first_row = 1 if header is None else 2
-            if types is float:
-                values = _float_rows(fh, None if header is None else len(got))
-                if values is not None:
-                    return _Table(path, (float,) * values.shape[1], first_row, parsed=values)
-            fname = _numpy_path(path)
-            if fname is None or not _plain_text(fh, csv.field_size_limit(), zeros):
-                return None
-            parsed = np.loadtxt(
-                fname, dtype=dtype, delimiter=",", comments=None, skiprows=skip, ndmin=ndmin, encoding=fh.encoding
-            )
-    except (csv.Error, ValueError, Warning):
+                width = len(got)
+            values = _parsed_rows(fh, None if width is None else _per_column(types, width))
+    except (csv.Error, ValueError):
         return None
-    names = parsed.dtype.names
-    width = parsed.shape[1] if names is None else len(names)
-    if width != (len(parsed) if header is None else len(got)):
+    if values is None:
         return None
-    columns = [parsed] if names is None else [parsed[name] for name in names]
-    if not all(np.isfinite(c).all() for c in columns):
-        return None
-    return _Table(path, _per_column(types, width), first_row, parsed=parsed)
+    columns = types if isinstance(types, tuple) else (types,) * values.shape[1]
+    return _Table(path, columns, 1 if header is None else 2, parsed=values)
 
 
-def _float_rows(fh, width: int | None) -> np.ndarray | None:
+def _parsed_rows(fh, types: tuple | None) -> np.ndarray | None:
     """``_float_csv.parse`` of the bytes after the text ``fh`` has read, or None.
 
     The bytes are the text exactly when the encoding decodes every ASCII byte
     as itself, and parse returns None on any other byte. ``fh.tell()`` packs
     the decoder's state above the low 64 bits of the byte offset, so a
-    position with none is where the bytes start. On None ``fh`` is back
-    where it was.
+    position with none is where the bytes start.
     """
     if not _ascii_as_itself(fh.encoding):
         return None
@@ -253,10 +210,7 @@ def _float_rows(fh, width: int | None) -> np.ndarray | None:
     if at >> 64:
         return None
     fh.buffer.seek(at)
-    values = _float_csv.parse(fh.buffer, width)
-    if values is None:
-        fh.seek(at)
-    return values
+    return _float_csv.parse(fh.buffer, types)
 
 
 @cache
@@ -267,77 +221,6 @@ def _ascii_as_itself(encoding: str) -> bool:
         return ascii_bytes.decode(encoding) == ascii_bytes.decode("ascii")
     except (LookupError, UnicodeDecodeError):
         return False
-
-
-# The most digits ``int`` parses, or 0 where it has no limit (set to 0, or before Python 3.10.7).
-_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)
-
-# The suffixes numpy's loader opens as compressed files.
-_COMPRESSED = (".bz2", ".gz", ".lzma", ".xz")
-
-
-def _numpy_path(path) -> str | None:
-    """``path`` as a ``str`` numpy opens as the same plain file, or None if it cannot.
-
-    numpy opens a name with a compression suffix through its decompressor
-    and fetches a name that parses as a URL; a relative name is prefixed with
-    ``./``, which names the same file and is never a URL.
-    """
-    name = os.fsdecode(path)
-    if name.endswith(_COMPRESSED):
-        return None
-    return os.path.join(os.curdir, name)
-
-
-def _plain_text(fh, limit: int, zeros: int = 0) -> bool:
-    """Whether the rest of ``fh`` is text numpy reads as ``csv.reader`` does.
-
-    A line longer than ``limit`` may hold a cell longer than ``csv.reader``
-    accepts, and numpy strips the ASCII separators ``\\x1c``-``\\x1f`` from a
-    cell as whitespace where ``float`` and ``int`` reject them; text with
-    either is refused, and so is a run of ``zeros`` "0" characters when
-    ``zeros`` is not 0. Lines end at ``\\n``, ``\\r`` or ``\\r\\n``, and a
-    line's length counts its line end, as ``readlines`` splits and counts
-    them. The text is read once, in chunks of at most ``limit`` characters,
-    so a line inside one chunk is never too long: only the first line end of
-    each chunk is measured, against the line in progress since earlier
-    chunks. The zeros that end a chunk are carried into the search of the
-    next.
-    """
-    run = 0  # The length of the line in progress, as far as the chunks so far hold it.
-    cr = False  # The last chunk ended that line in "\r", which a leading "\n" extends.
-    want = "0" * zeros
-    tail = 0  # The zeros that end the text so far.
-    for chunk in iter(partial(fh.read, max(1, min(1 << 16, limit))), ""):
-        if any(sep in chunk for sep in "\x1c\x1d\x1e\x1f"):
-            return False
-        if zeros:
-            if want in chunk or (tail and chunk.startswith(want[tail:])):
-                return False
-            if chunk[-1] != "0":
-                tail = 0
-            else:
-                body = chunk.rstrip("0")
-                tail = tail + len(chunk) if not body else len(chunk) - len(body)
-        start = int(cr and chunk[0] == "\n")
-        if run + start > limit:  # The line in progress, at its end if start is 1.
-            return False
-        if cr:
-            run = 0
-        last = max(chunk.rfind("\n", start), chunk.rfind("\r", start))
-        if last < 0:
-            run += len(chunk) - start
-            cr = False
-            continue
-        first = min(k for k in (chunk.find("\n", start), chunk.find("\r", start)) if k >= 0)
-        if run + first - start + 1 + chunk.startswith("\r\n", first) > limit:
-            return False
-        cr = last == len(chunk) - 1 and chunk[last] == "\r"
-        if cr and first == last:  # The line in progress ends here, or in the next chunk's "\n".
-            run += last - start + 1
-        else:  # A line that starts in this chunk is no longer than it, even with a "\n" after it.
-            run = len(chunk) - last - 1
-    return run <= limit
 
 
 _PLAIN = frozenset({int, float})

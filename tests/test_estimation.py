@@ -208,6 +208,21 @@ class TestAssignSigns:
         with pytest.raises(ValueError, match="anchor signs"):
             assign_signs(np.ones(2), obs, cov_x, cov_x, anchor_signs=[2])
 
+    @pytest.mark.parametrize("sign", [1.7, True, False, "1", np.True_, 0, -0.5, None, np.nan])
+    def test_anchor_sign_that_is_not_an_integral_unit_is_refused(self, sign):
+        cov_x = np.array([[1.0, 0.5], [0.5, 1.0]])
+        obs = build_observation_graph(cov_x, Graph(n_vertices=2, edges=[(1, 2)]), 0.01)
+        with pytest.raises(ValueError, match=f"anchor signs must be -1 or \\+1, got {re.escape(repr(sign))}"):
+            assign_signs(np.ones(2), obs, cov_x, cov_x, anchor_signs=[sign])
+
+    @pytest.mark.parametrize("sign", [-1, -1.0, np.int8(-1), np.float64(-1.0)])
+    def test_integral_anchor_signs_of_any_number_type_are_kept(self, sign):
+        cov_x = np.array([[1.0, 0.5], [0.5, 1.0]])
+        obs = build_observation_graph(cov_x, Graph(n_vertices=2, edges=[(1, 2)]), 0.01)
+        est = assign_signs(np.ones(2), obs, cov_x, cov_x, anchor_signs=[sign])
+        assert est.gamma_m.tolist() == [-1.0, -1.0]
+        assert type(est.components[0].anchor_sign) is int and est.components[0].anchor_sign == -1
+
 
 class TestEstimateChannel:
     def run_noiseless(self, n=8, m=500, seed=36):

@@ -5,7 +5,8 @@
 must produce the same text, byte for byte, and so must the writers that use
 it. ``_float_csv.parse`` must read every cell as ``float`` does, bit for bit,
 the renderer's text and decimals of up to 19 digits near and at the midpoints
-between doubles alike, and leave to Python's reader what it refuses.
+between doubles alike, and every cell of an int column as ``int`` does, within
+int64, and leave to Python's reader what it refuses.
 """
 
 import csv
@@ -168,8 +169,9 @@ def test_float_table_writers_write_the_row_path(tmp_path):
 # The reader: ``_float_csv.parse`` against ``float`` of every cell.
 
 
-def read_back(text: str, width) -> np.ndarray | None:
-    return _float_csv.parse(io.BytesIO(text.encode()), width)
+def read_back(text: str, width, types=float) -> np.ndarray | None:
+    """``parse`` of ``text``: ``width`` columns of ``types``, or a square table of floats for None."""
+    return _float_csv.parse(io.BytesIO(text.encode()), None if width is None else (types,) * width)
 
 
 def assert_reads_back(values) -> None:
@@ -303,9 +305,9 @@ REGULAR = "0.5,-1.25\n" * 20  # rows of fixed-layout cells around a refused one
 
 @pytest.mark.parametrize(
     "text",
-    ['1.5,"2.5"\n', "1.5,2.5\r\n", "2\r,2.5\n", "\n", "3.5\n", "3.5,4.5,5.5\n", "1.5\n2.5,3.5,4.5\n",
-     "1.5,abc\n", "1.5,\n", "1.5,inf\n", "1.5,1e400\n", "1.5,nan\n", "1.5,\x1c2.5\n", "1.5,\x1f2.5\n",
-     "1.5,2.5\xa0\n", "1-2.5,3.5\n"],
+    ['1.5,"2.5"\n', "2\r,2.5\n", "1.5\r2.5\n", "1.5,2.5\r\r\n", "\n", "3.5\n", "3.5,4.5,5.5\n",
+     "1.5\n2.5,3.5,4.5\n", "1.5,abc\n", "1.5,\n", "1.5,inf\n", "1.5,1e400\n", "1.5,nan\n", "1.5,\x1c2.5\n",
+     "1.5,\x1f2.5\n", "1.5,2.5\xa0\n", "1-2.5,3.5\n"],
 )
 def test_refused_text_is_left_to_python(text):
     """Each between rows of fixed-layout cells, so no share of ``float`` cells decides."""
@@ -346,9 +348,16 @@ def test_rows_past_the_first_chunks_density(monkeypatch):
     assert read_back(rendered(matrix), 4).tobytes() == matrix.tobytes()
 
 
-def test_float_tables_the_library_writes_never_reach_numpy(tmp_path, monkeypatch):
+def test_float_tables_the_library_writes_are_parsed_vectorised(tmp_path, monkeypatch):
     """Observations, covariances with zeros and -0.0 and a few exponent cells, and reconstructions."""
-    monkeypatch.setattr(gio.np, "loadtxt", lambda *args, **kwargs: pytest.fail("numpy parsed a float table"))
+    parse = _float_csv.parse
+
+    def kept(data, types):
+        values = parse(data, types)
+        assert values is not None, "a float table the library writes went to Python's reader"
+        return values
+
+    monkeypatch.setattr(_float_csv, "parse", kept)
     rng = np.random.default_rng(14)
     signals = rng.normal(0.0, 4.0, (744, 96))
     signals[3, :5] = [0.0, -0.0, 1e-7, 3e20, 2.5]
@@ -382,13 +391,73 @@ def test_reading_a_large_table_holds_one_chunk_of_text(tmp_path):
 @pytest.mark.parametrize("encoding, plain", [("utf-8", True), ("latin-1", True), ("utf-7", False), ("utf-16", False)])
 def test_text_in_an_encoding_that_moves_ascii_is_left(tmp_path, encoding, plain):
     """The parse reads bytes, which are the text only where ASCII decodes as
-    itself: in UTF-7 the bytes "+1.5" are not the text "+1.5". A handle the
-    parse leaves is back where it was."""
+    itself: in UTF-7 the bytes "+1.5" are not the text "+1.5"."""
     path = tmp_path / "signals.csv"
     path.write_bytes(("v1,v2\n" + REGULAR * 50).encode(encoding) + b"+1.5,2.5\n")  # past the header's read
     with open(path, encoding=encoding, newline="") as fh:
         fh.readline()
         at = fh.tell()
-        values = gio._float_rows(fh, 2)
-        assert (values is not None) == plain
-        assert values is not None or fh.tell() == at
+        assert fh.tell() == at
+        assert (gio._parsed_rows(fh, (float, float)) is not None) == plain
+
+
+def test_a_line_end_of_cr_and_lf_reads_as_lf(monkeypatch):
+    """Every "\\r\\n", and a last "\\r". Reads of 100 to 139 bytes put the end of
+    some read between the "\\r" and the "\\n" of a line end."""
+    matrix = np.random.default_rng(16).normal(0.0, 5.0, (40, 3))
+    text = rendered(matrix).replace("\n", "\r\n")
+    monkeypatch.setattr(_float_csv, "_CELLS", 0)  # every read as long as the first
+    for chunk in range(100, 140):
+        monkeypatch.setattr(_float_csv, "_CHUNK", chunk)
+        assert read_back(text, 3).tobytes() == matrix.tobytes()
+        assert read_back(text[:-1], 3).tobytes() == matrix.tobytes()  # a last line that ends in "\r"
+        assert read_back(text[:-2], 3).tobytes() == matrix.tobytes()
+        assert read_back(text[:-2] + "\r\r", 3) is None
+        lone = text.replace("\r\n", "\n", 20).replace("\r\n", "\r", 1)
+        assert read_back(lone, 3) is None  # a lone "\r" at row 21
+
+
+def test_a_cell_of_23_bytes_has_at_most_22_digits_after_its_point():
+    """A point and 23 digits is one byte past every window the arithmetic reads."""
+    cells = ["." + "0" * 22 + "1", "-." + "0" * 21 + "1", "." + "0" * 21 + "1", "0." + "0" * 21 + "1"]
+    assert_reads_as_float([c for cell in cells for c in [cell] + ["1.25"] * 7])
+
+
+INT64 = ["9223372036854775807", "-9223372036854775808", "9223372036854775806", "-9223372036854775807",
+         "922000000000000000", "1000000000000000000", "-1", "-0", "0", "007", "00000000000000000000042",
+         "99999999999999999", "12345678901234567"]
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_int_cells_read_as_int(width):
+    """The digit joins for cells below 922 * 10**16, ``int`` of the text above."""
+    cells = [c for cell in INT64 for c in [cell] + ["17"] * 3]
+    cells += ["5"] * (-len(cells) % width)
+    text = "".join(",".join(cells[k : k + width]) + "\n" for k in range(0, len(cells), width))
+    got = read_back(text, width, int)
+    assert got.dtype == np.int64 and got.ravel().tolist() == [int(c) for c in cells]
+
+
+@pytest.mark.parametrize("cell", ["9223372036854775808", "-9223372036854775809", "+5", " 5", "1_0", "2.0",
+                                  "5.", "-", "", "1e3", "0x10", "5-3", "--5", "\u0661"])
+def test_int_cell_outside_int64_or_not_plain_digits_is_left_or_read_by_int(cell):
+    """Each among plain int cells: an ASCII cell ``int`` reads within int64 is read, any other is left."""
+    text = "7,8\n" * 20 + f"7,{cell}\n" + "7,8\n" * 20
+    got = read_back(text, 2, int)
+    try:
+        want = int(cell)
+    except ValueError:
+        want = None
+    if want is None or not -(2**63) <= want < 2**63 or not cell.isascii():
+        assert got is None
+    else:
+        assert got[20, 1] == want and got.dtype == np.int64
+
+
+def test_mixed_columns_read_as_one_structured_array():
+    text = "1,2,0,15.25\n-3,007,23,-0.0\n9223372036854775807,5,7,1e-300\n"
+    got = _float_csv.parse(io.BytesIO(text.encode()), (int, int, int, float))
+    assert got.dtype.names == ("c0", "c1", "c2", "c3")
+    assert got["c0"].tolist() == [1, -3, 2**63 - 1] and got["c1"].tolist() == [2, 7, 5]
+    assert got["c3"].tobytes() == np.array([15.25, -0.0, 1e-300]).tobytes()
+    assert [got.dtype[k] for k in range(4)] == [np.int64] * 3 + [np.float64]
