@@ -48,10 +48,8 @@ to the nearest double, ties to even. Every other cell (exponent notation,
 subnormals, a sign "+", spaces, more than 19 digits) is ``float`` or
 ``int`` of its text, an int checked against int64's range, so ``int``'s
 digit limit holds as it does in Python's reader. A "\\r\\n" line end is
-read as "\\n"; a lone "\\r" leaves the table to Python's reader. On 2
-shared vCPUs (numpy 2.4.6) the 71,424-row station table reads in about
-22 ms, 30 ms with "\\r\\n" line ends, and a 744 x 96 signals table in
-about 9 ms; ``parse`` gives the cost of exponent-heavy tables.
+read as "\\n"; a lone "\\r" leaves the table to Python's reader. README,
+"File formats", gives the timings.
 """
 
 from __future__ import annotations
@@ -203,7 +201,7 @@ _CHUNK = 1 << 16  # bytes of text read first; each read is parsed up to its last
 _CELLS = 1 << 14  # cells read at a time after the first read, at its density
 _PAD = 24  # bytes kept before the rows, so every cell has a 24-byte window
 _EXACT = _U(1 << 53)  # below it a decimal's digits are exact as a float64
-_FEW = 2  # at most one cell in _FEW of a chunk is left to float or int (measured in parse)
+_FEW = 2  # at most one cell in _FEW of a chunk is left to float or int (README, "File formats")
 # Per word of a cell's 24-byte window, one row each: per byte of the window
 # that holds the ".", the bytes after it as a mask; per count of digits, the
 # low nibbles of that many bytes at the window's end.
@@ -225,17 +223,16 @@ def parse(data, types: tuple | None) -> np.ndarray | None:
     lone "\\r", a byte above "\\x7f", a blank line, a ragged row, a cell of
     ``csv.field_size_limit()`` bytes or more, no rows, or a headerless table
     that is not square. None is also returned for a chunk in which more
-    than one cell in ``_FEW`` is not read by integer arithmetic: with one
-    cell in 4, 2 and 1 in exponent notation, a 744 x 96 table took 16, 25
-    and 47-63 ms here against 27-31 ms through Python's reader, so the two
-    cross at about three cells in five (2 shared vCPUs, numpy 2.4.6).
+    than one cell in ``_FEW`` is not read by integer arithmetic, where
+    Python's reader is the faster (README, "File formats").
 
     The text is read ``_CHUNK`` bytes first, then about ``_CELLS`` cells at
     a time at that first read's density, each read parsed up to its last
     line end: only one chunk is held as text, and its work arrays are
     bounded by its cells, however short. The rows go into one array sized
-    from that density with a 32nd more; rows past that are joined on at the
-    end. Values move as their uint64 bits, never an int64 as a float64.
+    from that density, in bytes of the file (each "\\r" dropped counts),
+    with a 32nd more; rows past that are joined on at the end. Values move
+    as their uint64 bits, never an int64 as a float64.
     """
     limit = csv.field_size_limit()
     start = data.tell()
@@ -255,8 +252,10 @@ def parse(data, types: tuple | None) -> np.ndarray | None:
         if not got and held:
             buf[stop] = 10
             stop += 1
+        dropped = 0  # the "\r" bytes of this read's "\r\n" line ends, all before its last "\n"
         if buf.find(b"\r", _PAD, stop) >= 0:  # a "\r" that ends the chunk is held for the next
             text = buf[_PAD:stop].replace(b"\r\n", b"\n")
+            dropped = stop - _PAD - len(text)
             stop = _PAD + len(text)
             buf[_PAD:stop] = text
         end = buf.rfind(b"\n", _PAD, stop) + 1
@@ -266,10 +265,11 @@ def parse(data, types: tuple | None) -> np.ndarray | None:
             values = _rows(buf, end, ints, limit)
             if values is None:
                 return None
-            if out is None:  # room for the rest at this chunk's density, and a 32nd more
-                rest = -(-(size - end + _PAD) * values.size * 33 // (32 * (end - _PAD)))
+            if out is None:  # room for the rest at this chunk's density in file bytes, and a 32nd more
+                read = end - _PAD + dropped
+                rest = -(-(size - read) * values.size * 33 // (32 * read))
                 out = np.empty(values.size + rest, dtype=np.uint64)
-                room = _PAD + 1 + _CELLS * (end - _PAD) // values.size
+                room = _PAD + 1 + _CELLS * read // values.size
             total = rows * ints.size + values.size
             if total <= out.size:
                 out[rows * ints.size : total] = values

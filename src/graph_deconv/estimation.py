@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _support_labels
+from .channel import RESPONSE_FLOOR, _support_labels
 from .covariance import _spectral_covariance, build_observation_graph, ensure_positive_diagonal
 from .errors import IsolatedVertex, NonpositiveVariance
 from .spectral import Graph, SignalEnsemble, SpectralBasis, _owned, _row_slabs, _Value
@@ -72,14 +72,15 @@ class ChannelEstimate(_Value):
     def from_response(cls, gamma, support=None) -> "ChannelEstimate":
         """Wrap a known response as an estimate, for deconvolving with ground truth.
 
-        Default support is every index with a response magnitude above 1e-12;
+        Default support is every index with a response magnitude above
+        ``channel.RESPONSE_FLOOR`` (1e-12), so ``pseudo_inverse`` inverts it;
         a given support index that is not an integer or lies outside 1..N
         raises ValueError naming it. The single pseudo-component carries no
         spanning tree.
         """
         gamma = np.asarray(gamma, dtype=float).reshape(-1)
         if support is None:
-            support = {n for n in range(1, gamma.size + 1) if abs(gamma[n - 1]) > 1e-12}
+            support = {n for n in range(1, gamma.size + 1) if abs(gamma[n - 1]) > RESPONSE_FLOOR}
         support = frozenset(_support_labels(support, gamma.size))
         components: tuple[Component, ...] = ()
         if support:

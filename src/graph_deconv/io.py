@@ -16,14 +16,12 @@ by vectorised integer arithmetic, exact to the bit, every other cell by
 ``float`` or ``int`` of its text. A table it refuses, and a table with a
 text column, is read cell by cell with ``csv.reader``, ``float`` and
 ``int``, so the grammar, the messages and the values are those of Python's
-reader whichever reads it; it is slower, about 100 ms against 22 ms for the
-71,424-row station table, but the faster for a float table with more than
-one cell in two in exponent notation (README, "File formats"). JSON files
-go through ``read_json`` and ``write_json``: indent 2, trailing newline.
-Writers make a missing parent directory only once their checks pass. A file
-that breaks its format raises ``FileFormatError`` naming the file and, in a
-table, the row. A channel estimate is one CSV; its spanning-tree parent maps
-exist only in memory (``Component.parents``).
+reader whichever reads it (README, "File formats", times both). JSON
+files go through ``read_json`` and ``write_json``: indent 2, trailing
+newline. Writers make a missing parent directory only once their checks
+pass. A file that breaks its format raises ``FileFormatError`` naming the
+file and, in a table, the row. A channel estimate is one CSV; its
+spanning-tree parent maps exist only in memory (``Component.parents``).
 """
 
 from __future__ import annotations
@@ -270,15 +268,18 @@ def _finite(path, values, row: int, col: int = 1) -> np.ndarray:
 
 
 def _matrix(path, values, row: int, square: bool = False) -> np.ndarray:
-    """``_finite`` for a table of rows: a 2-D array, square if ``square``.
+    """``_finite`` for a table of rows: a 2-D array of at least one column, square if ``square``.
 
     Any other shape raises ``ValueError`` naming ``path`` and the shape,
-    before ``path`` is opened.
+    before ``path`` is opened: a table with no columns is written as blank
+    lines or nothing, which read back as an empty file.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or (square and values.shape[0] != values.shape[1]):
         kind = "a square matrix" if square else "a 2-D table"
         raise ValueError(f"{path}: expected {kind}, got shape {values.shape}")
+    if not values.shape[1]:
+        raise ValueError(f"{path}: expected at least one column, got shape {values.shape}")
     return _finite(path, values, row)
 
 

@@ -36,7 +36,6 @@ from .errors import DegenerateSpectrum
 
 SYMMETRY_TOL = 1e-10
 DISTINCTNESS_TOL = 1e-9
-RECONSTRUCTION_TOL = 1e-8
 SIGN_PIVOT_TOL = 1e-12
 
 VERTEX = "vertex"
@@ -385,10 +384,15 @@ def eigendecompose(shift: np.ndarray) -> SpectralBasis:
     so that its first entry of magnitude above 1e-12 is positive, which makes
     spectra reproducible across solver versions.
 
-    Raises ``ValueError`` for a shift that is not square, is empty, holds a
-    NaN or an infinity (naming its row and column) or is not symmetric, and
+    Both tolerances are relative to the shift's own scale, max|lambda|, so a
+    shift and any rescaling of it are accepted or refused alike. Raises
+    ``ValueError`` for a shift that is not square, is empty, holds a NaN or
+    an infinity (naming its row and column), has eigenvalues beyond
+    float64's range, or is not symmetric within ``1e-10 * max|lambda|``, and
     DegenerateSpectrum when any two eigenvalues coincide within
-    ``1e-9 * max(1, max|lambda|)``.
+    ``1e-9 * max|lambda|``. The eigenpairs are ``np.linalg.eigh``'s, which
+    is normwise backward stable (LAPACK Users' Guide, 3rd ed., section 4.7),
+    so they are not checked again here.
     """
     shift = np.asarray(shift, dtype=float)
     if shift.ndim != 2 or shift.shape[0] != shift.shape[1]:
@@ -400,18 +404,21 @@ def eigendecompose(shift: np.ndarray) -> SpectralBasis:
         for k in np.flatnonzero(~np.isfinite(shift))[:1]:
             i, j = divmod(int(k), shift.shape[1])
             raise ValueError(f"shift entry ({i + 1}, {j + 1}) is {float(shift[i, j])!r}, not a finite number")
-    if asym > SYMMETRY_TOL:
         raise ValueError(f"shift is not symmetric (max |S - S^T| = {asym:.3e})")
 
-    vals, vecs = np.linalg.eigh(shift)
-
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    gaps = np.diff(np.sort(vals))
+    vals, vecs = np.linalg.eigh(shift)  # eigh reads one triangle and returns lambda ascending.
+    scale = float(np.max(np.abs(vals)))
+    if not math.isfinite(scale):
+        raise ValueError(f"shift's eigenvalues overflow float64 (max |lambda| = {scale!r})")
+    if asym > SYMMETRY_TOL * scale:
+        raise ValueError(
+            f"shift is not symmetric (max |S - S^T| = {asym:.3e} exceeds tolerance {SYMMETRY_TOL * scale:.3e})"
+        )
+    gaps = np.diff(vals)
     if gaps.size and np.min(gaps) <= DISTINCTNESS_TOL * scale:
         k = int(np.argmin(gaps))
-        pair = np.sort(vals)[k : k + 2]
         raise DegenerateSpectrum(
-            f"eigenvalues {pair[0]:.12g} and {pair[1]:.12g} coincide within tolerance "
+            f"eigenvalues {vals[k]:.12g} and {vals[k + 1]:.12g} coincide within tolerance "
             f"{DISTINCTNESS_TOL * scale:.3e}"
         )
 
@@ -420,19 +427,6 @@ def eigendecompose(shift: np.ndarray) -> SpectralBasis:
     vals = vals[order]
     vecs = vecs[:, order]
     vecs *= _pivot_signs(vecs)  # In the reordered copy; a product with -1.0 is an exact negation.
-
-    # Both residuals are formed in place in their one product: U diag(vals) U^T
-    # as (U * vals) U^T, and U^T U - I by subtracting 1 on the diagonal.
-    residual = (vecs * vals) @ vecs.T
-    residual -= shift
-    residual = np.max(np.abs(residual, out=residual))
-    if residual > RECONSTRUCTION_TOL:
-        raise ValueError(f"eigendecomposition residual {residual:.3e} exceeds {RECONSTRUCTION_TOL}")
-    gram = vecs.T @ vecs
-    gram[np.diag_indices_from(gram)] -= 1.0
-    gram = np.max(np.abs(gram, out=gram))
-    if gram > SYMMETRY_TOL:
-        raise ValueError(f"eigenvectors lost orthogonality ({gram:.3e})")
     return SpectralBasis(modes=vecs, eigenvalues=vals)
 
 

@@ -24,6 +24,7 @@ from graph_deconv import (
     validate_bound_monte_carlo,
 )
 from graph_deconv.simulate import synthetic_source
+from graph_deconv.spectral import _Taken
 
 
 def spectral(signals):
@@ -54,6 +55,20 @@ class TestEmpiricalCovariance:
             cov = empirical_covariance(spectral(rng.standard_normal((m, 6))))
             assert np.array_equal(cov, cov.T)
             assert np.min(np.linalg.eigvalsh(cov)) >= -1e-10
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (5, 3), (3, 5), (64, 64), (744, 32), (2000, 64)])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_symmetrisation_changes_no_bit_of_the_product(self, m, n, layout):
+        """The product numpy forms is already exactly symmetric, so the
+        covariance is (Y^T Y) / M bit for bit, whatever the memory layout."""
+        y = np.random.default_rng(m * n).normal(0.0, 3.0, (2 * m, 2 * n))
+        if layout == "strided":
+            e = SignalEnsemble(signals=_Taken(y[::2, ::2]), domain="spectral")
+            assert m * n == 1 or not (e.signals.flags.c_contiguous or e.signals.flags.f_contiguous)
+        else:
+            e = spectral(np.array(y[:m, :n], order=layout))
+            assert e.signals.flags[f"{layout}_CONTIGUOUS"]
+        assert empirical_covariance(e).tobytes() == ((e.signals.T @ e.signals) / m).tobytes()
 
 
 class TestSourceGraph:

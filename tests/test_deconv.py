@@ -35,7 +35,7 @@ from graph_deconv import (
     summarize_gap,
     transmit,
 )
-from graph_deconv import deconv, spectral
+from graph_deconv import channel, deconv, spectral
 from graph_deconv.deconv import DiagnosticMatrices
 from graph_deconv.estimation import Component
 from graph_deconv.simulate import derive_seed, simulation_graph, synthetic_source
@@ -93,6 +93,13 @@ class TestBlindDeconvolve:
         )
         with pytest.raises(NearZeroResponse):
             blind_deconvolve(est, observations, basis)
+
+    def test_default_support_stops_at_the_floor_the_inversion_refuses(self):
+        floor = channel.RESPONSE_FLOOR
+        gamma = np.array([floor, -floor, np.nextafter(floor, 1.0), -np.nextafter(floor, 1.0), 1.0])
+        est = ChannelEstimate.from_response(gamma)
+        assert est.support == frozenset({3, 4, 5})
+        np.testing.assert_array_equal(channel.pseudo_inverse(gamma, est.support)[:2], 0.0)
 
 
 class TestReconstructedCovariance:

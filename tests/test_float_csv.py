@@ -417,6 +417,20 @@ def test_a_line_end_of_cr_and_lf_reads_as_lf(monkeypatch):
         assert read_back(lone, 3) is None  # a lone "\r" at row 21
 
 
+def test_a_crlf_table_is_sized_from_its_bytes_in_the_file():
+    """A raw station grid (96 stations, 31 days, 24 hours) with "\\r\\n" line ends
+    gets an output array no larger than with "\\n" ones: the "\\r" bytes a read
+    drops count toward the density and the bytes still to read."""
+    cells = [(s, d, h) for s in range(1, 97) for d in range(1, 32) for h in range(24)]
+    values = np.random.default_rng(17).normal(10.0, 5.0, len(cells)).tolist()
+    lf = "".join(f"{s},{d},{h},{x!r}\n" for (s, d, h), x in zip(cells, values))
+    types = (int, int, int, float)
+    by_lf = _float_csv.parse(io.BytesIO(lf.encode()), types)
+    by_crlf = _float_csv.parse(io.BytesIO(lf.replace("\n", "\r\n").encode()), types)
+    assert by_crlf.tobytes() == by_lf.tobytes()
+    assert by_crlf.base.size <= by_lf.base.size  # the array the rows were read into
+
+
 def test_a_cell_of_23_bytes_has_at_most_22_digits_after_its_point():
     """A point and 23 digits is one byte past every window the arithmetic reads."""
     cells = ["." + "0" * 22 + "1", "-." + "0" * 21 + "1", "." + "0" * 21 + "1", "0." + "0" * 21 + "1"]

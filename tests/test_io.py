@@ -472,6 +472,28 @@ class TestWriterBytes:
         assert str(info.value) == f"{path}: expected a 2-D table, got shape (3,)"
         assert not path.exists()
 
+    @pytest.mark.parametrize("writer, signals, cov, refused", [
+        ("signals", (3, 0), None, 0),
+        ("covariance", None, (0, 0), 1),
+        ("reconstruction", (3, 0), (2, 2), 0),
+        ("reconstruction", (2, 2), (0, 0), 1),
+    ])
+    def test_tables_with_no_columns_are_not_written(self, tmp_path, writer, signals, cov, refused):
+        """A 3 x 0 signal table was written as three blank lines and a 0 x 0
+        covariance as an empty file; both read back as an empty file."""
+        paths = tmp_path / "signals.csv", tmp_path / "cov.csv"
+        e = signals and SignalEnsemble(signals=np.zeros(signals))
+        with pytest.raises(ValueError) as info:
+            if writer == "signals":
+                gio.write_signals(paths[0], e)
+            elif writer == "covariance":
+                gio.write_covariance(paths[1], np.zeros(cov))
+            else:
+                gio.write_reconstruction(paths[0], e, paths[1], np.zeros(cov))
+        shape = (signals, cov)[refused]
+        assert str(info.value) == f"{paths[refused]}: expected at least one column, got shape {shape}"
+        assert not any(p.exists() for p in paths)
+
     @pytest.mark.parametrize("signals, cov, refused", [
         (np.ones(2), np.eye(2), 0),
         (np.ones((2, 2)), np.ones((2, 3)), 1),

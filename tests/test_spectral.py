@@ -26,6 +26,7 @@ from graph_deconv import (
 )
 from graph_deconv import empirical_covariance, spectral
 from graph_deconv.covariance import _spectral_covariance
+from graph_deconv.simulate import simulation_graph
 
 
 def path_graph(n):
@@ -166,6 +167,59 @@ class TestEigendecompose:
             assert np.max(np.abs(gram - np.eye(9))) <= 1e-10
             rebuilt = basis.modes @ np.diag(basis.eigenvalues) @ basis.modes.T
             assert np.max(np.abs(rebuilt - shift)) <= 1e-8
+
+
+def _simulation_laplacian():
+    return laplacian(simulation_graph(32, 42)[2])
+
+
+class TestScaleRelativeChecks:
+    """eigendecompose judges a shift against max|lambda|: 2**k S is accepted or
+    refused as S is, with eigenvalues 2**k lambda and the same modes."""
+
+    @pytest.mark.parametrize("make", [_simulation_laplacian, lambda: _random_symmetric(40, 3)], ids=["lap", "random"])
+    def test_scaled_shift_has_scaled_eigenvalues_and_the_same_modes(self, make):
+        shift = make()
+        basis = eigendecompose(shift)
+        top = np.max(np.abs(basis.eigenvalues))
+        for k in range(-40, 41):
+            scale = 2.0**k
+            scaled = eigendecompose(scale * shift)
+            tol = 1e-12 * scale * top
+            np.testing.assert_allclose(scaled.eigenvalues, scale * basis.eigenvalues, rtol=0, atol=tol)
+            np.testing.assert_allclose(scaled.modes, basis.modes, rtol=0, atol=1e-12)
+            rebuilt = (scaled.modes * scaled.eigenvalues) @ scaled.modes.T
+            assert np.max(np.abs(rebuilt - scale * shift)) <= tol
+            gram = scaled.modes.T @ scaled.modes
+            assert np.max(np.abs(gram - np.eye(shift.shape[0]))) <= 1e-12
+
+    @pytest.mark.parametrize("relative, refused", [(1e-6, True), (1e-14, False)])
+    def test_asymmetry_is_judged_against_the_largest_eigenvalue(self, relative, refused):
+        shift = _simulation_laplacian()
+        shift[0, 1] += relative * np.max(np.abs(np.linalg.eigvalsh(shift)))
+        for k in range(-40, 41):
+            if refused:
+                with pytest.raises(ValueError, match="not symmetric"):
+                    eigendecompose(2.0**k * shift)
+            else:
+                eigendecompose(2.0**k * shift)
+
+    def test_tiny_scaled_spectrum_is_distinct_and_a_zero_shift_is_not(self):
+        vals = eigendecompose(np.diag([3e-20, 1e-20, 2e-20])).eigenvalues
+        assert vals.tolist() == [1e-20, 2e-20, 3e-20]
+        with pytest.raises(DegenerateSpectrum):
+            eigendecompose(np.zeros((2, 2)))
+        with pytest.raises(DegenerateSpectrum):
+            eigendecompose(np.diag([1.0, 1.0 + 1e-10, 2.0]))
+
+    def test_eigenvalues_past_float64_are_refused(self):
+        """Finite entries whose eigenvalues overflow. Two infinite eigenvalues
+        leave a NaN gap, which no tolerance refuses."""
+        pair = np.full((4, 4), 1e308)
+        pair[:2, 2:] = pair[2:, :2] = 0.0
+        for shift in (np.full((2, 2), 1e308), pair):
+            with pytest.raises(ValueError, match=r"eigenvalues overflow float64 \(max \|lambda\| = inf\)"):
+                eigendecompose(shift)
 
 
 def oracle_eigenpairs(shift):
