@@ -88,11 +88,8 @@ _TAKE = ((_COL >= _COL[:, None, None]) & (_COL < np.arange(25)[:, None])).reshap
 
 
 def blocks(values: np.ndarray):
-    """Yield the CSV text of the rows of ``values``, a 2-D finite float64 array."""
+    """Yield the CSV text of the rows of ``values``, a 2-D finite float64 array of at least one column."""
     rows, width = values.shape
-    if width == 0:
-        yield "\n" * rows
-        return
     per = max(1, _BLOCK // width)
     seps = np.full((per, width), ord(","), dtype=np.uint8)
     seps[:, -1] = ord("\n")

@@ -8,7 +8,8 @@ NaN or an infinity raises ``ValueError`` before its file is opened. The float
 matrices (signals and covariances) are rendered a block of rows at a time by
 ``_float_csv``, numpy arithmetic that follows Giulietti's Schubfach ("The
 Schubfach way to render doubles", 2020) to the digits ``repr`` prints, byte
-for byte, as ``tests/test_float_csv.py`` checks against ``repr`` itself.
+for byte, as ``tests/test_float_csv.py`` checks against ``repr`` itself;
+every other table goes through ``csv.writer``.
 Every numeric table is read by one of two readers. The first is
 ``_float_csv.parse``: after the header, the bytes are read in chunks of
 whole rows, and a cell in ``repr``'s fixed layout or an int cell is parsed
@@ -221,18 +222,13 @@ def _ascii_as_itself(encoding: str) -> bool:
         return False
 
 
-_PLAIN = frozenset({int, float})
-
-
 def _write_table(path, header, rows) -> None:
     """Write a CSV table: ``header`` unless None, then ``rows``; a float is its ``repr``.
 
     ``rows`` is either a finite float64 matrix, rendered by ``_float_csv`` a
-    block of whole rows at a time, or an iterable of rows. A row of Python
-    ints and floats only is joined directly: ``csv.writer`` writes a float as
-    its ``repr`` and an int as its ``str``, which is its ``repr`` too, and
-    neither ever needs quoting. Other rows go through ``csv.writer``, which
-    quotes strings as CSV needs.
+    block of whole rows at a time, or an iterable of rows for ``csv.writer``,
+    which writes a float as its ``repr``, an int as its ``str`` and quotes
+    strings as CSV needs.
     """
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
@@ -241,12 +237,8 @@ def _write_table(path, header, rows) -> None:
             w.writerow(header)
         if isinstance(rows, np.ndarray):
             fh.writelines(_float_csv.blocks(rows))
-            return
-        for row in rows:
-            if _PLAIN.issuperset(map(type, row)):
-                fh.write(",".join(map(repr, row)) + "\n")
-            else:
-                w.writerow(row)
+        else:
+            w.writerows(rows)
 
 
 def _finite(path, values, row: int, col: int = 1) -> np.ndarray:

@@ -37,6 +37,7 @@ from .errors import DegenerateSpectrum
 SYMMETRY_TOL = 1e-10
 DISTINCTNESS_TOL = 1e-9
 SIGN_PIVOT_TOL = 1e-12
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float64
 
 VERTEX = "vertex"
 SPECTRAL = "spectral"
@@ -225,8 +226,8 @@ class Graph(_Value):
 
     @cached_property
     def connected(self) -> bool:
-        """True when every vertex reaches every other; a one-vertex graph is connected."""
-        return len(bfs_forest(self.adjacency, np.ones(self.n_vertices, dtype=bool))) == 1
+        """True when every vertex reaches every other: one vertex, or one tree over them all."""
+        return self.n_vertices == 1 or (len(self.trees) == 1 and len(self.support) == self.n_vertices)
 
     @cached_property
     def support(self) -> frozenset[int]:
@@ -388,18 +389,21 @@ def eigendecompose(shift: np.ndarray) -> SpectralBasis:
     shift and any rescaling of it are accepted or refused alike. Raises
     ``ValueError`` for a shift that is not square, is empty, holds a NaN or
     an infinity (naming its row and column), has eigenvalues beyond
-    float64's range, or is not symmetric within ``1e-10 * max|lambda|``, and
-    DegenerateSpectrum when any two eigenvalues coincide within
-    ``1e-9 * max|lambda|``. The eigenpairs are ``np.linalg.eigh``'s, which
-    is normwise backward stable (LAPACK Users' Guide, 3rd ed., section 4.7),
-    so they are not checked again here.
+    float64's range or below its normal range (a positive max|lambda| under
+    ``np.finfo(float).tiny``, where eigh loses relative precision), or is not
+    symmetric within ``1e-10 * max|lambda|``, and DegenerateSpectrum when
+    any two eigenvalues coincide within ``1e-9 * max|lambda|``. The
+    eigenpairs are ``np.linalg.eigh``'s, which is normwise backward stable
+    (LAPACK Users' Guide, 3rd ed., section 4.7), so they are not checked
+    again here.
     """
     shift = np.asarray(shift, dtype=float)
     if shift.ndim != 2 or shift.shape[0] != shift.shape[1]:
         raise ValueError(f"shift must be square, got shape {shift.shape}")
     if not shift.size:
         raise ValueError(f"shift must have at least one vertex, got shape {shift.shape}")
-    asym = _asymmetry(shift)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN.
+        asym = float(np.abs(shift - shift.T).max())
     if not math.isfinite(asym):  # A non-finite entry, or finite ones whose difference overflows.
         for k in np.flatnonzero(~np.isfinite(shift))[:1]:
             i, j = divmod(int(k), shift.shape[1])
@@ -410,6 +414,8 @@ def eigendecompose(shift: np.ndarray) -> SpectralBasis:
     scale = float(np.max(np.abs(vals)))
     if not math.isfinite(scale):
         raise ValueError(f"shift's eigenvalues overflow float64 (max |lambda| = {scale!r})")
+    if 0.0 < scale < _TINY:
+        raise ValueError(f"shift's eigenvalues are subnormal (max |lambda| = {scale!r} is below {_TINY!r})")
     if asym > SYMMETRY_TOL * scale:
         raise ValueError(
             f"shift is not symmetric (max |S - S^T| = {asym:.3e} exceeds tolerance {SYMMETRY_TOL * scale:.3e})"
@@ -426,41 +432,11 @@ def eigendecompose(shift: np.ndarray) -> SpectralBasis:
     order = np.lexsort((vals, np.abs(vals)))
     vals = vals[order]
     vecs = vecs[:, order]
-    vecs *= _pivot_signs(vecs)  # In the reordered copy; a product with -1.0 is an exact negation.
+    # Flip each column whose first entry above SIGN_PIVOT_TOL is negative; a
+    # unit column has one. A product with -1.0 is an exact negation.
+    first = (np.abs(vecs) > SIGN_PIVOT_TOL).argmax(axis=0)
+    vecs *= np.where(vecs[first, np.arange(vecs.shape[1])] < 0, -1.0, 1.0)
     return SpectralBasis(modes=vecs, eigenvalues=vals)
-
-
-def _asymmetry(shift: np.ndarray) -> float:
-    """max |S - S^T| of a square matrix, a row slab at a time: not finite when an entry is not."""
-    asym = 0.0
-    for r in _row_slabs(shift.shape[0]):
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN.
-            diff = shift[r] - shift[:, r].T
-        peak = float(np.abs(diff, out=diff).max())
-        if math.isnan(peak):
-            return peak
-        asym = max(asym, peak)
-    return asym
-
-
-def _pivot_signs(vecs: np.ndarray) -> np.ndarray:
-    """Per column, -1.0 where its first entry above ``SIGN_PIVOT_TOL`` in magnitude is negative, else 1.0.
-
-    The rows are searched a slab at a time, and only the columns whose pivot
-    the earlier slabs did not hold, so no N x N temporary is formed.
-    """
-    signs = np.ones(vecs.shape[1])
-    open_ = np.arange(vecs.shape[1])  # The columns whose pivot is still to be found.
-    for r in _row_slabs(vecs.shape[0]):
-        slab = vecs[r, open_]
-        above = np.abs(slab) > SIGN_PIVOT_TOL
-        first = above.argmax(axis=0)
-        found = np.flatnonzero(above[first, np.arange(open_.size)])
-        signs[open_[found]] = np.where(slab[first[found], found] < 0, -1.0, 1.0)
-        open_ = np.delete(open_, found)
-        if not open_.size:
-            break
-    return signs
 
 
 def _check_width(basis: SpectralBasis, e: SignalEnsemble) -> None:

@@ -244,6 +244,10 @@ class TestTraversal:
     @given(graphs())
     @example(graph=(1, set()))
     @example(graph=(2, set()))
+    @example(graph=(5, set()))
+    @example(graph=(3, {(1, 2)}))
+    @example(graph=(5, {(1, 2), (2, 3), (3, 4)}))
+    @example(graph=(4, {(1, 2), (3, 4)}))
     def test_connected_matches_reference(self, graph):
         n, edges = graph
         expected = len(reference_components(range(1, n + 1), n, edges)) == 1

@@ -77,3 +77,23 @@ def test_estimate_pickles_to_little_more_than_its_responses(inputs):
     est = gd.estimate_channel(cov_x, observations(inputs, 27), basis, source, 0.001)
     size, responses = len(pickle.dumps(est)), len(pickle.dumps(est.gamma_m))
     assert size <= 2 * responses, f"estimate pickles to {size} bytes, its responses to {responses}"
+
+
+def test_covariance_diagnostics_forms_only_its_two_outputs(inputs):
+    """The discrepancy and the relative matrix are filled and scaled to dB in
+    the two N x N outputs a row slab at a time, a peak of 2.26 N x N at this
+    N. Any N x N temporary, such as ``db_scale(c_recon - c_source)``, adds a
+    whole N x N to it."""
+    basis, _, cov_x, source = inputs
+    y = observations(inputs, 29)
+    est = gd.estimate_channel(cov_x, y, basis, source, 0.001)
+    recon = gd.reconstructed_covariance(gd.blind_deconvolve(est, y, basis))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        diag = gd.covariance_diagnostics(recon, cov_x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert diag.abs_diff_db.shape == diag.rel_diff_db.shape == (N, N)
+    assert peak <= 2.5 * NN, f"peak {peak / NN:.3f} N x N"

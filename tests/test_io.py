@@ -354,12 +354,14 @@ def _reference_csv(header, rows) -> bytes:
 
 
 class TestWriterBytes:
-    """Every writer's bytes equal a csv.writer + repr(float(x)) reference."""
+    """Every writer's bytes equal a csv.writer + repr(float(x)) reference, and
+    a row of a numeric table is ``",".join(map(repr, row))``."""
 
-    VALUES = [-0.0, 5e-324, 1e300, 0.1, -2.5e-7, 1.0]
+    VALUES = [-0.0, 5e-324, 1e-05, 1e16, 0.1, 1e300, -2.5e-7, 1.0]
+    INTS = [0, 2**63 - 1, -(2**63 - 1)]
 
     def test_every_writer_matches_the_reference(self, tmp_path):
-        v = self.VALUES
+        v, (zero, big, small) = self.VALUES, self.INTS
         matrix = np.array([v, v[::-1]])
         estimate = ChannelEstimate(
             gamma_m=np.array(v[:4]),
@@ -369,7 +371,10 @@ class TestWriterBytes:
                 Component(vertices=(4,), anchor=4, anchor_sign=1, parents={}),
             ),
         )
-        report = [BoundCheck(n=1, nprime=2, eps=v[1], empirical=v[0], bound=v[2], flag=True)]
+        report = [
+            BoundCheck(n=1, nprime=2, eps=v[1], empirical=v[0], bound=v[2], flag=True),
+            BoundCheck(n=big, nprime=small, eps=v[3], empirical=v[4], bound=v[5], flag=False),
+        ]
         cases = [
             (
                 gio.write_coordinates,
@@ -377,14 +382,19 @@ class TestWriterBytes:
                 ["id", "x", "y"],
                 [['a,"b"', v[0], v[1]], ["s2", v[2], 3.0]],
             ),
-            (gio.write_edge_list, {(3, 4), (1, 2)}, ["i", "j"], [[1, 2], [3, 4]]),
+            (
+                gio.write_edge_list,
+                {(3, 4), (1, 2), (zero, big), (small, zero)},
+                ["i", "j"],
+                [[small, zero], [zero, big], [1, 2], [3, 4]],
+            ),
             (
                 gio.write_signals,
                 SignalEnsemble(signals=matrix, domain="vertex"),
-                [f"v{k}" for k in range(1, 7)],
+                [f"v{k}" for k in range(1, len(v) + 1)],
                 matrix.tolist(),
             ),
-            (gio.write_covariance, np.vstack([matrix] * 3), None, [v, v[::-1]] * 3),
+            (gio.write_covariance, np.vstack([matrix] * 4), None, [v, v[::-1]] * 4),
             (gio.write_response, v, ["n", "gamma"], [[k + 1, x] for k, x in enumerate(v)]),
             (gio.write_eigenvalues, np.array(v), ["n", "lambda"], [[k + 1, x] for k, x in enumerate(v)]),
             (
@@ -397,13 +407,16 @@ class TestWriterBytes:
                 gio.write_bound_report,
                 report,
                 ["n", "nprime", "eps", "empirical", "bound", "flag"],
-                [[1, 2, v[1], v[0], v[2], 1]],
+                [[1, 2, v[1], v[0], v[2], 1], [big, small, v[3], v[4], v[5], 0]],
             ),
         ]
         for write, payload, header, rows in cases:
             path = tmp_path / f"{write.__name__}.csv"
             write(path, payload)
             assert path.read_bytes() == _reference_csv(header, rows), write.__name__
+            if write is not gio.write_coordinates:  # the one table with a text column
+                body = path.read_text().split("\n")[header is not None :]
+                assert body == [",".join(map(repr, row)) for row in rows] + [""], write.__name__
 
     def test_quoted_id_and_extreme_floats_read_back(self, tmp_path):
         path = tmp_path / "coords.csv"
