@@ -9,10 +9,12 @@ support, components and breadth-first spanning trees all come from that mask.
 Each tree is rooted at its component's lowest vertex with neighbours visited
 in ascending order, and sign recovery propagates along them.
 
-Once the covariance product is formed, every elementwise pass over an N x N
-matrix here, in ``estimation`` and in ``deconv`` runs a row slab at a time
-(``spectral._row_slabs``), each step as the whole-matrix expression would run
-it, so the results are bit-for-bit the same and the temporaries stay in cache.
+Two passes over N x N matrices run a row slab at a time (``_row_slabs``,
+the one slab policy): the Pearson masks of the graph builders and the
+per-edge magnitude system of ``estimation.estimate_magnitudes``. Each slab
+runs every step as the whole-matrix expression would, so the results are
+bit-for-bit the same and the temporaries stay in cache. The other N x N
+outputs are formed whole and updated in place.
 """
 
 from __future__ import annotations
@@ -33,33 +35,34 @@ from .spectral import (
     SpectralBasis,
     _as_spectral,
     _check_width,
-    _row_slabs,
 )
+
+_SLAB_BYTES = 1 << 18
+
+
+def _row_slabs(n: int) -> list[slice]:
+    """The rows of an N x N float64 matrix, in order, as slices of about 256 KiB each.
+
+    A pass run one slab at a time keeps its temporaries in cache instead of
+    streaming whole matrices from memory. Up to N = 181 one slab holds all.
+    """
+    step = max(1, _SLAB_BYTES // (8 * max(n, 1)))
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
 def empirical_covariance(e: SignalEnsemble) -> np.ndarray:
     """Empirical second-moment matrix (1/M) sum_m s_m s_m^T of an ensemble.
 
-    Symmetric by construction and positive semidefinite with rank at most M;
-    the product is symmetrised a row slab at a time. Overflow raises no
-    warning: it leaves a non-finite variance, and an off-diagonal entry
-    cannot exceed the larger variance of its pair, so the checks on the
-    diagonal downstream see every overflow.
+    Exactly symmetric, as numpy forms ``Y^T Y`` with a symmetric rank-k
+    update and mirrors it, and positive semidefinite with rank at most M.
+    Overflow raises no warning: it leaves a non-finite variance, and an
+    off-diagonal entry cannot exceed the larger variance of its pair, so the
+    checks on the diagonal downstream see every overflow.
     """
     y = e.signals
-    m, n = y.shape
     with np.errstate(over="ignore", invalid="ignore"):
         cov = y.T @ y
-        # Bit-equal to ((y.T @ y) / M + its transpose) / 2, a row slab and the
-        # column slab it mirrors at a time: * 0.5 rounds like / 2, and each
-        # pair of mirrored entries gets the same sum in either order.
-        for r in _row_slabs(n):
-            top, side = cov[r, r.start :], cov[r.start :, r].T
-            half = top / m
-            half += side / m
-            half *= 0.5
-            top[...] = half
-            side[...] = half
+        cov /= y.shape[0]
     return cov
 
 
@@ -100,14 +103,14 @@ def ensure_positive_diagonal(cov: np.ndarray, what: str) -> np.ndarray:
     return cov
 
 
-def _pearson_mask(cov: np.ndarray, threshold: float, within=None) -> np.ndarray:
-    """Strict upper triangle of the Pearson magnitudes ``>= threshold``, and of ``within`` if given.
+def _pearson_mask(cov: np.ndarray, threshold: float, within: np.ndarray) -> np.ndarray:
+    """The Pearson magnitudes ``>= threshold`` on the strictly upper-triangular mask ``within``.
 
     The Pearson magnitude of a pair is |C_pq| / (s_p s_q), s the square roots
-    of the variances. ``cov`` has passed ``ensure_positive_diagonal``, and
-    ``within`` is a strictly upper-triangular mask. The magnitudes are formed
-    a row slab of the upper triangle at a time, as ``np.abs(cov) /
-    np.outer(s, s)`` forms them, so no N x N of magnitudes exists.
+    of the variances. ``cov`` has passed ``ensure_positive_diagonal``. The
+    magnitudes are formed a row slab of the upper triangle at a time, as
+    ``np.abs(cov) / np.outer(s, s)`` forms them, so no N x N of magnitudes
+    exists.
     """
     n = cov.shape[0]
     scale = np.sqrt(np.diag(cov))
@@ -116,11 +119,7 @@ def _pearson_mask(cov: np.ndarray, threshold: float, within=None) -> np.ndarray:
         rho = np.abs(cov[r, r.start :])
         rho /= np.outer(scale[r], scale[r.start :])
         block = np.greater_equal(rho, threshold, out=upper[r, r.start :])
-        if within is None:
-            square = block[:, : r.stop - r.start]
-            square &= ~np.tri(*square.shape, dtype=bool)
-        else:
-            block &= within[r, r.start :]
+        block &= within[r, r.start :]
     return upper
 
 
@@ -141,7 +140,9 @@ def build_source_graph(cov_x: np.ndarray, pearson_threshold: float) -> Graph:
     """
     _check_threshold("pearson_threshold", pearson_threshold)
     cov_x = ensure_positive_diagonal(cov_x, "source covariance")
-    return Graph(n_vertices=cov_x.shape[0], edges=EdgeSet(_pearson_mask(cov_x, pearson_threshold)))
+    n = cov_x.shape[0]
+    upper = _pearson_mask(cov_x, pearson_threshold, ~np.tri(n, dtype=bool))
+    return Graph(n_vertices=n, edges=EdgeSet(upper))
 
 
 def build_observation_graph(cov_ym: np.ndarray, source: Graph, delta: float) -> Graph:

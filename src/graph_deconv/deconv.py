@@ -11,11 +11,12 @@ vertex-domain form, one inverse GFT, are computed the first time
 ``spectral`` and ``reconstructed`` are read. The reconstructed covariance is
 D C_y D with D = diag(d), where C_y is the spectral covariance kept on the
 observations (``estimate_channel`` keeps it), so callers that only need
-covariances never touch an M x N array; it and the dB diagnostics are filled
-a row slab at a time. Because the channel is only identified up to one sign
-per observation-graph component, reconstruction errors against a known
-ground truth are only meaningful after choosing the best sign per component,
-which ``align_component_signs`` does.
+covariances never touch an M x N array. It and the two dB matrices are
+formed whole and updated in place, with no row slabs; only the Pearson masks
+and ``estimation.estimate_magnitudes`` run a slab at a time. Because the
+channel is only identified up to one sign per observation-graph component,
+reconstruction errors against a known ground truth are only meaningful after
+choosing the best sign per component, which ``align_component_signs`` does.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .spectral import (
     _as_spectral,
     _check_width,
     _owned,
-    _row_slabs,
     _Taken,
     _Value,
     igft,
@@ -137,11 +137,9 @@ def reconstructed_covariance(result: DeconvolutionResult) -> np.ndarray:
     """
     cov_y = _spectral_covariance(result.basis, result.observations, lambda: result._observed)
     d = result.inverse
-    cov = np.empty((d.size, d.size))
-    for r in _row_slabs(d.size):
-        slab = np.outer(d[r], d, out=cov[r])
-        slab *= cov_y[r]
-        slab += 0.0  # turns the -0.0 of a zero times a negative entry into +0.0
+    cov = np.outer(d, d)
+    cov *= cov_y
+    cov += 0.0  # turns the -0.0 of a zero times a negative entry into +0.0
     return cov
 
 
@@ -170,9 +168,9 @@ def covariance_diagnostics(
 
     The relative matrix divides each discrepancy by the geometric mean of the
     two source variances, so it needs a strictly positive source diagonal.
-    A row slab at a time, the discrepancy and the relative matrix are formed
-    in the two outputs and scaled to dB there, so they are the only N x N
-    arrays formed. The raw diagonal excess is the difference of the diagonals.
+    The discrepancy and the relative matrix are formed in the two outputs and
+    scaled to dB there, so they are the only N x N arrays formed. The raw
+    diagonal excess is the difference of the diagonals.
     """
     if not math.isfinite(floor_db):
         raise ValueError(f"floor_db must be a finite number, got {floor_db}")
@@ -180,15 +178,12 @@ def covariance_diagnostics(
     c_source = ensure_positive_diagonal(c_source, "source covariance")
     if c_recon.shape != c_source.shape:
         raise ValueError(f"shape mismatch: {c_recon.shape} vs {c_source.shape}")
-    n = c_source.shape[0]
-    abs_db, rel_db = np.empty((n, n)), np.empty((n, n))
+    abs_db = c_recon - c_source
     scale = np.sqrt(np.diag(c_source))
-    for r in _row_slabs(n):
-        delta = np.subtract(c_recon[r], c_source[r], out=abs_db[r])
-        relative = np.outer(scale[r], scale, out=rel_db[r])
-        np.divide(delta, relative, out=relative)
-        _db_in_place(delta, floor_db)
-        _db_in_place(relative, floor_db)
+    rel_db = np.outer(scale, scale)
+    np.divide(abs_db, rel_db, out=rel_db)
+    _db_in_place(abs_db, floor_db)
+    _db_in_place(rel_db, floor_db)
     return DiagnosticMatrices(
         abs_diff_db=abs_db,
         rel_diff_db=rel_db,

@@ -363,20 +363,6 @@ def laplacian(g: Graph) -> np.ndarray:
     return np.diag(adj.sum(axis=1)) - adj
 
 
-_SLAB_BYTES = 1 << 18
-
-
-def _row_slabs(n: int) -> list[slice]:
-    """The rows of an N x N float64 matrix, in order, as slices of about 256 KiB each.
-
-    The elementwise passes over N x N matrices run one slab at a time, so
-    their temporaries stay in cache instead of streaming whole matrices from
-    memory. Up to N = 181 one slab holds every row.
-    """
-    step = max(1, _SLAB_BYTES // (8 * max(n, 1)))
-    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
-
-
 def eigendecompose(shift: np.ndarray) -> SpectralBasis:
     """Eigendecompose a symmetric graph shift with distinct eigenvalues.
 

@@ -130,6 +130,14 @@ class TestPseudoInverse:
         with pytest.raises(NearZeroResponse, match="vertex 2"):
             pseudo_inverse([2.0, 1e-15, 1.0], {1, 2, 3})
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_floor_itself_is_refused_and_the_next_float_above_is_inverted(self, sign):
+        """|gamma| <= 1e-12 is refused, so a response of exactly 1e-12 is."""
+        with pytest.raises(NearZeroResponse, match="vertex 2 "):
+            pseudo_inverse([2.0, sign * 1e-12], {1, 2})
+        above = sign * np.nextafter(1e-12, 1.0)
+        np.testing.assert_array_equal(pseudo_inverse([2.0, above], {1, 2}), [0.5, 1.0 / above])
+
     def test_out_of_range_support(self):
         with pytest.raises(ValueError, match="out of range"):
             pseudo_inverse([1.0, 2.0], {3})

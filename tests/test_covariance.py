@@ -59,8 +59,10 @@ class TestEmpiricalCovariance:
     @pytest.mark.parametrize("m, n", [(1, 1), (5, 3), (3, 5), (64, 64), (744, 32), (2000, 64)])
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     def test_symmetrisation_changes_no_bit_of_the_product(self, m, n, layout):
-        """The product numpy forms is already exactly symmetric, so the
-        covariance is (Y^T Y) / M bit for bit, whatever the memory layout."""
+        """The product numpy forms is exactly symmetric, so the covariance
+        is (Y^T Y) / M bit for bit, whatever the memory layout, and equals
+        its transpose bit for bit; ``empirical_covariance`` does not
+        symmetrise it again, so a BLAS that broke symmetry fails here."""
         y = np.random.default_rng(m * n).normal(0.0, 3.0, (2 * m, 2 * n))
         if layout == "strided":
             e = SignalEnsemble(signals=_Taken(y[::2, ::2]), domain="spectral")
@@ -68,7 +70,9 @@ class TestEmpiricalCovariance:
         else:
             e = spectral(np.array(y[:m, :n], order=layout))
             assert e.signals.flags[f"{layout}_CONTIGUOUS"]
-        assert empirical_covariance(e).tobytes() == ((e.signals.T @ e.signals) / m).tobytes()
+        cov = empirical_covariance(e)
+        assert cov.tobytes() == ((e.signals.T @ e.signals) / m).tobytes()
+        assert cov.tobytes() == np.ascontiguousarray(cov.T).tobytes()
 
 
 class TestSourceGraph:

@@ -80,10 +80,10 @@ def test_estimate_pickles_to_little_more_than_its_responses(inputs):
 
 
 def test_covariance_diagnostics_forms_only_its_two_outputs(inputs):
-    """The discrepancy and the relative matrix are filled and scaled to dB in
-    the two N x N outputs a row slab at a time, a peak of 2.26 N x N at this
-    N. Any N x N temporary, such as ``db_scale(c_recon - c_source)``, adds a
-    whole N x N to it."""
+    """The discrepancy and the relative matrix are formed and scaled to dB in
+    the two N x N outputs, a peak of 2.26 N x N at this N. Any N x N
+    temporary, such as ``db_scale(c_recon - c_source)``, adds a whole N x N
+    to it."""
     basis, _, cov_x, source = inputs
     y = observations(inputs, 29)
     est = gd.estimate_channel(cov_x, y, basis, source, 0.001)

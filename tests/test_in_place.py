@@ -1,11 +1,11 @@
-"""The row-slab evaluations against the whole-matrix bodies they replaced.
+"""The in-place and row-slab evaluations against the whole-matrix bodies they replaced.
 
-Every elementwise pass over an N x N matrix after the covariance product
-runs a row slab at a time: ``empirical_covariance`` symmetrises its product,
-``estimate_magnitudes`` solves the per-edge system, the two graph builders
-threshold the Pearson magnitudes straight into their edge masks, and
-``reconstructed_covariance`` and ``covariance_diagnostics`` fill their
-outputs. ``transmit`` adds the filtered samples into the noise's buffer. The
+Two passes run a row slab at a time (``covariance._row_slabs``):
+``estimate_magnitudes`` solves the per-edge system, and the two graph
+builders threshold the Pearson magnitudes straight into their edge masks.
+``empirical_covariance``, ``reconstructed_covariance`` and
+``covariance_diagnostics`` form each output whole and update it in place.
+``transmit`` adds the filtered samples into the noise's buffer. The
 ``reference_*`` functions below are the bodies they replaced, each forming
 its N x N (or M x N) temporaries whole. Every output, warning and error must
 be the same, bit for bit, at sizes that take one slab, two slabs and a
@@ -23,11 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graph_deconv as gd
-from graph_deconv.covariance import ensure_positive_diagonal
+from graph_deconv.covariance import _row_slabs, ensure_positive_diagonal
 from graph_deconv.deconv import DB_OFFSET, DiagnosticMatrices
 from graph_deconv.errors import IsolatedVertex, NonpositiveVariance
 from graph_deconv.estimation import estimate_magnitudes
-from graph_deconv.spectral import SPECTRAL, VERTEX, SignalEnsemble, SpectralBasis, _as_spectral, _row_slabs
+from graph_deconv.spectral import SPECTRAL, VERTEX, SignalEnsemble, SpectralBasis, _as_spectral
 
 SETTINGS = settings(max_examples=40, deadline=None)
 SIZES = st.sampled_from([1, 2, 5, 33, 70, 200, 300])
@@ -421,9 +421,10 @@ def test_transmit_holds_one_ensemble_of_slack(large_inputs):
 
 def test_empirical_covariance_holds_one_square_of_slack():
     """Beside the N x N it returns, at most three row slabs may be live
-    (measured: 2.3); the in-place whole-matrix body held numpy's buffer for
-    the overlapping transpose, one more N x N, and the full-matrix body
-    before it two more."""
+    (measured: 0.01, as the product is divided in place; 2.3 when it was
+    symmetrised a row slab at a time); the in-place whole-matrix
+    symmetrisation held numpy's buffer for the overlapping transpose, one
+    more N x N, and the full-matrix body before it two more."""
     e = SignalEnsemble(signals=np.random.default_rng(15).standard_normal((M_MEM, N_MEM)), domain=SPECTRAL)
     cov, peak = traced_peak(lambda: gd.empirical_covariance(e))
     assert np.array_equal(cov, reference_empirical_covariance(e))

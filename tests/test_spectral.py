@@ -212,6 +212,27 @@ class TestScaleRelativeChecks:
         with pytest.raises(DegenerateSpectrum):
             eigendecompose(np.diag([1.0, 1.0 + 1e-10, 2.0]))
 
+    @pytest.mark.parametrize("gap, refused", [(1e-9, True), (4e-9, False)])
+    def test_distinctness_tolerance_sits_between_half_and_twice_it(self, gap, refused):
+        """At max|lambda| = 2 the tolerance is 1e-9 * 2: a gap of half of it
+        is refused, and a gap of twice it is not."""
+        shift = np.diag([1.0, 1.0 + gap, 2.0])
+        if refused:
+            with pytest.raises(DegenerateSpectrum, match="within tolerance 2.000e-09"):
+                eigendecompose(shift)
+        else:
+            assert eigendecompose(shift).eigenvalues.tolist() == [1.0, 1.0 + gap, 2.0]
+
+    @pytest.mark.parametrize("lead, signs", [(-5e-13, [-1.0, 1.0]), (-5e-12, [1.0, -1.0])])
+    def test_sign_pivot_is_the_first_entry_above_1e_12(self, lead, signs):
+        """The mode of lambda ~ 2 is ~(lead, 1, 0) up to its sign. Its first
+        entry is the pivot, and comes out positive, only when |lead| > 1e-12;
+        otherwise the second entry is."""
+        basis = eigendecompose(np.array([[1.0, lead, 0.0], [lead, 2.0, 0.0], [0.0, 0.0, 3.0]]))
+        mode = basis.modes[:, 1]
+        assert np.sign(mode[:2]).tolist() == signs
+        assert abs(abs(mode[0]) / abs(lead) - 1.0) < 1e-3
+
     def test_subnormal_spectrum_is_refused_and_a_one_vertex_zero_shift_is_not(self):
         """Below the smallest normal float64 eigh's eigenvalues lose relative
         precision (2.4e-6 of max|lambda| at 1e-318); just above it they keep it."""
