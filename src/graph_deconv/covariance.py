@@ -39,6 +39,9 @@ from .spectral import (
 
 _SLAB_BYTES = 1 << 18
 
+# Trials the bound Monte Carlo draws at once; its memory does not grow with trials.
+_TRIAL_BLOCK = 1024
+
 
 def _row_slabs(n: int) -> list[slice]:
     """The rows of an N x N float64 matrix, in order, as slices of about 256 KiB each.
@@ -234,6 +237,38 @@ def _probe_pair(probe, n: int) -> tuple[int, int]:
     return int(p), int(q)
 
 
+def _bartlett_blocks(factor: np.ndarray, m: int, trials: int, seed: int):
+    """Yield, a block of trials at a time, G_t = R_t F with G_t^T G_t ~ Wishart(m, F^T F).
+
+    ``factor`` is a k x k F. R_t is trial t's Bartlett factor of Wishart(m, I),
+    with min(m, k) rows: R_ii = sqrt(chi^2(m - i)) counting i from 0, R_ij
+    standard normal for j > i and zero below the diagonal (Odell and Feiveson,
+    JASA 1966). At m < k its m rows are distributed as the triangular factor
+    of the QR of an m x k standard normal, so m < k needs no second branch.
+    The chi-squares and the normals come from the streams (seed, _BOUNDS, 0)
+    and (seed, _BOUNDS, 1), each consumed in trial order, and G is formed by
+    elementwise products and sums, not BLAS, so no value depends on the block
+    size.
+    """
+    from .simulate import _BOUNDS, derive_seed
+
+    k = factor.shape[0]
+    rows = min(m, k)
+    diag = np.arange(rows)
+    above = np.triu_indices(rows, 1, k)
+    chi2 = np.random.default_rng(derive_seed(seed, _BOUNDS, 0))
+    normal = np.random.default_rng(derive_seed(seed, _BOUNDS, 1))
+    for start in range(0, trials, _TRIAL_BLOCK):
+        b = min(_TRIAL_BLOCK, trials - start)
+        r = np.zeros((b, rows, k))
+        r[:, diag, diag] = np.sqrt(chi2.chisquare(m - diag, (b, rows)))
+        r[:, above[0], above[1]] = normal.standard_normal((b, above[0].size))
+        g = r[:, :, :1] * factor[0]
+        for j in range(1, k):
+            g += r[:, :, j : j + 1] * factor[j]
+        yield g
+
+
 def validate_bound_monte_carlo(
     config,
     trials: int,
@@ -243,14 +278,18 @@ def validate_bound_monte_carlo(
     """Measure empirical covariance exceedance rates against the tail bounds.
 
     ``config`` is a SimulationConfig; its seed fixes the population (mixing
-    matrix A and channel gamma). The sorted distinct probed columns P of the
-    spectral observations have covariance B B^T + sigma^2 I, B = gamma[P] A[P].
-    With R from qr(B^T), so that B B^T = R^T R even when B is singular, trial t
-    draws them exactly in distribution as ``w @ R + sigma * v``: w, then v (not
-    at sigma = 0), are M x len(P) standard normals from the stream seeded with
-    ``seed + t``. For each probed entry, epsilons are chosen so the theoretical
-    bound lands on ``bound_targets``; a check is flagged when the empirical
-    frequency exceeds the bound by more than three binomial standard errors.
+    matrix A and channel gamma) and the draws. The sorted distinct probed
+    columns P of the spectral observations have covariance
+    Sigma = B B^T + sigma^2 I, B = gamma[P] A[P], so the M-sample Gram of a
+    trial is Wishart(M, Sigma) / M. With F the triangular factor of the QR of
+    B^T stacked on sigma I, F^T F = Sigma even when B is singular at
+    sigma = 0, and each trial draws M times that Gram exactly in distribution
+    as (R F)^T (R F), R a Bartlett factor (``_bartlett_blocks``): min(M, |P|)
+    chi-squares and at most |P| (|P| - 1) / 2 normals a trial, not 2 M |P|
+    normals, whatever M and N. For each
+    probed entry, epsilons are chosen so the theoretical bound lands on
+    ``bound_targets``; a check is flagged when the empirical frequency
+    exceeds the bound by more than three binomial standard errors.
     ``trials`` must be an integer >= 100 and every target a finite number
     > 0; anything else raises ValueError.
     """
@@ -286,17 +325,17 @@ def validate_bound_monte_carlo(
     pq = np.array([(p, q) for p, q, _, _ in checks], dtype=int).reshape(-1, 2) - 1
     cols, at = np.unique(pq, return_inverse=True)
     at = at.reshape(pq.shape)
-    r = np.linalg.qr((pop.gamma[cols, None] * pop.mixing[cols]).T, mode="r")
+    b = pop.gamma[cols, None] * pop.mixing[cols]
+    f = np.linalg.qr(np.vstack([b.T, sigma * np.eye(cols.size)]), mode="r")
     truth = pop.cov_y[pq[:, 0], pq[:, 1]]
     eps_each = np.array([eps for _, _, eps, _ in checks])
     exceed = np.zeros(len(checks), dtype=int)
-    for t in range(trials):
-        rng = np.random.default_rng(config.seed + t)
-        yhat = rng.standard_normal((m, cols.size)) @ r
-        if sigma > 0:
-            yhat += sigma * rng.standard_normal((m, cols.size))
-        gram = yhat.T @ yhat / m
-        exceed += np.abs(gram[at[:, 0], at[:, 1]] - truth) >= eps_each
+    for g in _bartlett_blocks(f, m, trials, config.seed):
+        gram = g[:, 0, at[:, 0]] * g[:, 0, at[:, 1]]
+        for i in range(1, g.shape[1]):
+            gram += g[:, i, at[:, 0]] * g[:, i, at[:, 1]]
+        gram /= m
+        exceed += np.count_nonzero(np.abs(gram - truth) >= eps_each, axis=0)
 
     report = []
     for k, (p, q, eps, bound) in enumerate(checks):

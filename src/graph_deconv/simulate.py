@@ -58,12 +58,14 @@ from .spectral import (
     laplacian,
 )
 
-# Seed-stream tags. Trial-dependent streams are keyed (seed, tag, trial).
+# Seed-stream tags. Trial-dependent streams are keyed (seed, tag, trial); the
+# bound Monte Carlo's two streams, chi-squares and normals, (seed, _BOUNDS, 0|1).
 _MIXING = 1
 _CHANNEL = 2
 _NOISE = 3
 _COORDS = 4
 _SOURCE = 5
+_BOUNDS = 6
 
 # Share of every source direction pointing along one common random direction.
 # Keeps all pairwise spectral correlations comfortably above the edge
@@ -320,7 +322,10 @@ def population_model(config: SimulationConfig) -> PopulationModel:
     """Population covariances, kurtosis, and channel norm implied by a config.
 
     Sources are Gaussian, so the population kurtosis is three times the
-    squared largest spectral variance. The channel is the trial-0 draw.
+    squared largest spectral variance: the largest entry of the variance
+    profile the mixing rows are scaled to hit, not of the rounded diagonal of
+    ``mixing @ mixing.T``, so it is the same under every BLAS kernel. The
+    channel is the trial-0 draw.
     """
     mixing = mixing_matrix(config.n_vertices, derive_seed(config.seed, _MIXING))
     gamma = random_channel(
@@ -335,7 +340,7 @@ def population_model(config: SimulationConfig) -> PopulationModel:
         sigma=sigma,
         cov_x=cov_x,
         cov_y=cov_y,
-        c4=3.0 * float(np.max(np.diag(cov_x))) ** 2,
+        c4=3.0 * float(np.max(variance_profile(config.n_vertices))) ** 2,
         h_norm=operator_norm(gamma),
     )
 

@@ -1,11 +1,11 @@
-"""The bound Monte Carlo against the full-draw loop it replaced.
+"""The bound Monte Carlo against the full-draw loop, and its Bartlett sampler.
 
-``validate_bound_monte_carlo`` draws only the probed spectral observation
-columns, through a QR factor of their population covariance.
-``reference_bound_monte_carlo`` below is the loop it replaced: every trial
-draws all N source and noise columns and reads the probed ones. The two use
-different draws from the same streams, so epsilons and bounds must be equal
-and exceedance rates must agree statistically.
+``validate_bound_monte_carlo`` draws each trial's Gram of the probed spectral
+observation columns directly, as a Bartlett factor times a QR factor of their
+population covariance. ``reference_bound_monte_carlo`` below draws all N
+source and noise columns of every trial from ``default_rng(seed + t)`` and
+reads the probed ones. The two use different draws, so epsilons and bounds
+must be equal and exceedance rates must agree statistically.
 """
 
 import math
@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from graph_deconv import SimulationConfig, concentration_bound, validate_bound_monte_carlo
-from graph_deconv.covariance import BoundCheck
+from graph_deconv import covariance
+from graph_deconv.covariance import BoundCheck, _bartlett_blocks
 from graph_deconv.simulate import population_model
 
 
@@ -174,6 +175,88 @@ def test_numpy_integer_probes_accepted():
     config = SimulationConfig(n_vertices=8, sample_count=20, noise_sigma=0.1, seed=1)
     report = validate_bound_monte_carlo(config, 100, probes=[np.array([2, 5])])
     assert all(type(c.n) is int and (c.n, c.nprime) == (2, 5) for c in report)
+
+
+# A k = 3 factor with correlated columns; F^T F is the covariance drawn from.
+FACTOR = np.array([[1.5, 0.6, -0.4], [0.0, 0.8, 0.3], [0.0, 0.0, 0.5]])
+
+
+@pytest.mark.parametrize("m", [10, 2], ids=["full", "two-rows"])
+def test_bartlett_draws_have_the_wishart_moments(m):
+    """W = G^T G over 20,000 trials has E W = M Sigma and
+    Var W_ij = M (Sigma_ij^2 + Sigma_ii Sigma_jj), Sigma = F^T F, also at
+    M = 2 < k, where W is singular. Each of the nine means is scored by its
+    closed-form standard error and each variance by the one its sample fourth
+    moment implies; the largest |z| measured at seed 1 was 1.33 (M = 10) and
+    1.03 (M = 2)."""
+    sigma = FACTOR.T @ FACTOR
+    blocks = _bartlett_blocks(FACTOR, m, 20000, 1)
+    w = np.concatenate([np.einsum("tia,tib->tab", g, g) for g in blocks])
+    assert w.shape == (20000, 3, 3)
+    assert np.linalg.matrix_rank(w[0]) == min(m, 3)
+    trials = w.shape[0]
+    mean = w.mean(axis=0)
+    centred = w - mean
+    var = (centred**2).mean(axis=0)
+    fourth = (centred**4).mean(axis=0)
+    want_var = m * (sigma**2 + np.outer(np.diag(sigma), np.diag(sigma)))
+    z_mean = (mean - m * sigma) / np.sqrt(want_var / trials)
+    z_var = (var - want_var) / np.sqrt((fourth - var**2) / trials)
+    assert np.abs(z_mean).max() < 4, z_mean
+    assert np.abs(z_var).max() < 4, z_var
+
+
+def test_block_size_changes_no_byte(monkeypatch):
+    """Each stream is consumed in trial order and G is formed elementwise, so
+    blocks of 7 trials give the draws and the report of the default block."""
+    config = SimulationConfig(n_vertices=8, sample_count=100, noise_sigma=0.5, seed=4242)
+    kwargs = dict(probes=[(1, 1), (2, 3), (4, 4)], bound_targets=(0.3, 0.8))
+    report = validate_bound_monte_carlo(config, 2500, **kwargs)
+    draws = np.concatenate(list(_bartlett_blocks(FACTOR, 10, 2500, 5)))
+    assert 2500 > 2 * covariance._TRIAL_BLOCK > 7
+    monkeypatch.setattr(covariance, "_TRIAL_BLOCK", 7)
+    assert validate_bound_monte_carlo(config, 2500, **kwargs) == report
+    assert np.array_equal(np.concatenate(list(_bartlett_blocks(FACTOR, 10, 2500, 5))), draws)
+    assert any(check.empirical > 0 for check in report)
+
+
+def test_memory_does_not_grow_with_trials():
+    """200,000 trials held at once would be a 9.6 MB array of probed entries
+    alone; drawn a block at a time they trace about 0.3 MB."""
+    config = SimulationConfig(n_vertices=8, sample_count=100, noise_sigma=0.5, seed=4242)
+    tracemalloc.start()
+    try:
+        validate_bound_monte_carlo(config, 200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, f"peak {peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("below, flagged", [(3.5, True), (2.5, False)])
+def test_flag_is_three_standard_errors_above_the_bound(monkeypatch, below, flagged):
+    """A bound reported ``below`` binomial standard errors under the measured
+    rate is flagged beyond 3 and not within it. Only the M-sample bound is
+    replaced; eps comes from the m = 1 call, so the draws and rates are kept."""
+    config = SimulationConfig(n_vertices=8, sample_count=100, noise_sigma=0.5, seed=4242)
+    kwargs = dict(probes=[(1, 1)], bound_targets=(0.8,))
+    [check] = validate_bound_monte_carlo(config, 400, **kwargs)
+    freq = check.empirical
+    se = math.sqrt(freq * (1 - freq) / 400)
+    assert se > 0
+
+    true_bound = covariance.concentration_bound
+
+    def bound_below(c4, h_norm, sigma, m, eps, diagonal):
+        if m == 1:
+            return true_bound(c4, h_norm, sigma, m, eps, diagonal)
+        return freq - below * se
+
+    monkeypatch.setattr(covariance, "concentration_bound", bound_below)
+    [moved] = validate_bound_monte_carlo(config, 400, **kwargs)
+    assert (moved.eps, moved.empirical) == (check.eps, freq)
+    assert moved.bound == freq - below * se
+    assert moved.flag is flagged
 
 
 def test_memory_does_not_grow_with_n():

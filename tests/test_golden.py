@@ -4,10 +4,12 @@ A bundle is byte-identical only on one machine and BLAS build: another BLAS
 kernel (``OPENBLAS_CORETYPE=Sandybridge`` or ``=Prescott`` on a DYNAMIC_ARCH
 OpenBLAS) sums in another order and moves floats in their last digits. So
 the structure is pinned exactly (edge sets, support, components, spanning
-tree, every sign and every integer field), and each float within 1e-10 of
-the largest entry of the table it comes from; the Sandybridge and Prescott
-kernels moved them by at most 1.4e-13 of it. A change to any simulated
-number, such as the share of the common source direction, fails here.
+tree, every sign, every integer field and the bound Monte Carlo's rates),
+and each float within 1e-10 of the largest entry of the table it comes from;
+the Sandybridge and Prescott kernels moved them by at most 1.4e-13 of it. The
+bound report's eps and bound columns use no BLAS product, so they are pinned
+bit for bit. A change to any simulated number, such as the share of the
+common source direction, fails here.
 """
 
 import json
@@ -71,6 +73,21 @@ RECON_COV = {(1, 1): 179.3419713499369, (1, 2): 27.404105218318893,
 ABS_DIFF_DB = {(1, 1): -5.894962281159027, (1, 2): -10.7835015550532, (6, 6): -6.67183074103644}
 REL_DIFF_DB = {(1, 1): -20.0, (1, 3): -19.498907012234636, (3, 8): -14.065140427817335}
 
+# Exceedance counts of the 100-trial bound Monte Carlo, per (n, n') and target
+# 0.1, 0.3, 0.6: whole counts of the Bartlett draws, so kernel-independent. The
+# (1, 1) entry's exact rates at those targets are 3e-8, 4.4e-4 and 9.7e-3.
+BOUND_RATES = [(1, 1, 0.0, False), (1, 1, 0.01, False), (1, 1, 0.02, False)] + [
+    (1, 2, 0.0, False)] * 3
+
+# (eps, bound) of each bound check, bit for bit. They read only the kurtosis of
+# the variance profile, the channel and sigma, never a BLAS product, so they are
+# the same under every kernel.
+BOUND_COLUMNS = [
+    (96.7098073058546, 0.10000000000000002), (55.835433281311985, 0.3000000000000001),
+    (39.48161350370475, 0.6000000000000001), (96.59810084642726, 0.09999999999999998),
+    (55.77093952689139, 0.3), (39.436009532609766, 0.6),
+]
+
 
 def assert_close(got, want, scale):
     """Every entry within RTOL of ``scale``, the largest entry of its table."""
@@ -98,8 +115,7 @@ def test_small_simulation_reproduces_its_golden_numbers(tmp_path):
     assert comp.parents == {v: 1 for v in range(2, 13)}
     assert np.sign(est.gamma_m).tolist() == np.sign(GAMMA_M).tolist()
     assert np.sign(result.channel).tolist() == CHANNEL_SIGNS
-    assert [(b.n, b.nprime, b.empirical, b.flag) for b in result.bound_report] == [
-        (1, 1, 0.0, False)] * 3 + [(1, 2, 0.0, False)] * 3
+    assert [(b.n, b.nprime, b.empirical, b.flag) for b in result.bound_report] == BOUND_RATES
 
     for key, want in SUMMARY_FLOATS.items():
         assert_close(summary[key], want, abs(want))
@@ -109,3 +125,8 @@ def test_small_simulation_reproduces_its_golden_numbers(tmp_path):
     assert_entries(gd.reconstructed_covariance(result.deconv), RECON_COV)
     assert_entries(result.avg_diagnostics.abs_diff_db, ABS_DIFF_DB)
     assert_entries(result.avg_diagnostics.rel_diff_db, REL_DIFF_DB)
+
+
+def test_bound_report_eps_and_bound_are_bit_equal_on_every_kernel():
+    report = gd.validate_bound_monte_carlo(CONFIG, 100)
+    assert [(b.eps, b.bound) for b in report] == BOUND_COLUMNS

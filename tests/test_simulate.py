@@ -328,6 +328,8 @@ class TestPopulationModel:
         assert pop.cov_x.shape == (8, 8)
         assert pop.h_norm == np.max(np.abs(pop.gamma))
         assert pop.c4 == pytest.approx(3.0 * np.max(np.diag(pop.cov_x)) ** 2)
+        # Exactly the profile's kurtosis, not the rounded diagonal's.
+        assert pop.c4 == 3.0 * 177.8017**2
         np.testing.assert_allclose(
             pop.cov_y, np.outer(pop.gamma, pop.gamma) * pop.cov_x + 0.25 * np.eye(8)
         )
