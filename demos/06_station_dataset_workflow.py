@@ -26,7 +26,6 @@ from graph_deconv import (
     random_channel,
     transmit,
 )
-from graph_deconv import io as gio
 
 N_STATIONS, N_HOURS, N_DAYS = 12, 24, 31
 rng = np.random.default_rng(14)
@@ -65,9 +64,7 @@ with tempfile.TemporaryDirectory() as tmp:
             for t in range(N_HOURS):
                 lines.append(f"{s + 1},{d + 1},{t},{float(values[s, t, d])!r}")
     data_path.write_text("\n".join(lines) + "\n")
-    coords_path = Path(tmp) / "coords.csv"
-    gio.write_coordinates(coords_path, coords)
-    raw = load_raw_dataset(data_path, coords_path)
+    raw = load_raw_dataset(data_path)
 
 print(f"loaded grid: {raw.n_stations} stations x {raw.n_hours} hours x {raw.n_days} days")
 

@@ -19,7 +19,6 @@ from .covariance import (
     build_observation_graph,
     build_source_graph,
     concentration_bound,
-    delta_cap,
     empirical_covariance,
     validate_bound_monte_carlo,
 )
@@ -30,7 +29,6 @@ from .deconv import (
     align_component_signs,
     blind_deconvolve,
     covariance_diagnostics,
-    db_scale,
     reconstructed_covariance,
     summarize_gap,
 )

@@ -200,9 +200,10 @@ _PAD = 24  # bytes kept before the rows, so every cell has a 24-byte window
 _EXACT = _U(1 << 53)  # below it a decimal's digits are exact as a float64
 _FEW = 2  # at most one cell in _FEW of a chunk is left to float or int (README, "File formats")
 # Per word of a cell's 24-byte window, one row each: per byte of the window
-# that holds the ".", the bytes after it as a mask; per count of digits, the
-# low nibbles of that many bytes at the window's end.
-_AFTER_POINT = np.where(_COL > _COL[:, None], 0xFF, 0).astype(np.uint8).view(np.uint64).T.copy()
+# that holds the ".", the bytes after it as a mask (the writer's ``_AFTER``,
+# word-major); per count of digits, the low nibbles of that many bytes at the
+# window's end.
+_AFTER_POINT = _AFTER.T.copy()
 _NIBBLES = np.where(_COL >= 24 - np.arange(25)[:, None], 0x0F, 0).astype(np.uint8).view(np.uint64).T.copy()
 
 

@@ -190,20 +190,6 @@ def concentration_bound(
     return numerator / (m * eps**2)
 
 
-def delta_cap(cov_x: np.ndarray, source: Graph, h_norm: float) -> float:
-    """Largest safe observation threshold, ||H||^2 * delta0 / 8.
-
-    delta0 is the smallest source covariance magnitude over source edges. Only
-    computable when the channel norm is known, so this is a simulation-side
-    helper; on real data delta stays a user parameter.
-    """
-    cov_x = np.asarray(cov_x, dtype=float)
-    upper = source.edges.upper
-    if not upper.any():
-        raise ValueError("source graph has no edges")
-    return h_norm**2 * np.abs(cov_x[upper]).min() / 8.0
-
-
 @dataclass(frozen=True)
 class BoundCheck:
     """One probed entry of the Monte Carlo bound validation."""

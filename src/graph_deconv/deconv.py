@@ -44,7 +44,6 @@ from .spectral import (
 
 DB_OFFSET = 1e-5
 DIAGNOSTIC_FLOOR_DB = -20.0
-DISPLAY_FLOOR_DB = -30.0
 
 
 @dataclass(frozen=True)
@@ -136,7 +135,11 @@ def reconstructed_covariance(result: DeconvolutionResult) -> np.ndarray:
     up to rounding, is exactly symmetric, and is exactly +0.0 off the support.
     """
     cov_y = _spectral_covariance(result.basis, result.observations, lambda: result._observed)
-    d = result.inverse
+    return _scaled_covariance(result.inverse, cov_y)
+
+
+def _scaled_covariance(d: np.ndarray, cov_y: np.ndarray) -> np.ndarray:
+    """D C_y D with D = diag(d), exactly symmetric and +0.0 wherever d is zero."""
     cov = np.outer(d, d)
     cov *= cov_y
     cov += 0.0  # turns the -0.0 of a zero times a negative entry into +0.0
@@ -150,15 +153,6 @@ def _db_in_place(a: np.ndarray, floor_db: float) -> np.ndarray:
     np.log10(a, out=a)
     a *= 10.0
     return np.maximum(a, floor_db, out=a)
-
-
-def db_scale(matrix: np.ndarray, floor_db: float = DISPLAY_FLOOR_DB) -> np.ndarray:
-    """Entrywise max(10 log10(|m| + 1e-5), floor), the display scale for covariances.
-
-    Evaluated in place on one new copy of ``matrix``, by the same routine that
-    ``covariance_diagnostics`` runs on its own buffers.
-    """
-    return _db_in_place(np.array(matrix, dtype=float), floor_db)
 
 
 def covariance_diagnostics(

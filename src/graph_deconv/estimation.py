@@ -1,8 +1,10 @@
 """Covariance-driven estimation of a shift-invariant channel.
 
 The observer knows the source spectral covariance and sees only noisy filtered
-samples, in either domain; ``estimate_channel`` is the one pipeline the
-simulation, the CLI and the demos call. It reads the observations only
+samples, in either domain; ``estimate_channel`` is the one pipeline. The CLI
+and the demos call it, and the simulation runs its covariance-level core,
+``_estimate_from_covariance``, on each trial's covariance, so each trial
+builds one observation graph. It reads the observations only
 through ``covariance._spectral_covariance``, which transforms and squares
 them once, keeps the covariance on the observations the caller passed and
 lets the transform go, so ``deconv.reconstructed_covariance`` of the same
@@ -280,9 +282,21 @@ def estimate_channel(
     transform of vertex-domain observations is let go.
     """
     cov_ym = _spectral_covariance(basis, observations)
+    return _estimate_from_covariance(cov_x, cov_ym, source, delta)[0]
+
+
+def _estimate_from_covariance(
+    cov_x: np.ndarray, cov_ym: np.ndarray, source: Graph, delta: float
+) -> tuple[ChannelEstimate, Graph]:
+    """The estimate from the spectral covariance ``cov_ym``, and the observation graph it signs along.
+
+    Magnitudes, then the observation graph at ``delta``, then signs with
+    every anchor +1: the whole of ``estimate_channel`` once the covariance is
+    formed, and what ``run_simulation`` runs on each trial's covariance.
+    """
     magnitudes = estimate_magnitudes(cov_x, cov_ym, source)
     obs = build_observation_graph(cov_ym, source, delta)
-    return assign_signs(magnitudes, obs, cov_x, cov_ym)
+    return assign_signs(magnitudes, obs, cov_x, cov_ym), obs
 
 
 def sign_consistency_report(

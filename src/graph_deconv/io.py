@@ -462,12 +462,10 @@ def write_bound_report(path, report: list[BoundCheck]) -> None:
 class RawDataset(_Value):
     """Complete station x hour x day grid of measurements, e.g. hourly temperatures.
 
-    ``coords`` optionally carries the station coordinates as (id, x, y) rows,
-    one per station in vertex order. ``values`` is kept as a read-only copy.
+    ``values`` is kept as a read-only copy.
     """
 
     values: np.ndarray
-    coords: tuple | None = None
 
     def __post_init__(self):
         arr = _owned(self.values, float)
@@ -478,11 +476,6 @@ class RawDataset(_Value):
         if not np.all(np.isfinite(arr)):
             raise ValueError("dataset has missing or non-finite entries")
         object.__setattr__(self, "values", arr)
-        if self.coords is not None:
-            coords = tuple(self.coords)
-            if len(coords) != arr.shape[0]:
-                raise ValueError(f"{len(coords)} coordinates for {arr.shape[0]} stations")
-            object.__setattr__(self, "coords", coords)
 
     @property
     def n_stations(self) -> int:
@@ -538,14 +531,13 @@ def _filled_grid(cells, value, n: int, d: int, t: int) -> np.ndarray | None:
     return values
 
 
-def load_raw_dataset(path, coords_path=None) -> RawDataset:
+def load_raw_dataset(path) -> RawDataset:
     """Read a long-format CSV with columns station,day,hour,value.
 
     Stations and days are numbered from 1, hours from 0. The grid must be
     complete: every (station, day, hour) combination exactly once. A
     repeated cell is reported for the first row, in file order, whose cell an
-    earlier row already holds. A coordinates CSV can be attached via
-    ``coords_path``.
+    earlier row already holds.
 
     With N stations, D days and T hours as the largest indices give them, a
     table of N * D * T rows is a valid grid exactly when its rows mark every
@@ -569,8 +561,7 @@ def load_raw_dataset(path, coords_path=None) -> RawDataset:
             where = tuple(int(c[row]) for c in cells)
             raise FileFormatError(f"{path}: duplicate entry for {where}")
         raise FileFormatError(f"{path}: incomplete grid, {n * d * t - value.size} missing entries")
-    coords = tuple(read_coordinates(coords_path)) if coords_path is not None else None
-    return RawDataset(values=values, coords=coords)
+    return RawDataset(values=values)
 
 
 def center_dataset(raw: RawDataset) -> SignalEnsemble:

@@ -2,11 +2,13 @@
 
 A run builds a random geometric graph, draws a dense nonstationary source with
 a decaying spectral variance profile, pushes the samples through a random
-channel with additive Gaussian noise, estimates the channel with
-``estimate_channel``, deconvolves, and scores everything against the ground
-truth. Each trial transforms its observations once and hands the spectral
-ensemble to estimation, deconvolution and trial 0's sign report, which all
-read the one covariance kept on it. Every random draw is keyed on (seed,
+channel with additive Gaussian noise, estimates the channel, deconvolves, and
+scores everything against the ground truth. Each trial transforms its
+observations once and forms their spectral covariance once, kept on the
+spectral ensemble. ``estimate_channel``'s covariance-level core estimates
+from it and returns the trial's one observation graph; the reconstructed
+covariance D C_y D and trial 0's sign report read the same covariance, and
+the report reads that graph too. Every random draw is keyed on (seed,
 purpose, trial), so re-running a configuration gives byte-identical
 artifacts.
 """
@@ -27,7 +29,6 @@ from .covariance import (
     BoundCheck,
     _check_threshold,
     _spectral_covariance,
-    build_observation_graph,
     build_source_graph,
     empirical_covariance,
     validate_bound_monte_carlo,
@@ -36,6 +37,7 @@ from .deconv import (
     DeconvolutionResult,
     DiagnosticMatrices,
     GapSummary,
+    _scaled_covariance,
     align_component_signs,
     blind_deconvolve,
     covariance_diagnostics,
@@ -43,7 +45,7 @@ from .deconv import (
     summarize_gap,
 )
 from .errors import DegenerateSpectrum, FileFormatError
-from .estimation import ChannelEstimate, estimate_channel, sign_consistency_report
+from .estimation import ChannelEstimate, _estimate_from_covariance, sign_consistency_report
 from .spectral import (
     SPECTRAL,
     Graph,
@@ -389,22 +391,21 @@ def run_simulation(config: SimulationConfig, out_dir=None) -> SimulationResult:
             sent, gamma_t, basis, config.noise_sigma, derive_seed(config.seed, _NOISE, t)
         )
         yhat_t = gft(basis, y_t)
-        est = estimate_channel(cov_x, yhat_t, basis, source_graph, config.delta)
+        cov_ym = _spectral_covariance(basis, yhat_t)
+        est, obs = _estimate_from_covariance(cov_x, cov_ym, source_graph, config.delta)
 
         if signs_match(est, gamma_t):
             sign_hits += 1
         mag_errors[t] = float(np.max(np.abs(np.abs(est.gamma_m) - np.abs(gamma_t))))
 
         result = blind_deconvolve(est, yhat_t, basis)
-        diag = covariance_diagnostics(reconstructed_covariance(result), cov_x)
+        diag = covariance_diagnostics(_scaled_covariance(result.inverse, cov_ym), cov_x)
         abs_db += diag.abs_diff_db
         rel_db += diag.rel_diff_db
         inflation += diag.diagonal_inflation
 
         if t == 0:
             aligned, flips = align_component_signs(result, xhat, est.components)
-            cov_ym = _spectral_covariance(basis, yhat_t)
-            obs = build_observation_graph(cov_ym, source_graph, config.delta)
             error = np.max(np.abs(aligned.reconstructed.signals - sources.signals))
             first = dict(
                 channel=gamma_t,

@@ -19,7 +19,6 @@ from graph_deconv import (
     build_observation_graph,
     build_source_graph,
     concentration_bound,
-    delta_cap,
     empirical_covariance,
     validate_bound_monte_carlo,
 )
@@ -243,20 +242,6 @@ class TestConcentrationBound:
             concentration_bound(1.0, 1.0, 0.0, 10, 0.0, diagonal=False)
         with pytest.raises(ValueError):
             concentration_bound(-1.0, 1.0, 0.0, 10, 0.1, diagonal=False)
-
-
-class TestDeltaCap:
-    def test_formula(self):
-        cov = np.eye(3)
-        cov[0, 1] = cov[1, 0] = 0.4
-        cov[1, 2] = cov[2, 1] = 0.2
-        source = build_source_graph(cov, 0.01)
-        assert delta_cap(cov, source, 1.5) == pytest.approx(1.5**2 * 0.2 / 8)
-
-    def test_needs_edges(self):
-        source = build_source_graph(np.eye(3), 0.01)
-        with pytest.raises(ValueError, match="no edges"):
-            delta_cap(np.eye(3), source, 1.0)
 
 
 class TestBoundMonteCarlo:

@@ -24,7 +24,6 @@ from graph_deconv import (
     blind_deconvolve,
     build_source_graph,
     covariance_diagnostics,
-    db_scale,
     eigendecompose,
     empirical_covariance,
     estimate_channel,
@@ -369,12 +368,16 @@ class TestDiagnostics:
         d = covariance_diagnostics(cov, cov, floor_db=-30.0)
         np.testing.assert_array_equal(d.abs_diff_db, np.full((2, 2), -30.0))
 
-    def test_db_scale_matches_hand_arithmetic(self):
+    def test_db_arithmetic_matches_hand_values(self):
+        # Against unit source variances both matrices are the dB scale of c_recon - I.
         m = np.array([[0.1, 0.0], [1.0, 10.0]])
-        out = db_scale(m, floor_db=-30.0)
+        d = covariance_diagnostics(m + np.eye(2), np.eye(2), floor_db=-30.0)
+        out = d.abs_diff_db
         assert out[0, 0] == pytest.approx(10 * np.log10(0.10001))
         assert out[0, 1] == -30.0
+        assert out[1, 0] == pytest.approx(10 * np.log10(1.00001))
         assert out[1, 1] == pytest.approx(10 * np.log10(10.00001))
+        assert np.array_equal(d.rel_diff_db, out)
 
 
 class TestSummarizeGap:

@@ -10,6 +10,7 @@ Ground truth:
 import itertools
 import re
 import sys
+import warnings
 from collections import Counter
 from dataclasses import fields
 
@@ -134,6 +135,18 @@ class TestEstimateMagnitudes:
         with pytest.raises(ValueError, match="zero"):
             estimate_magnitudes(cov_x, np.eye(2), source)
 
+    def test_zero_radicand_is_not_clamped(self):
+        """A zero observed covariance on an edge gives the endpoint with the
+        smaller variance a radicand sqrt(alpha^2) + alpha of exactly 0: its
+        magnitude is 0, and nothing was clamped, so nothing warns."""
+        cov_x = np.array([[1.0, 0.5], [0.5, 1.0]])
+        cov_y = np.diag([1.0, 4.0])
+        source = Graph(n_vertices=2, edges=[(1, 2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mags = estimate_magnitudes(cov_x, cov_y, source)
+        assert np.array_equal(mags, [0.0, np.sqrt(6.0) / np.sqrt(2.0)])
+
     def test_inconsistent_inputs_clamp_with_warning(self):
         """The inner radicand is nonnegative in exact arithmetic and IEEE
         round-to-nearest preserves that for normal floats, so the clamp only
@@ -142,8 +155,9 @@ class TestEstimateMagnitudes:
         tiny = 1e-300
         cov_y = np.array([[0.0, 0.9 * tiny], [0.9 * tiny, tiny]])
         source = Graph(n_vertices=2, edges=[(1, 2)])
-        with pytest.warns(RuntimeWarning, match="clamped"):
+        with pytest.warns(RuntimeWarning, match="clamped") as caught:
             mags = estimate_magnitudes(cov_x, cov_y, source)
+        assert [w.filename for w in caught] == [__file__]  # the warning points at its caller
         assert np.all(mags >= 0)
         assert np.all(np.isfinite(mags))
 

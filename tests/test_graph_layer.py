@@ -21,19 +21,23 @@ from test_in_place import pearson_matrix
 from graph_deconv import (
     ChannelEstimate,
     Graph,
+    GraphDeconvError,
+    SignalEnsemble,
+    SpectralBasis,
     assign_signs,
     build_observation_graph,
     build_radius_graph,
     build_source_graph,
     center_dataset,
-    delta_cap,
+    empirical_covariance,
+    estimate_channel,
     laplacian,
     sign_consistency_report,
 )
-from graph_deconv.estimation import sign_of
+from graph_deconv.estimation import _estimate_from_covariance, sign_of
 from graph_deconv.io import RawDataset, write_edge_list
 from graph_deconv.simulate import connectivity_radius
-from graph_deconv.spectral import EdgeSet, bfs
+from graph_deconv.spectral import SPECTRAL, EdgeSet, bfs
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -380,10 +384,6 @@ class TestBuilders:
         assert source.edges == edges
         np.testing.assert_array_equal(source.degrees, degrees)
         assert source.connected == connected
-        if edges:
-            assert delta_cap(cov_x, source, 1.5) == 1.5**2 * min(
-                abs(cov_x[i - 1, j - 1]) for i, j in edges
-            ) / 8.0
 
     @SETTINGS
     @given(seeds, st.integers(1, 12), thresholds, thresholds)
@@ -446,6 +446,7 @@ class TestSigns:
         source = build_source_graph(cov_x, threshold)
         obs = build_observation_graph(cov_ym, source, delta)
         mags = rng.uniform(0.5, 2.0, n)
+        mags[rng.random(n) < 0.2] = 0.0  # a zero response has sign +1
         anchor_signs = rng.choice([-1, 1], len(obs.components)).tolist()
 
         with warnings.catch_warnings(record=True) as ours:
@@ -457,12 +458,61 @@ class TestSigns:
         assert np.array_equal(est.gamma_m, gamma)
         assert [(c.vertices, c.anchor, c.anchor_sign, c.parents) for c in est.components] == trees
         assert [str(w.message) for w in ours] == [str(w.message) for w in theirs]
+        assert all(w.filename == __file__ for w in ours)  # each warning points at its caller
 
         flipped = est.gamma_m * rng.choice([-1.0, 1.0], n)
         noisy = ChannelEstimate(gamma_m=flipped, support=est.support, components=est.components)
         assert sign_consistency_report(noisy, obs, cov_x, cov_ym) == reference_sign_report(
             flipped, obs, cov_x, cov_ym
         )
+
+
+def outcome(call):
+    """What ``call()`` returns, or the type and text of the error it raises, and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = call()
+        except (ValueError, GraphDeconvError) as exc:
+            value = (type(exc), str(exc))
+    return value, [str(w.message) for w in caught]
+
+
+class TestCovarianceCore:
+    """``estimate_channel`` is ``_spectral_covariance`` then the covariance-level core."""
+
+    DRAWS = ("ints", "normal", "tiny")
+
+    @SETTINGS
+    @given(seeds, st.integers(2, 40), st.floats(0.0, 0.3), thresholds, st.sampled_from(DRAWS))
+    @example(seed=0, n=6, threshold=0.1, delta=0.0, draw="ints")  # a zero-ratio tree edge
+    @example(seed=15, n=40, threshold=0.1, delta=0.5, draw="tiny")  # clamped, several components
+    def test_core_is_estimate_channel(self, seed, n, threshold, delta, draw):
+        rng = np.random.default_rng(seed)
+        cov_x = random_covariance(rng, n, 2)
+        if draw == "ints":  # exact zero covariances, so zero ratios on tree edges
+            y = rng.integers(-1, 2, (n + 2, n)).astype(float)
+        else:  # "tiny" underflows the squared terms, so radicands clamp
+            y = rng.standard_normal((n + 2, n)) * (1e-150 if draw == "tiny" else 1.0)
+        source = build_source_graph(cov_x, threshold)
+        observations = SignalEnsemble(signals=y, domain=SPECTRAL)
+        basis = SpectralBasis(modes=np.eye(n), eigenvalues=np.arange(1.0, n + 1))
+        cov_ym = empirical_covariance(observations)
+
+        ours, our_warnings = outcome(lambda: _estimate_from_covariance(cov_x, cov_ym, source, delta))
+        theirs, their_warnings = outcome(lambda: estimate_channel(cov_x, observations, basis, source, delta))
+        assert our_warnings == their_warnings
+        if isinstance(theirs, tuple):
+            assert ours == theirs
+            return
+        est, obs = ours
+        assert np.array_equal(est.gamma_m, theirs.gamma_m)
+        assert est.support == theirs.support and est.components == theirs.components
+        fresh = build_observation_graph(cov_ym, source, delta)
+        assert obs.edges == fresh.edges and obs.support == fresh.support
+        assert [(t.root, t.order, t.parents) for t in obs.trees] == [
+            (t.root, t.order, t.parents) for t in fresh.trees
+        ]
 
 
 def test_center_dataset_matches_sample_loop():

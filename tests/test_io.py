@@ -288,19 +288,6 @@ class TestRawDataset:
         with pytest.raises(ValueError, match="missing"):
             RawDataset(values=values)
 
-    def test_coordinates_attached(self, tmp_path):
-        values = np.ones((2, 3, 2))
-        data_path = tmp_path / "temps.csv"
-        self.write_long_csv(data_path, values)
-        coords_path = tmp_path / "coords.csv"
-        gio.write_coordinates(coords_path, [("1", 0.0, 0.0), ("2", 1.0, 1.0)])
-        raw = load_raw_dataset(data_path, coords_path)
-        assert raw.coords == (("1", 0.0, 0.0), ("2", 1.0, 1.0))
-
-    def test_coordinate_count_must_match_stations(self):
-        with pytest.raises(ValueError, match="coordinates"):
-            RawDataset(values=np.ones((3, 2, 2)), coords=(("1", 0.0, 0.0),))
-
 
 class TestCenterDataset:
     def test_identical_days_center_to_zero(self):

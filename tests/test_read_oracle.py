@@ -173,7 +173,7 @@ def _plain(value):
     if isinstance(value, SignalEnsemble):
         return _plain(value.signals), value.domain
     if isinstance(value, RawDataset):
-        return _plain(value.values), value.coords
+        return _plain(value.values)
     if isinstance(value, ChannelEstimate):
         return _plain(value.gamma_m), value.support, value.components
     if isinstance(value, list):

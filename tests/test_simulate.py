@@ -17,6 +17,7 @@ from test_in_place import pearson_matrix
 from graph_deconv import (
     DegenerateSpectrum,
     SimulationConfig,
+    build_observation_graph,
     build_radius_graph,
     build_source_graph,
     eigendecompose,
@@ -25,6 +26,7 @@ from graph_deconv import (
     igft,
     laplacian,
     run_simulation,
+    sign_consistency_report,
     synthetic_source,
     transmit,
     variance_profile,
@@ -81,15 +83,16 @@ class TestConfig:
     def test_field_names_mirror_json(self, tmp_path):
         cfg = SimulationConfig(n_vertices=4, sample_count=10, noise_sigma=0.0)
         data = json.loads(json.dumps(cfg.to_json()))
-        assert set(data) == {
-            "n_vertices",
-            "sample_count",
-            "noise_sigma",
-            "channel_amplitude",
-            "pearson_threshold",
-            "delta",
-            "seed",
-            "trials",
+        # Every field, with the defaults the README and the CLI's estimate use.
+        assert data == {
+            "n_vertices": 4,
+            "sample_count": 10,
+            "noise_sigma": 0.0,
+            "channel_amplitude": 0.2,
+            "pearson_threshold": 0.01,
+            "delta": 0.001,
+            "seed": 0,
+            "trials": 1,
         }
 
     def test_unknown_key_rejected(self):
@@ -122,12 +125,28 @@ class TestConfig:
             dict(n_vertices=4, sample_count=10, noise_sigma="0.5"),
             dict(n_vertices=10**400, sample_count=10, noise_sigma=0.0),
             dict(n_vertices=4, sample_count=2**63, noise_sigma=0.0),
+            dict(n_vertices=2**63, sample_count=10, noise_sigma=0.0),
+            dict(n_vertices=4, sample_count=10, noise_sigma=0.0, trials=2**63),
             dict(n_vertices=4, sample_count=10, noise_sigma=10**400),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SimulationConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(n_vertices=2, sample_count=1, noise_sigma=0.0, channel_amplitude=0.0,
+                 pearson_threshold=0.0, delta=0.0, seed=0, trials=1),
+            dict(n_vertices=2**63 - 1, sample_count=2**63 - 1, noise_sigma=sys.float_info.max,
+                 channel_amplitude=math.nextafter(1.0, 0.0), pearson_threshold=1.0, delta=1.0,
+                 trials=2**63 - 1),
+        ],
+    )
+    def test_ends_of_every_range_accepted(self, kwargs):
+        cfg = SimulationConfig(**kwargs)
+        assert {name: getattr(cfg, name) for name in kwargs} == kwargs
 
     @pytest.mark.parametrize("name", ["delta", "pearson_threshold"])
     @pytest.mark.parametrize("value", [1.5, -0.5])
@@ -391,6 +410,24 @@ def test_signs_match_equals_the_loop(data):
     assert signs_match(est, gamma_true) == reference_signs_match(est, gamma_true)
 
 
+def count_calls(monkeypatch, functions) -> Counter:
+    """Count the calls of each named function, in every graph_deconv namespace that binds it."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    modules = [m for name, m in sys.modules.items() if name.startswith("graph_deconv.")]
+    for module, (name, fn) in itertools.product(modules, functions.items()):
+        if getattr(module, name, None) is fn:
+            monkeypatch.setattr(module, name, counted(name, fn))
+    return calls
+
+
 class TestRunSimulation:
     def test_noiseless_run_recovers_everything(self):
         cfg = SimulationConfig(n_vertices=8, sample_count=400, noise_sigma=0.0, seed=6)
@@ -432,24 +469,12 @@ class TestRunSimulation:
         """A trial transforms and squares its observations once and shares
         both; only trial 0 reads the vertex domain, and its sign report reads
         the kept covariance."""
-        calls = Counter()
-
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-
-            return wrapper
-
         transforms = {
             "gft": spectral.gft,
             "igft": spectral.igft,
             "empirical_covariance": covariance.empirical_covariance,
         }
-        modules = [m for name, m in sys.modules.items() if name.startswith("graph_deconv.")]
-        for module, (name, fn) in itertools.product(modules, transforms.items()):
-            if getattr(module, name, None) is fn:
-                monkeypatch.setattr(module, name, counted(name, fn))
+        calls = count_calls(monkeypatch, transforms)
         per_run = []
         for trials in (2, 5):
             calls.clear()
@@ -459,6 +484,32 @@ class TestRunSimulation:
         assert {k: (per_run[1][k] - per_run[0][k]) / 3 for k in transforms} == dict.fromkeys(transforms, 1)
         # One per trial and one of the sources: trial 0 forms no second covariance.
         assert [run["empirical_covariance"] for run in per_run] == [3, 6]
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_each_trial_builds_one_observation_graph(self, monkeypatch, trials):
+        """The observation graph a trial's estimate signs along is the one
+        trial 0's sign report reads, and the report reads the kept covariance."""
+        calls = count_calls(monkeypatch, {
+            "build_observation_graph": covariance.build_observation_graph,
+            "empirical_covariance": covariance.empirical_covariance,
+        })
+        cfg = SimulationConfig(n_vertices=6, sample_count=60, noise_sigma=0.3, seed=8, trials=trials)
+        run_simulation(cfg)
+        assert calls == {"build_observation_graph": trials, "empirical_covariance": trials + 1}
+
+    def test_trial_zero_report_reads_its_own_observation_graph(self):
+        """At a high delta the observation graph splits; trial 0's report is
+        the one over trial 0's graph, rebuilt here from its written observations."""
+        cfg = SimulationConfig(
+            n_vertices=24, sample_count=20, noise_sigma=4.0, delta=0.4, seed=1, trials=3
+        )
+        result = run_simulation(cfg)
+        cov_ym = empirical_covariance(gft(result.basis, result.observations))
+        obs = build_observation_graph(cov_ym, result.source_graph, cfg.delta)
+        assert len(obs.components) >= 2 and result.consistency_violations
+        assert result.consistency_violations == sign_consistency_report(
+            result.estimate, obs, result.cov_x, cov_ym
+        )
 
     def test_finished_run_is_freed_without_the_cyclic_gc(self, monkeypatch):
         """A redrawn layout's exception must not keep the run's frames, and its arrays, alive."""
