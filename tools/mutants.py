@@ -9,21 +9,22 @@ An ``ast`` pass over each module lists its mutation points:
 
 Nothing inside an f-string is mutated, so error messages keep their numbers.
 Each mutant changes one token of the source text and keeps every other byte,
-comments and line numbers included. It is written into a copy of the
-repository, where the tier-1 suite runs on it with ``-x``; a mutant the suite
-passes survives. Survivors are printed at the end, one a line, as
+comments and line numbers included. The script copies the repository into a
+temporary directory and first runs the tier-1 suite there unmutated; if that
+run fails, it prints the suite's output and exits with status 1, since every
+mutant would then read as caught. Then it writes each mutant into the copy in
+turn and runs the suite on it with ``-x``; a mutant the suite passes
+survives. Survivors are printed at the end, one a line, as
 ``path:line:col  before -> after``.
 
 Usage, from the repository root:
 
     python tools/mutants.py src/graph_deconv/estimation.py src/graph_deconv/simulate.py
-    python tools/mutants.py --list src/graph_deconv/estimation.py
 
-``--jobs`` runs that many mutants at once, each in its own copy of the
-repository under a temporary directory (default 1). A mutant whose suite runs
-longer than ``TIMEOUT`` counts as killed. Standard library only. A caught
-mutant stops the suite at its first failure, but a survivor runs all of it,
-so a survey of a hundred mutants can take an hour; it is not a CI step.
+A mutant whose suite runs longer than ``TIMEOUT`` counts as killed. Standard
+library only. A caught mutant stops the suite at its first failure, but a
+survivor runs all of it, so a survey of a hundred mutants can take a couple of
+hours; it is not a CI step.
 """
 
 from __future__ import annotations
@@ -31,14 +32,12 @@ from __future__ import annotations
 import argparse
 import ast
 import os
-import queue
 import re
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -159,60 +158,54 @@ def _apply(copy: Path, mutant: Mutant) -> bytes:
     return original
 
 
-def run(mutant: Mutant, copy: Path) -> tuple[str, float]:
-    """Run the suite on ``copy`` with ``mutant`` applied: ("killed" | "survived" | "timeout", seconds)."""
-    original = _apply(copy, mutant)
+def _suite(copy: Path) -> subprocess.CompletedProcess | None:
+    """Run the suite in ``copy``; None if it runs longer than ``TIMEOUT``."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-    started = time.perf_counter()
     try:
-        done = subprocess.run(
-            SUITE, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            timeout=TIMEOUT,
+        return subprocess.run(
+            SUITE, cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True, timeout=TIMEOUT,
         )
-        outcome = "survived" if done.returncode == 0 else "killed"
     except subprocess.TimeoutExpired:
-        outcome = "timeout"
+        return None
+    finally:
+        shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
+
+
+def run(mutant: Mutant, copy: Path) -> str:
+    """Run the suite on ``copy`` with ``mutant`` applied: "killed", "survived" or "timeout"."""
+    original = _apply(copy, mutant)
+    try:
+        done = _suite(copy)
     finally:
         (copy / mutant.path).write_bytes(original)
-        shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
-    return outcome, time.perf_counter() - started
+    if done is None:
+        return "timeout"
+    return "survived" if done.returncode == 0 else "killed"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("modules", nargs="+", type=Path)
-    parser.add_argument("--list", action="store_true", help="print the mutants and run nothing")
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
-
     todo = [m for path in args.modules for m in mutants(path)]
-    if args.list or not todo:
-        for m in todo:
-            print(m)
-        return 0
 
     with tempfile.TemporaryDirectory(prefix="mutants-") as workdir:
-        free = queue.Queue()
-        for k in range(min(args.jobs, len(todo))):
-            copy = Path(workdir) / f"copy-{k}"
-            shutil.copytree(ROOT, copy, ignore=COPY_IGNORE)
-            free.put(copy)
+        copy = Path(workdir) / "repo"
+        shutil.copytree(ROOT, copy, ignore=COPY_IGNORE)
+        baseline = _suite(copy)
+        if baseline is None or baseline.returncode != 0:
+            print(baseline.stdout if baseline else f"the unmutated suite ran longer than {TIMEOUT} s")
+            print("the unmutated suite fails in the copy; no mutant was run", file=sys.stderr)
+            return 1
+        survivors = []
+        for mutant in todo:
+            started = time.perf_counter()
+            outcome = run(mutant, copy)
+            print(f"{outcome:8s} {time.perf_counter() - started:6.1f}s  {mutant}", flush=True)
+            if outcome == "survived":
+                survivors.append(mutant)
 
-        def one(mutant: Mutant) -> str:
-            copy = free.get()
-            try:
-                outcome, seconds = run(mutant, copy)
-            finally:
-                free.put(copy)
-            print(f"{outcome:8s} {seconds:6.1f}s  {mutant}", flush=True)
-            return outcome
-
-        with ThreadPoolExecutor(free.qsize()) as pool:
-            outcomes = list(pool.map(one, todo))
-
-    survivors = [m for m, outcome in zip(todo, outcomes) if outcome == "survived"]
     print(f"\n{len(survivors)} of {len(todo)} mutants survived:")
     for m in survivors:
         print(m)
