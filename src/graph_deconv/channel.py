@@ -8,12 +8,10 @@ form only shows up in test oracles).
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
 from .errors import NearZeroResponse
-from .spectral import SPECTRAL, SignalEnsemble, _Taken
+from .spectral import SPECTRAL, SignalEnsemble, _labels, _Taken
 
 RESPONSE_FLOOR = 1e-12
 
@@ -64,20 +62,8 @@ def pseudo_inverse(gamma, support) -> np.ndarray:
 
 
 def _support_labels(support, n: int) -> list[int]:
-    """``support`` as ascending Python-int labels in 1..n.
-
-    A label that is not an integer (a bool is not one) or lies outside 1..n
-    raises ValueError; a range error names the lowest such label.
-    """
-    labels = list(support)
-    for v in labels:
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-            raise ValueError(f"support index {v!r} is not an integer")
-    vertices = sorted({int(v) for v in labels})
-    outside = [v for v in vertices if not 1 <= v <= n]
-    if outside:
-        raise ValueError(f"support index {outside[0]} out of range 1..{n}")
-    return vertices
+    """``support`` as ascending distinct Python-int labels in 1..n, checked by ``spectral._labels``."""
+    return sorted(set(_labels(support, n, "support index")))
 
 
 def random_channel(n: int, amplitude: float, seed) -> np.ndarray:

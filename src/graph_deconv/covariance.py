@@ -35,6 +35,7 @@ from .spectral import (
     SpectralBasis,
     _as_spectral,
     _check_width,
+    _pair,
 )
 
 _SLAB_BYTES = 1 << 18
@@ -210,20 +211,7 @@ class BoundCheck:
         return self.bound < 1.0
 
 
-def _probe_pair(probe, n: int) -> tuple[int, int]:
-    """One probe as a pair of Python ints in 1..n; anything else raises ValueError."""
-    try:
-        p, q = probe
-    except (TypeError, ValueError):
-        raise ValueError(f"probe {probe!r} must be a pair of integers") from None
-    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in (p, q)):
-        raise ValueError(f"probe {probe!r} must be a pair of integers")
-    if not (1 <= p <= n and 1 <= q <= n):
-        raise ValueError(f"probe ({p}, {q}) out of range 1..{n}")
-    return int(p), int(q)
-
-
-def _bartlett_blocks(factor: np.ndarray, m: int, trials: int, seed: int):
+def _bartlett_blocks(factor: np.ndarray, m: int, trials: int, chi2, normal):
     """Yield, a block of trials at a time, G_t = R_t F with G_t^T G_t ~ Wishart(m, F^T F).
 
     ``factor`` is a k x k F. R_t is trial t's Bartlett factor of Wishart(m, I),
@@ -231,19 +219,14 @@ def _bartlett_blocks(factor: np.ndarray, m: int, trials: int, seed: int):
     standard normal for j > i and zero below the diagonal (Odell and Feiveson,
     JASA 1966). At m < k its m rows are distributed as the triangular factor
     of the QR of an m x k standard normal, so m < k needs no second branch.
-    The chi-squares and the normals come from the streams (seed, _BOUNDS, 0)
-    and (seed, _BOUNDS, 1), each consumed in trial order, and G is formed by
-    elementwise products and sums, not BLAS, so no value depends on the block
-    size.
+    The chi-squares come from the generator ``chi2`` and the normals from
+    ``normal``, each consumed in trial order, and G is formed by elementwise
+    products and sums, not BLAS, so no value depends on the block size.
     """
-    from .simulate import _BOUNDS, derive_seed
-
     k = factor.shape[0]
     rows = min(m, k)
     diag = np.arange(rows)
     above = np.triu_indices(rows, 1, k)
-    chi2 = np.random.default_rng(derive_seed(seed, _BOUNDS, 0))
-    normal = np.random.default_rng(derive_seed(seed, _BOUNDS, 1))
     for start in range(0, trials, _TRIAL_BLOCK):
         b = min(_TRIAL_BLOCK, trials - start)
         r = np.zeros((b, rows, k))
@@ -279,7 +262,7 @@ def validate_bound_monte_carlo(
     ``trials`` must be an integer >= 100 and every target a finite number
     > 0; anything else raises ValueError.
     """
-    from .simulate import population_model
+    from .simulate import _BOUNDS, derive_seed, population_model
 
     if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
         raise ValueError(f"trials must be an integer, got {trials!r}")
@@ -294,10 +277,11 @@ def validate_bound_monte_carlo(
     sigma = config.noise_sigma
 
     if probes is None:
-        off = np.abs(pop.cov_x - np.diag(np.diag(pop.cov_x)))
+        off = np.abs(pop.cov_x)
+        np.fill_diagonal(off, 0.0)
         i, j = np.unravel_index(int(np.argmax(off)), off.shape)
         probes = [(1, 1), (min(i, j) + 1, max(i, j) + 1)]
-    probes = [_probe_pair(probe, n) for probe in probes]
+    probes = [_pair(probe, n, "probe") for probe in probes]
 
     checks: list[tuple[int, int, float, float]] = []
     for p, q in probes:
@@ -313,10 +297,12 @@ def validate_bound_monte_carlo(
     at = at.reshape(pq.shape)
     b = pop.gamma[cols, None] * pop.mixing[cols]
     f = np.linalg.qr(np.vstack([b.T, sigma * np.eye(cols.size)]), mode="r")
-    truth = pop.cov_y[pq[:, 0], pq[:, 1]]
+    first, second = pq.T
+    truth = pop.gamma[first] * pop.gamma[second] * pop.cov_x[first, second] + sigma**2 * (first == second)
     eps_each = np.array([eps for _, _, eps, _ in checks])
     exceed = np.zeros(len(checks), dtype=int)
-    for g in _bartlett_blocks(f, m, trials, config.seed):
+    streams = [np.random.default_rng(derive_seed(config.seed, _BOUNDS, s)) for s in (0, 1)]
+    for g in _bartlett_blocks(f, m, trials, *streams):
         gram = g[:, 0, at[:, 0]] * g[:, 0, at[:, 1]]
         for i in range(1, g.shape[1]):
             gram += g[:, i, at[:, 0]] * g[:, i, at[:, 1]]

@@ -36,6 +36,7 @@ from .spectral import (
     SpectralBasis,
     _as_spectral,
     _check_width,
+    _labels,
     _owned,
     _Taken,
     _Value,
@@ -217,10 +218,10 @@ def align_component_signs(
     chosen (equivalently the sign of the inner product with the reference,
     +1 on a tie). A flip negates the component's entries of the inverted
     response, so off-support coefficients are untouched and no M x N array is
-    copied. A component vertex outside 1..N raises ValueError naming it.
-    The aligned result shares the input's spectral observations, so reading
-    its outputs transforms nothing. Returns the aligned result and the
-    per-component flips, ordered like ``components``.
+    copied. A component vertex that is not an integer in 1..N raises
+    ValueError naming it. The aligned result shares the input's spectral
+    observations, so reading its outputs transforms nothing. Returns the
+    aligned result and the per-component flips, ordered like ``components``.
     """
     if reference.domain != SPECTRAL:
         raise ValueError("reference ensemble must be spectral")
@@ -233,10 +234,7 @@ def align_component_signs(
     inverse = result.inverse.copy()
     flips = []
     for comp in components:
-        outside = [v for v in comp.vertices if not 1 <= v <= n]
-        if outside:
-            raise ValueError(f"component vertex {outside[0]} out of range 1..{n}")
-        cols = [v - 1 for v in comp.vertices]
+        cols = [v - 1 for v in _labels(comp.vertices, n, "component vertex")]
         inner = float(np.sum(y[:, cols] * inverse[cols] * reference.signals[:, cols]))
         flip = -1 if inner < 0 else 1
         if flip < 0:

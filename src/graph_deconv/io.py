@@ -42,7 +42,7 @@ from . import _float_csv
 from .covariance import BoundCheck
 from .errors import FileFormatError
 from .estimation import ChannelEstimate, Component, sign_of
-from .spectral import VERTEX, SignalEnsemble, _owned, _Taken, _Value
+from .spectral import VERTEX, SignalEnsemble, _labels, _owned, _Taken, _Value
 
 _ESTIMATE_HEADER = ["n", "gamma_m", "in_support", "component", "is_anchor"]
 
@@ -357,12 +357,12 @@ def write_channel_estimate(csv_path, estimate: ChannelEstimate) -> None:
     """Write the estimate's CSV, the whole record of its support, components and anchors.
 
     An estimate the CSV would read back changed raises ``ValueError`` naming
-    the vertex, before the file is opened: a component vertex outside 1..N
-    or listed twice, component vertices not strictly ascending, an anchor
-    outside its component, an anchor sign other than ``sign_of`` its response
-    (so a zero or -0.0 anchor response carries +1), or a support other than
-    the components' union. Parent maps are not written, and anchor signs are
-    read back from the responses.
+    the vertex, before the file is opened: a component vertex that is not an
+    integer in 1..N or is listed twice, component vertices not strictly
+    ascending, an anchor outside its component, an anchor sign other than
+    ``sign_of`` its response (so a zero or -0.0 anchor response carries +1),
+    or a support other than the components' union. Parent maps are not
+    written, and anchor signs are read back from the responses.
     """
     n = estimate.n_vertices
 
@@ -371,9 +371,7 @@ def write_channel_estimate(csv_path, estimate: ChannelEstimate) -> None:
 
     flags = np.zeros((3, n), dtype=int)  # in_support, component, is_anchor
     for k, comp in enumerate(estimate.components, start=1):
-        for v in comp.vertices:
-            if not 1 <= v <= n:
-                fail(v, f"of component {k} is outside 1..{n}")
+        for v in _labels(comp.vertices, n, f"{csv_path}: component {k} vertex"):
             if flags[1, v - 1]:
                 fail(v, f"is listed in component {flags[1, v - 1]} and again in component {k}")
             flags[1, v - 1] = k

@@ -313,15 +313,13 @@ class PopulationModel:
 
     mixing: np.ndarray
     gamma: np.ndarray
-    sigma: float
     cov_x: np.ndarray
-    cov_y: np.ndarray
     c4: float
     h_norm: float
 
 
 def population_model(config: SimulationConfig) -> PopulationModel:
-    """Population covariances, kurtosis, and channel norm implied by a config.
+    """Population source covariance, kurtosis, and channel norm implied by a config.
 
     Sources are Gaussian, so the population kurtosis is three times the
     squared largest spectral variance: the largest entry of the variance
@@ -334,14 +332,10 @@ def population_model(config: SimulationConfig) -> PopulationModel:
         config.n_vertices, config.channel_amplitude, derive_seed(config.seed, _CHANNEL, 0)
     )
     cov_x = mixing @ mixing.T
-    sigma = config.noise_sigma
-    cov_y = np.outer(gamma, gamma) * cov_x + sigma**2 * np.eye(config.n_vertices)
     return PopulationModel(
         mixing=mixing,
         gamma=gamma,
-        sigma=sigma,
         cov_x=cov_x,
-        cov_y=cov_y,
         c4=3.0 * float(np.max(variance_profile(config.n_vertices))) ** 2,
         h_norm=operator_norm(gamma),
     )

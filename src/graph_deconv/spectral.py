@@ -2,6 +2,8 @@
 
 Vertices are labelled 1..N everywhere in the public interface. Arrays are
 positional, so entry ``k`` of a length-N vector belongs to vertex ``k + 1``.
+A label a caller passes in (an edge, probe, support or component vertex) is
+a Python or numpy integer that is not a bool, checked by ``_labels`` or ``_pair``.
 
 ``Graph`` is the package's one graph type: the shift's graph, the source graph
 and the observation graph are all ``Graph``s. A graph stores its vertex count
@@ -26,6 +28,7 @@ An ensemble keeps one memo, its spectral covariance, which only
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Set
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -50,18 +53,53 @@ class _Value:
         return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
-def edge_mask(n_vertices: int, edges) -> np.ndarray:
-    """Strictly upper-triangular boolean N x N mask of the edges.
+def _is_integer(v) -> bool:
+    """True for a Python or numpy integer; a bool is not one, nor is 2.0."""
+    return type(v) is int or isinstance(v, np.integer) or (
+        isinstance(v, numbers.Integral) and not isinstance(v, bool)
+    )
 
-    ``edges`` are 1-based ``(i, j)`` pairs in either order; each is range-checked.
+
+def _labels(values, n: int, what: str) -> list[int]:
+    """``values`` in order as Python ints, once each is an integer in 1..n (a vertex label).
+
+    Else ValueError names the first value that is not an integer,
+    "{what} {v!r} is not an integer", or the lowest label outside 1..n.
     """
-    pairs = {normalize_edge(e) for e in edges}
-    for i, j in pairs:
-        if not (1 <= i < j <= n_vertices):
-            raise ValueError(f"edge ({i}, {j}) out of range for {n_vertices} vertices")
-    ends = np.array(list(pairs), dtype=np.intp).reshape(-1, 2) - 1
+    labels = []
+    for v in values:
+        if not _is_integer(v):
+            raise ValueError(f"{what} {v!r} is not an integer")
+        labels.append(int(v))
+    if labels and not 1 <= min(labels) <= max(labels) <= n:
+        low = min(v for v in labels if not 1 <= v <= n)
+        raise ValueError(f"{what} {low} out of range 1..{n}")
+    return labels
+
+
+def _pair(pair, n: int, what: str) -> tuple[int, int]:
+    """``pair`` as two Python ints, once it is exactly two labels in 1..n; else ValueError naming it."""
+    try:
+        p, q = pair
+    except (TypeError, ValueError):
+        p = q = None
+    if not (_is_integer(p) and _is_integer(q)):
+        raise ValueError(f"{what} {pair!r} must be a pair of integers")
+    if not (1 <= p <= n and 1 <= q <= n):
+        raise ValueError(f"{what} {pair!r} out of range 1..{n}")
+    return int(p), int(q)
+
+
+def edge_mask(n_vertices: int, edges) -> np.ndarray:
+    """Strictly upper-triangular boolean N x N mask of ``edges``, pairs (``_pair``) in either order."""
+    if isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.shape[1] == 2:
+        edges = zip(*edges.T.tolist())  # pairs of Python scalars check faster than numpy rows
+    ends = np.array([_pair(e, n_vertices, "edge") for e in edges], dtype=np.intp).reshape(-1, 2) - 1
+    low, high = ends.min(axis=1), ends.max(axis=1)
+    for k in np.flatnonzero(low == high)[:1]:
+        raise ValueError(f"self loop at vertex {low[k] + 1}")
     upper = np.zeros((n_vertices, n_vertices), dtype=bool)
-    upper[ends[:, 0], ends[:, 1]] = True
+    upper[low, high] = True
     return upper
 
 
@@ -194,11 +232,12 @@ def bfs_forest(adj: np.ndarray, members: np.ndarray) -> tuple[BfsTree, ...]:
 class Graph(_Value):
     """Undirected, unweighted, finite graph on vertices 1..N.
 
-    ``edges`` may be given as an ``EdgeSet`` or as any iterable of 1-based
-    vertex pairs; it is stored as an ``EdgeSet`` and read back as tuples
-    (i, j) with i < j. Self loops are rejected; a duplicate pair is the same
-    edge; an ``EdgeSet`` is kept as is. The other attributes are read-only
-    and computed from the edge mask the first time they are read.
+    ``edges`` may be given as an ``EdgeSet``, kept as is, or as any iterable
+    of vertex pairs in either order, each two Python or numpy integers (not
+    bools, not 2.0) in 1..N; a duplicate pair is the same edge, and a self
+    loop or any other pair raises ValueError naming it. Edges are read back
+    as tuples (i, j) with i < j. The other attributes are read-only and
+    computed from the edge mask the first time they are read.
     """
 
     n_vertices: int
@@ -269,13 +308,6 @@ class _Taken:
         self.array = array
 
 
-def normalize_edge(pair) -> tuple[int, int]:
-    i, j = int(pair[0]), int(pair[1])
-    if i == j:
-        raise ValueError(f"self loop at vertex {i}")
-    return (i, j) if i < j else (j, i)
-
-
 @dataclass(frozen=True)
 class SpectralBasis(_Value):
     """Orthonormal eigenmodes of a symmetric graph shift.
@@ -340,7 +372,8 @@ def build_radius_graph(coords, radius: float) -> Graph:
     """Connect every pair of points within Euclidean distance ``radius``.
 
     ``coords`` is a sequence of (id, x, y) rows. Ids may be arbitrary but must
-    be distinct; vertices are numbered 1..N in input order.
+    be distinct; vertices are numbered 1..N in input order. A NaN or infinite
+    x or y raises ValueError naming its row.
     """
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be a finite number > 0, got {radius}")
@@ -352,6 +385,9 @@ def build_radius_graph(coords, radius: float) -> Graph:
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         raise ValueError(f"duplicate coordinate ids: {dupes}")
     xy = np.array([[float(r[1]), float(r[2])] for r in rows])
+    for k in np.flatnonzero(~np.isfinite(xy))[:1]:
+        row, col = divmod(int(k), 2)
+        raise ValueError(f"coordinate row {row + 1} has {'xy'[col]} = {xy.flat[k].item()!r}, not a finite number")
     diff = xy[:, None, :] - xy[None, :, :]
     dist2 = np.einsum("ijk,ijk->ij", diff, diff)
     return Graph(n_vertices=len(rows), edges=EdgeSet(np.triu(dist2 <= float(radius) ** 2, 1)))

@@ -18,7 +18,8 @@ import pytest
 from graph_deconv import SimulationConfig, concentration_bound, validate_bound_monte_carlo
 from graph_deconv import covariance
 from graph_deconv.covariance import BoundCheck, _bartlett_blocks
-from graph_deconv.simulate import population_model
+from graph_deconv.simulate import _BOUNDS, derive_seed, population_model
+from test_spectral import MALFORMED_IDS, MALFORMED_PAIRS
 
 
 def reference_bound_monte_carlo(config, trials, probes=None, bound_targets=(0.1, 0.3, 0.6)):
@@ -43,7 +44,8 @@ def reference_bound_monte_carlo(config, trials, probes=None, bound_targets=(0.1,
             checks.append((p, q, eps, bound))
 
     exceed = np.zeros(len(checks), dtype=int)
-    truth = {(p, q): pop.cov_y[p - 1, q - 1] for p, q, _, _ in checks}
+    cov_y = np.outer(pop.gamma, pop.gamma) * pop.cov_x + sigma**2 * np.eye(n)
+    truth = {(p, q): cov_y[p - 1, q - 1] for p, q, _, _ in checks}
     for t in range(trials):
         rng = np.random.default_rng(config.seed + t)
         z = rng.standard_normal((m, n))
@@ -106,7 +108,8 @@ def test_singular_block_at_sigma_zero():
     population covariance of the probed columns has rank 1 and has no
     Cholesky factor; the QR factor still draws from it exactly."""
     config = SimulationConfig(n_vertices=2, sample_count=100, noise_sigma=0.0, seed=2)
-    cov_y = population_model(config).cov_y
+    pop = population_model(config)
+    cov_y = np.outer(pop.gamma, pop.gamma) * pop.cov_x
     assert np.linalg.matrix_rank(cov_y) == 1
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(cov_y)
@@ -126,12 +129,7 @@ def test_default_probes_are_python_ints():
         assert type(check.n) is int and type(check.nprime) is int
 
 
-@pytest.mark.parametrize(
-    "probe",
-    [(1.5, 2), (True, 2), (1, False), (1,), (1, 2, 3), "12", 7, (None, 1), (1, 9), (0, 1)],
-    ids=["float", "bool", "bool-second", "single", "triple", "string", "scalar", "none",
-         "above-n", "zero"],
-)
+@pytest.mark.parametrize("probe", MALFORMED_PAIRS, ids=MALFORMED_IDS)
 def test_bad_probe_is_value_error_naming_it(probe):
     config = SimulationConfig(n_vertices=8, sample_count=20, noise_sigma=0.1, seed=1)
     with pytest.raises(ValueError, match=re.escape(f"probe {probe!r}")):
@@ -181,6 +179,11 @@ def test_numpy_integer_probes_accepted():
 FACTOR = np.array([[1.5, 0.6, -0.4], [0.0, 0.8, 0.3], [0.0, 0.0, 0.5]])
 
 
+def streams(seed):
+    """The chi-square and normal generators ``validate_bound_monte_carlo`` draws from."""
+    return [np.random.default_rng(derive_seed(seed, _BOUNDS, s)) for s in (0, 1)]
+
+
 @pytest.mark.parametrize("m", [10, 2], ids=["full", "two-rows"])
 def test_bartlett_draws_have_the_wishart_moments(m):
     """W = G^T G over 20,000 trials has E W = M Sigma and
@@ -190,7 +193,7 @@ def test_bartlett_draws_have_the_wishart_moments(m):
     moment implies; the largest |z| measured at seed 1 was 1.33 (M = 10) and
     1.03 (M = 2)."""
     sigma = FACTOR.T @ FACTOR
-    blocks = _bartlett_blocks(FACTOR, m, 20000, 1)
+    blocks = _bartlett_blocks(FACTOR, m, 20000, *streams(1))
     w = np.concatenate([np.einsum("tia,tib->tab", g, g) for g in blocks])
     assert w.shape == (20000, 3, 3)
     assert np.linalg.matrix_rank(w[0]) == min(m, 3)
@@ -212,11 +215,11 @@ def test_block_size_changes_no_byte(monkeypatch):
     config = SimulationConfig(n_vertices=8, sample_count=100, noise_sigma=0.5, seed=4242)
     kwargs = dict(probes=[(1, 1), (2, 3), (4, 4)], bound_targets=(0.3, 0.8))
     report = validate_bound_monte_carlo(config, 2500, **kwargs)
-    draws = np.concatenate(list(_bartlett_blocks(FACTOR, 10, 2500, 5)))
+    draws = np.concatenate(list(_bartlett_blocks(FACTOR, 10, 2500, *streams(5))))
     assert 2500 > 2 * covariance._TRIAL_BLOCK > 7
     monkeypatch.setattr(covariance, "_TRIAL_BLOCK", 7)
     assert validate_bound_monte_carlo(config, 2500, **kwargs) == report
-    assert np.array_equal(np.concatenate(list(_bartlett_blocks(FACTOR, 10, 2500, 5))), draws)
+    assert np.array_equal(np.concatenate(list(_bartlett_blocks(FACTOR, 10, 2500, *streams(5)))), draws)
     assert any(check.empirical > 0 for check in report)
 
 

@@ -231,3 +231,5 @@ class TestStationarityResidual:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             stationarity_residual(np.eye(3), np.eye(4))
+        with pytest.raises(ValueError, match="mismatch"):
+            stationarity_residual(np.ones(3), np.ones(3))

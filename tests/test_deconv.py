@@ -7,6 +7,7 @@ Ground truth:
 """
 
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -240,6 +241,14 @@ class TestAlignComponentSigns:
         result = blind_deconvolve(ChannelEstimate.from_response(gamma), observations, basis)
         comp = Component(vertices=(1, 2, bad), anchor=1, anchor_sign=1, parents={})
         with pytest.raises(ValueError, match=f"component vertex {bad} out of range 1..8"):
+            align_component_signs(result, xhat, (comp,))
+
+    @pytest.mark.parametrize("bad", [1.5, True, 2.0, np.bool_(True)])
+    def test_non_integer_component_vertex_rejected(self, bad):
+        basis, xhat, sources, gamma, observations = noiseless_setup(seed=63)
+        result = blind_deconvolve(ChannelEstimate.from_response(gamma), observations, basis)
+        comp = Component(vertices=(1, bad, 3), anchor=1, anchor_sign=1, parents={})
+        with pytest.raises(ValueError, match=re.escape(f"component vertex {bad!r} is not an integer")):
             align_component_signs(result, xhat, (comp,))
 
 

@@ -9,6 +9,7 @@ with them exactly: the same components, spanning trees, edges, set algebra,
 hashes, degrees, Laplacian entries, radii and warnings.
 """
 
+import re
 import tracemalloc
 import warnings
 
@@ -299,6 +300,45 @@ def probes(n):
         st.text(max_size=3),
         st.none(),
     )
+
+
+@st.composite
+def labelled_pairs(draw):
+    """A vertex count and valid edges in either order, repeats allowed."""
+    n = draw(st.integers(2, 12))
+    ends = st.integers(1, n)
+    return n, draw(st.lists(st.tuples(ends, ends).filter(lambda e: e[0] != e[1]), max_size=40))
+
+
+# One pair spoilt: a float label, an integral float, a third label, one label, a string.
+SPOIL = [
+    lambda e: (e[0] + 0.5, e[1]),
+    lambda e: (e[0], float(e[1])),
+    lambda e: (*e, e[0]),
+    lambda e: e[:1],
+    lambda e: f"{e[0]}{e[1]}",
+]
+
+
+class TestEdgeLabels:
+    @SETTINGS
+    @given(labelled_pairs(), st.sampled_from([np.int64, np.int32, np.uint8, np.intp]), st.data())
+    def test_graph_is_the_scatter_of_the_sorted_pairs(self, graph, dtype, data):
+        """Python-int pairs, numpy integer rows, tuples of numpy integers and
+        one (k, 2) array all build the mask a numpy scatter of the sorted pairs
+        sets; the same pairs with one spoilt raise a ValueError naming it."""
+        n, pairs = graph
+        rows = np.array(pairs, dtype=dtype).reshape(-1, 2)
+        ends = np.sort(rows.astype(np.intp), axis=1) - 1
+        want = np.zeros((n, n), dtype=bool)
+        want[ends[:, 0], ends[:, 1]] = True
+        for edges in (pairs, list(rows), [tuple(row) for row in rows], rows):
+            assert np.array_equal(Graph(n, edges).edges.upper, want)
+        if pairs:
+            k = data.draw(st.integers(0, len(pairs) - 1))
+            spoilt = data.draw(st.sampled_from(SPOIL))(pairs[k])
+            with pytest.raises(ValueError, match=re.escape(f"edge {spoilt!r} must be a pair of integers")):
+                Graph(n, pairs[:k] + [spoilt] + pairs[k + 1 :])
 
 
 class TestEdgeSetView:

@@ -145,11 +145,14 @@ class TestChannelEstimate:
                 (((1, 2), 1), ((2, 3), 2)),
                 "vertex 2 is listed in component 1 and again in component 2",
             ),
-            ({1, 2, 3}, (((1, 2, 3, 4), 1),), "vertex 4 of component 1 is outside 1..3"),
+            ({1, 2, 3}, (((1, 2, 3, 4), 1),), "component 1 vertex 4 out of range 1..3"),
+            ({1, 2, 3}, (((1, 1.5), 1),), "component 1 vertex 1.5 is not an integer"),
+            ({1, 2, 3}, (((True, 2), 2),), "component 1 vertex True is not an integer"),
             ({1, 2}, (((1, 2), 1), ((3,), 3)), "vertex 3 is in a component but not in the support"),
             ({1, 2}, (((1, 2), 3),), "vertex 3 is the anchor of component 1 but not one of its vertices"),
         ],
-        ids=["support-without-components", "overlapping", "out-of-range", "off-support", "stray-anchor"],
+        ids=["support-without-components", "overlapping", "out-of-range", "float-vertex", "bool-vertex",
+             "off-support", "stray-anchor"],
     )
     def test_estimate_the_csv_cannot_hold_is_refused(self, tmp_path, support, components, names):
         est = ChannelEstimate(

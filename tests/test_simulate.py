@@ -349,9 +349,9 @@ class TestPopulationModel:
         assert pop.c4 == pytest.approx(3.0 * np.max(np.diag(pop.cov_x)) ** 2)
         # Exactly the profile's kurtosis, not the rounded diagonal's.
         assert pop.c4 == 3.0 * 177.8017**2
-        np.testing.assert_allclose(
-            pop.cov_y, np.outer(pop.gamma, pop.gamma) * pop.cov_x + 0.25 * np.eye(8)
-        )
+        np.testing.assert_array_equal(pop.cov_x, pop.mixing @ pop.mixing.T)
+        # The noise level is the config's; no N x N observation covariance is formed.
+        assert vars(pop).keys() == {"mixing", "gamma", "cov_x", "c4", "h_norm"}
 
 
 class TestSignsMatch:

@@ -9,6 +9,8 @@ Ground truth:
 import gc
 import math
 import pickle
+import re
+import warnings
 import weakref
 
 import numpy as np
@@ -29,6 +31,19 @@ from graph_deconv.covariance import _spectral_covariance
 from graph_deconv.simulate import simulation_graph
 
 
+# Pairs that are not two vertex labels of an 8-vertex graph. Edges and the
+# bound Monte Carlo's probes are checked by one rule, so each raises a
+# ValueError that names it from ``Graph`` and from ``validate_bound_monte_carlo``.
+MALFORMED_PAIRS = [
+    (1.5, 2), (2.0, 3), (True, 2), (1, False), (np.int64(1), np.bool_(True)), (1,), (1, 2, 3),
+    "12", 7, (None, 1), (1, 9), (0, 1), (np.int64(9), 2),
+]
+MALFORMED_IDS = [
+    "float", "integral-float", "bool", "bool-second", "numpy-bool", "single", "triple",
+    "string", "scalar", "none", "above-n", "zero", "numpy-above-n",
+]
+
+
 def path_graph(n):
     return Graph(n_vertices=n, edges=frozenset((k, k + 1) for k in range(1, n)))
 
@@ -45,6 +60,30 @@ class TestGraph:
     def test_rejects_out_of_range_edge(self):
         with pytest.raises(ValueError, match="out of range"):
             Graph(n_vertices=3, edges=frozenset({(1, 4)}))
+
+    @pytest.mark.parametrize("pair", MALFORMED_PAIRS, ids=MALFORMED_IDS)
+    def test_malformed_edge_is_value_error_naming_it(self, pair):
+        named = re.escape(f"edge {pair!r}")
+        with pytest.raises(ValueError, match=named):
+            Graph(n_vertices=8, edges=[(1, 2), pair])
+        with pytest.raises(ValueError, match=named):
+            spectral.edge_mask(8, [pair])
+
+    def test_self_loop_names_the_first(self):
+        with pytest.raises(ValueError, match="self loop at vertex 3$"):
+            Graph(n_vertices=4, edges=[(1, 2), (np.int64(3), 3), (4, 4)])
+        with pytest.raises(ValueError, match="self loop at vertex 4$"):
+            Graph(n_vertices=4, edges=np.array([[1, 2], [4, 4]]))
+
+    def test_array_rows_are_named_as_pairs_of_python_scalars(self):
+        """A (k, 2) array is checked row by row like any pairs: a bad row is
+        named as a tuple, and a 1-D array's entries are not pairs."""
+        with pytest.raises(ValueError, match=re.escape("edge (1, 9) out of range 1..3")):
+            Graph(3, np.array([[1, 2], [1, 9]]))
+        with pytest.raises(ValueError, match=re.escape("edge (1.0, 2.0) must be a pair of integers")):
+            Graph(3, np.array([[1.0, 2.0]]))
+        with pytest.raises(ValueError, match=re.escape(f"edge {np.int64(1)!r} must be a pair of integers")):
+            Graph(3, np.array([1, 2], dtype=np.int64))
 
     def test_connectivity(self):
         assert path_graph(4).connected
@@ -82,6 +121,11 @@ class TestRadiusGraph:
         with pytest.raises(ValueError, match="duplicate"):
             build_radius_graph(coords, 1.0)
 
+    def test_duplicate_ids_are_listed_once_each(self):
+        coords = [(name, float(k), 0.0) for k, name in enumerate("abacb")]
+        with pytest.raises(ValueError, match=re.escape("duplicate coordinate ids: ['a', 'b']") + "$"):
+            build_radius_graph(coords, 1.0)
+
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             build_radius_graph([("a", 0.0, 0.0)], 1.0)
@@ -89,6 +133,18 @@ class TestRadiusGraph:
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(ValueError, match="radius"):
             build_radius_graph([("a", 0.0, 0.0), ("b", 1.0, 0.0)], 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("col", [1, 2], ids=["x", "y"])
+    def test_non_finite_coordinate_rejected_naming_its_row(self, bad, col):
+        """A non-finite point once lost its edges silently (NaN) or with a
+        RuntimeWarning (inf), and the spectrum then failed on tied eigenvalues."""
+        coords = [[f"p{k}", float(k % 3), float(k // 3)] for k in range(6)]
+        coords[4][col] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"row 5 has {'xy'[col - 1]} = {bad!r}, not a finite")):
+                build_radius_graph(coords, 1.5)
 
 
 class TestLaplacian:
@@ -139,6 +195,11 @@ class TestEigendecompose:
     def test_rejects_asymmetric_input(self):
         with pytest.raises(ValueError, match="symmetric"):
             eigendecompose(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
+    def test_non_square_shift_names_its_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"shift must be square, got shape {shape}")):
+            eigendecompose(np.zeros(shape))
 
     def test_magnitude_tie_orders_negative_first(self):
         basis = eigendecompose(np.diag([1.0, -1.0]))
@@ -193,7 +254,9 @@ class TestScaleRelativeChecks:
             gram = scaled.modes.T @ scaled.modes
             assert np.max(np.abs(gram - np.eye(shift.shape[0]))) <= 1e-12
 
-    @pytest.mark.parametrize("relative, refused", [(1e-6, True), (1e-14, False)])
+    @pytest.mark.parametrize(
+        "relative, refused", [(1e-6, True), (1e-14, False), (1.005e-10, True), (0.995e-10, False)]
+    )
     def test_asymmetry_is_judged_against_the_largest_eigenvalue(self, relative, refused):
         shift = _simulation_laplacian()
         shift[0, 1] += relative * np.max(np.abs(np.linalg.eigvalsh(shift)))
@@ -223,7 +286,10 @@ class TestScaleRelativeChecks:
         else:
             assert eigendecompose(shift).eigenvalues.tolist() == [1.0, 1.0 + gap, 2.0]
 
-    @pytest.mark.parametrize("lead, signs", [(-5e-13, [-1.0, 1.0]), (-5e-12, [1.0, -1.0])])
+    @pytest.mark.parametrize(
+        "lead, signs",
+        [(-5e-13, [-1.0, 1.0]), (-5e-12, [1.0, -1.0]), (-0.995e-12, [-1.0, 1.0]), (-1.005e-12, [1.0, -1.0])],
+    )
     def test_sign_pivot_is_the_first_entry_above_1e_12(self, lead, signs):
         """The mode of lambda ~ 2 is ~(lead, 1, 0) up to its sign. Its first
         entry is the pivot, and comes out positive, only when |lead| > 1e-12;
@@ -251,6 +317,7 @@ class TestScaleRelativeChecks:
                 eigendecompose(2.0**k * shift)
         with pytest.raises(ValueError, match=r"max \|lambda\| = 5e-324 is below"):
             eigendecompose([[5e-324]])
+        assert eigendecompose(np.diag([tiny, tiny / 2])).eigenvalues.tolist() == [tiny / 2, tiny]
         one = eigendecompose(np.zeros((1, 1)))
         assert one.eigenvalues.tolist() == [0.0] and one.modes.tolist() == [[1.0]]
 
@@ -424,6 +491,10 @@ class TestSignalEnsemble:
     def test_rejects_unknown_domain(self):
         with pytest.raises(ValueError, match="domain"):
             SignalEnsemble(signals=np.ones((1, 3)), domain="fourier")
+
+    def test_counts_signals_and_vertices(self):
+        e = SignalEnsemble(signals=np.ones((2, 5)), domain="vertex")
+        assert (e.n_signals, e.n_vertices) == (2, 5)
 
     def test_promotes_single_vector(self):
         e = SignalEnsemble(signals=np.array([1.0, 2.0, 3.0]), domain="vertex")

@@ -7,6 +7,10 @@ An ``ast`` pass over each module lists its mutation points:
   to ``1.01 x`` (``0.0`` to ``0.01``);
 - every binary or augmented ``+`` becomes ``-`` and every ``-`` becomes ``+``.
 
+A ``tokenize`` pass adds the boolean keywords: every ``and`` becomes ``or``
+and every ``or`` becomes ``and``, and every ``not`` is dropped, except the
+``not`` of ``not in`` and ``is not``, which the comparison flips cover.
+
 Nothing inside an f-string is mutated, so error messages keep their numbers.
 Each mutant changes one token of the source text and keeps every other byte,
 comments and line numbers included. The script copies the repository into a
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import io
 import os
 import re
 import shutil
@@ -38,6 +43,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,6 +68,11 @@ FLIPS = {
     ast.NotIn: (r"\bnot\s+in\b", "in"),
 }
 SWAPS = {ast.Add: (r"\+", "-"), ast.Sub: (r"-", "+")}
+# Boolean keyword -> its replacement; a dropped ``not`` leaves its operand.
+KEYWORDS = {"and": "or", "or": "and", "not": ""}
+# Python 3.12 splits an f-string into tokens; older versions keep it one STRING.
+FSTRING_START = getattr(tokenize, "FSTRING_START", None)
+FSTRING_END = getattr(tokenize, "FSTRING_END", None)
 
 
 @dataclass(frozen=True)
@@ -118,6 +129,19 @@ class _Sites(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def _keywords(data: bytes):
+    """The mutable boolean keyword tokens of a module, outside strings, comments and f-strings."""
+    tokens = list(tokenize.tokenize(io.BytesIO(data).readline))
+    depth = 0  # f-string nesting
+    for k, tok in enumerate(tokens):
+        depth += (tok.type == FSTRING_START) - (tok.type == FSTRING_END)
+        if depth or tok.type != tokenize.NAME or tok.string not in KEYWORDS:
+            continue
+        if tok.string == "not" and (tokens[k + 1].string == "in" or tokens[k - 1].string == "is"):
+            continue
+        yield tok
+
+
 def mutants(path: Path) -> list[Mutant]:
     """Every mutant of one module, in source order."""
     data = path.read_bytes()
@@ -147,6 +171,11 @@ def mutants(path: Path) -> list[Mutant]:
         end = offset(node.end_lineno, node.end_col_offset)
         text = data[start:end].decode()
         found.append(Mutant(rel, node.lineno, node.col_offset, start, end, text, _nudged(node.value)))
+    for tok in _keywords(data):
+        line, col = tok.start
+        col = len(tok.line[:col].encode())  # tokenize columns count characters
+        start = offset(line, col)
+        found.append(Mutant(rel, line, col, start, start + len(tok.string), tok.string, KEYWORDS[tok.string]))
     return sorted(found, key=lambda m: (m.start, m.after))
 
 
